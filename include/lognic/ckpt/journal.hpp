@@ -2,7 +2,7 @@
  * @file
  * Completed-work journals (lognic::ckpt): the payloads a checkpoint
  * generation carries for sweep/replication campaigns, `lognic check`
- * runs, and calibration fits.
+ * runs, calibration fits, and (see dse/supervise.hpp) explorations.
  *
  * A journal is a keyed map of finished units of work — task index →
  * runner::CompletedTask, "trial:<i>"/"corpus:<name>" → check::TrialOutcome,
@@ -13,9 +13,13 @@
  * lets a resumed run replay journaled outcomes verbatim and still produce
  * a report byte-identical to an uninterrupted run.
  *
+ * Every journal is one class template, Journal<Codec>. A codec names only
+ * what differs between workloads: the key and value types, the JSON array
+ * and key field, and the value's JSON encode/decode functions below.
+ *
  * Journals are internally locked: the lookup_fn()/record_fn() adapters
- * plug straight into the runner/check/calib hook seams, whose hooks fire
- * from worker threads. record_fn() takes an optional `after` callback
+ * plug straight into the runner/check/calib/dse hook seams, whose hooks
+ * fire from worker threads. record_fn() takes an optional `after` callback
  * fired outside the journal lock (the supervisor hangs its periodic
  * checkpoint there; calling to_json() from inside the lock would
  * deadlock).
@@ -27,10 +31,13 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "lognic/calib/calibrator.hpp"
 #include "lognic/check/harness.hpp"
+#include "lognic/io/checkpoint.hpp"
 #include "lognic/io/json.hpp"
 #include "lognic/runner/replicator.hpp"
 #include "lognic/sim/nic_simulator.hpp"
@@ -62,88 +69,163 @@ calib::StartRecord start_record_from_json(const io::Json& j);
 // --- journals -----------------------------------------------------------------
 
 /**
- * Journal of completed sweep/replication tasks, keyed by task index
- * (point * replications + replication). Thread-safe.
+ * A thread-safe journal of completed units, serialized in key order as
+ * {"<Codec::kArray>": [{"<Codec::kKey>": key, ...value fields...}, ...]}.
+ * Integral keys travel as hex u64 strings, string keys verbatim.
  */
-class TaskJournal {
+template <class Codec>
+class Journal {
 public:
-    TaskJournal() = default;
+    using Key = typename Codec::Key;
+    using Value = typename Codec::Value;
+    /// Integral keys by value, string keys by reference: exactly the
+    /// signatures of the runner/check/calib/dse lookup and hook seams.
+    using KeyArg =
+        std::conditional_t<std::is_integral_v<Key>, Key, const Key&>;
+    using Lookup = std::function<bool(KeyArg, Value&)>;
+    using Hook = std::function<void(KeyArg, const Value&)>;
 
-    /// {"tasks": [{"task": "<hex>", ...CompletedTask...}, ...]}
-    io::Json to_json() const;
+    io::Json to_json() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        io::Json entries(io::JsonArray{});
+        for (const auto& [key, done] : entries_) {
+            io::Json e = Codec::to_json(done);
+            e.set(Codec::kKey, key_to_json(key));
+            entries.push_back(std::move(e));
+        }
+        io::Json j;
+        j.set(Codec::kArray, std::move(entries));
+        return j;
+    }
+
     /// Replace the contents from a journal document.
-    /// @throws std::runtime_error on malformed input.
-    void load_json(const io::Json& j);
+    /// @throws std::runtime_error on malformed input, or on a duplicate
+    /// key (it would silently drop work).
+    void load_json(const io::Json& j)
+    {
+        std::map<Key, Value> loaded;
+        for (const auto& e : j.at(Codec::kArray).as_array()) {
+            Key key = key_from_json(e);
+            if (!loaded.emplace(key, Codec::from_json(e)).second)
+                throw std::runtime_error(
+                    std::string(Codec::kArray) + " journal: duplicate "
+                    + Codec::kKey + " " + key_to_json(key).dump(-1));
+        }
+        std::lock_guard<std::mutex> lock(mutex_);
+        entries_ = std::move(loaded);
+    }
 
-    std::size_t size() const;
-    /// Entries recorded as failures (ok == false).
-    std::size_t failed_count() const;
-    void record(std::size_t task, runner::CompletedTask done);
-    bool lookup(std::size_t task, runner::CompletedTask& out) const;
-    /// Drop failed entries so a retry round re-runs them; returns how many.
-    std::size_t erase_failed();
+    std::size_t size() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return entries_.size();
+    }
 
-    /// Adapter for SweepOptions::resume_lookup / ReplicatorHooks::lookup.
-    /// The journal must outlive the returned function.
-    runner::TaskLookup lookup_fn() const;
+    void record(KeyArg key, Value done)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        entries_.insert_or_assign(key, std::move(done));
+    }
+
+    bool lookup(KeyArg key, Value& out) const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = entries_.find(key);
+        if (it == entries_.end())
+            return false;
+        out = it->second;
+        return true;
+    }
+
+    /// Drop the entries whose value satisfies @p pred (a sweep retry
+    /// round drops its failures to re-run them); returns how many.
+    template <class Pred>
+    std::size_t erase_if(Pred pred)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return std::erase_if(entries_, [&pred](const auto& entry) {
+            return pred(entry.second);
+        });
+    }
+
+    /// Adapter for the resume-lookup seam. The journal must outlive the
+    /// returned function.
+    Lookup lookup_fn() const
+    {
+        return [this](KeyArg key, Value& out) { return lookup(key, out); };
+    }
+
     /// Adapter for the completion hook; @p after (may be empty) runs after
     /// each record, outside the journal lock.
-    runner::TaskHook record_fn(std::function<void()> after = {});
+    Hook record_fn(std::function<void()> after = {})
+    {
+        return [this, after = std::move(after)](KeyArg key,
+                                                const Value& done) {
+            record(key, done);
+            if (after)
+                after();
+        };
+    }
 
 private:
+    static io::Json key_to_json(KeyArg key)
+    {
+        if constexpr (std::is_integral_v<Key>)
+            return io::u64_to_hex(static_cast<std::uint64_t>(key));
+        else
+            return key;
+    }
+
+    static Key key_from_json(const io::Json& e)
+    {
+        const std::string& text = e.at(Codec::kKey).as_string();
+        if constexpr (std::is_integral_v<Key>)
+            return static_cast<Key>(io::parse_u64(
+                text, std::string("journal field ") + Codec::kKey));
+        else
+            return text;
+    }
+
     mutable std::mutex mutex_;
-    std::map<std::size_t, runner::CompletedTask> tasks_;
+    std::map<Key, Value> entries_;
 };
 
-/**
- * Journal of completed `lognic check` units, keyed "trial:<index>" /
- * "corpus:<name>". Thread-safe (the harness is currently serial, but the
- * seam does not promise that).
- */
-class CheckJournal {
-public:
-    CheckJournal() = default;
-
-    /// {"units": [{"key": "...", ...TrialOutcome...}, ...]}
-    io::Json to_json() const;
-    void load_json(const io::Json& j);
-
-    std::size_t size() const;
-    void record(const std::string& key, check::TrialOutcome done);
-    bool lookup(const std::string& key, check::TrialOutcome& out) const;
-
-    check::TrialLookup lookup_fn() const;
-    check::TrialHook record_fn(std::function<void()> after = {});
-
-private:
-    mutable std::mutex mutex_;
-    std::map<std::string, check::TrialOutcome> units_;
+/// Sweep/replication tasks, keyed by task index
+/// (point * replications + replication).
+struct TaskCodec {
+    using Key = std::size_t;
+    using Value = runner::CompletedTask;
+    static constexpr const char* kArray = "tasks";
+    static constexpr const char* kKey = "task";
+    static constexpr auto to_json = completed_task_to_json;
+    static constexpr auto from_json = completed_task_from_json;
 };
+using TaskJournal = Journal<TaskCodec>;
 
-/**
- * Journal of completed calibration starts, keyed by start index.
- * Thread-safe; plugs into FitOptions::resume_lookup / on_start_complete
- * (only top-level starts journal — fold fits run with cleared hooks).
- */
-class FitJournal {
-public:
-    FitJournal() = default;
-
-    /// {"starts": [{"start": "<hex>", ...StartRecord...}, ...]}
-    io::Json to_json() const;
-    void load_json(const io::Json& j);
-
-    std::size_t size() const;
-    void record(std::size_t start, calib::StartRecord done);
-    bool lookup(std::size_t start, calib::StartRecord& out) const;
-
-    calib::StartLookup lookup_fn() const;
-    calib::StartHook record_fn(std::function<void()> after = {});
-
-private:
-    mutable std::mutex mutex_;
-    std::map<std::size_t, calib::StartRecord> starts_;
+/// `lognic check` units, keyed "trial:<index>" / "corpus:<name>". (The
+/// harness is currently serial, but the seam does not promise that.)
+struct CheckCodec {
+    using Key = std::string;
+    using Value = check::TrialOutcome;
+    static constexpr const char* kArray = "units";
+    static constexpr const char* kKey = "key";
+    static constexpr auto to_json = trial_outcome_to_json;
+    static constexpr auto from_json = trial_outcome_from_json;
 };
+using CheckJournal = Journal<CheckCodec>;
+
+/// Calibration starts, keyed by start index. Only top-level starts
+/// journal — fold fits run with cleared hooks.
+struct FitCodec {
+    using Key = std::size_t;
+    using Value = calib::StartRecord;
+    static constexpr const char* kArray = "starts";
+    static constexpr const char* kKey = "start";
+    static constexpr auto to_json = start_record_to_json;
+    static constexpr auto from_json = start_record_from_json;
+};
+using FitJournal = Journal<FitCodec>;
 
 } // namespace lognic::ckpt
 

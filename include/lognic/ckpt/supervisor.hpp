@@ -4,9 +4,11 @@
  * check` run, a calibration, or a single long simulation in a
  * checkpoint/resume loop.
  *
- * The supervisor owns a CheckpointStore (one generation directory, one
- * frame kind per workload), a completed-work journal, and the hook wiring
- * into the workload's resume seams. The loop is:
+ * Every supervisor — these four and dse::supervise_exploration — is a thin
+ * caller of one Campaign, which owns a CheckpointStore (one generation
+ * directory, one frame kind per workload). The caller owns a
+ * completed-work journal and the hook wiring into the workload's resume
+ * seams. The loop is:
  *
  *  1. resume: load the newest *valid* generation (torn/corrupt/skewed
  *     files are recorded in ResumeInfo::rejected and skipped — never
@@ -15,11 +17,11 @@
  *  2. run with journal hooks: completed units are recorded as they
  *     finish, and every `checkpoint_every` completions a new generation
  *     is published via the atomic-rename protocol;
- *  3. (sweeps) retry: failed points are erased from the journal and
- *     re-run, up to `retry_rounds` extra passes with exponential backoff
- *     between them — transient failures (wall-clock truncation on a loaded
- *     host, resource exhaustion) heal, deterministic ones fail identically
- *     and are reported as data;
+ *  3. (sweeps, in supervise_sweep) retry: failed points are erased from
+ *     the journal and re-run, up to `retry_rounds` extra passes with
+ *     exponential backoff between them — transient failures (wall-clock
+ *     truncation on a loaded host, resource exhaustion) heal,
+ *     deterministic ones fail identically and are reported as data;
  *  4. final checkpoint: the finished journal is always published, so a
  *     later invocation resumes straight to the report.
  *
@@ -36,6 +38,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -80,6 +83,83 @@ struct ResumeInfo {
     /// Generations that could not be used (torn write, checksum mismatch,
     /// version skew) and why. Never silently loaded.
     std::vector<Rejected> rejected;
+};
+
+/**
+ * The checkpoint loop every supervisor shares. Construction validates the
+ * SupervisorOptions, opens the generation store, and resumes: the newest
+ * valid generation is handed to the restore step, and every rejected one
+ * is logged and kept in resume().rejected. tick() counts a completion,
+ * from any thread, and publishes a generation every `checkpoint_every` of
+ * them; flush() publishes the final one.
+ *
+ * A journal campaign publishes {"fingerprint": ..., "journal": ...} and
+ * throws rather than resume a generation whose fingerprint differs from
+ * the live campaign's. A snapshot campaign publishes and restores opaque
+ * payloads (a simulator snapshot carries and checks its own fingerprint).
+ *
+ * One mutex serializes the count and the store; journal serialization
+ * happens inside it too, which briefly pauses workers — acceptable at
+ * checkpoint granularity. Lock order is campaign mutex -> journal mutex,
+ * never the reverse.
+ */
+class Campaign {
+public:
+    using Restore = std::function<void(const std::string& payload)>;
+    using Snapshot = std::function<std::string()>;
+
+    /// Snapshot campaign: @p restore receives the newest valid payload,
+    /// @p snapshot produces each published one.
+    Campaign(const SupervisorOptions& sup, const std::string& kind,
+             const Restore& restore, Snapshot snapshot);
+
+    /// Journal campaign over @p journal (load_json/to_json/size), which
+    /// must outlive the campaign.
+    template <class J>
+    Campaign(const SupervisorOptions& sup, const std::string& kind,
+             const io::Json& fingerprint, J& journal)
+        : Campaign(
+            sup, kind,
+            [&](const std::string& payload) {
+                journal.load_json(stored_journal(sup.dir, fingerprint,
+                                                 payload));
+            },
+            [fingerprint, &journal] {
+                return journal_payload(fingerprint, journal.to_json());
+            })
+    {
+        resume_.completed = journal.size();
+    }
+
+    const ResumeInfo& resume() const { return resume_; }
+
+    /// Count one completion; publish when `checkpoint_every` are pending.
+    /// The journal record_fn() callback.
+    void tick();
+    /// Unconditional publication (the final checkpoint).
+    void flush();
+    /// Generations published by this campaign.
+    std::uint64_t checkpoints() const;
+
+private:
+    /// The journal document of a stored {"fingerprint", "journal"}
+    /// payload. @throws std::runtime_error when the stored fingerprint is
+    /// not @p fingerprint: the directory holds a journal for a different
+    /// campaign, and resuming it would mix incompatible work.
+    static io::Json stored_journal(const std::string& dir,
+                                   const io::Json& fingerprint,
+                                   const std::string& payload);
+    static std::string journal_payload(const io::Json& fingerprint,
+                                       const io::Json& journal);
+    void publish_locked();
+
+    CheckpointStore store_;
+    Snapshot snapshot_;
+    std::uint64_t every_;
+    ResumeInfo resume_;
+    mutable std::mutex mutex_;
+    std::uint64_t pending_{0};
+    std::uint64_t checkpoints_{0};
 };
 
 struct SupervisedSweep {

@@ -4,30 +4,30 @@
  * seams).
  *
  * ExploreJournal is the completed-work journal for an exploration
- * campaign: model-oracle Evaluations keyed by canonical config string,
- * plus DES validations of frontier members under the same keys. Both
- * round-trip through JSON bit-exactly (doubles as IEEE-754 hex, u64 as
- * hex strings), so a resumed run replays journaled outcomes verbatim.
+ * campaign: two ckpt::Journal instances, one of model-oracle Evaluations
+ * keyed by canonical config string, one of DES validations of frontier
+ * members under the same keys. Both round-trip through JSON bit-exactly
+ * (doubles as IEEE-754 hex, u64 as hex strings), so a resumed run
+ * replays journaled outcomes verbatim.
  *
- * supervise_exploration() wraps explore() in the PR-8 supervision loop:
- * resume from the newest valid "explore" generation (fingerprint-checked
- * against the live campaign), wire the journal into the
- * resume_eval/on_eval and resume_des/on_des seams, publish a generation
- * every checkpoint_every completions, and always publish a final
- * checkpoint. A run SIGKILLed at any point and resumed produces a
- * FrontierReport byte-identical to the uninterrupted run, at any thread
- * count — journal replay satisfies the *work* of a memo-cache miss
- * without perturbing the miss count (see memo.hpp).
+ * supervise_exploration() wraps explore() in a ckpt::Campaign: resume
+ * from the newest valid "explore" generation (fingerprint-checked against
+ * the live campaign), wire the journals into the resume_eval/on_eval and
+ * resume_des/on_des seams, publish a generation every checkpoint_every
+ * completions (evaluations and DES validations tick one counter), and
+ * always publish a final checkpoint. A run SIGKILLed at any point and
+ * resumed produces a FrontierReport byte-identical to the uninterrupted
+ * run, at any thread count — journal replay satisfies the *work* of a
+ * memo-cache miss without perturbing the miss count (see memo.hpp).
  */
 #ifndef LOGNIC_DSE_SUPERVISE_HPP_
 #define LOGNIC_DSE_SUPERVISE_HPP_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <mutex>
 #include <string>
+#include <utility>
 
+#include "lognic/ckpt/journal.hpp"
 #include "lognic/ckpt/supervisor.hpp"
 #include "lognic/dse/explorer.hpp"
 #include "lognic/io/json.hpp"
@@ -37,48 +37,54 @@ namespace lognic::dse {
 /// Frame kind used by exploration checkpoints.
 inline constexpr const char* kExploreCheckpointKind = "explore";
 
-/**
- * Journal of completed exploration units. Thread-safe: the record hooks
- * fire from evaluation worker threads. record_*_fn()'s optional @p after
- * callback runs outside the journal lock (the supervisor hangs the
- * periodic checkpoint there).
- */
-class ExploreJournal {
-  public:
-    ExploreJournal() = default;
-
-    /// {"evals": [{"key": ..., ...}], "des": [{"key": ..., ...}]}
-    io::Json to_json() const;
-    /// Replace the contents from a journal document.
-    /// @throws std::runtime_error on malformed input.
-    void load_json(const io::Json& j);
-
-    std::size_t eval_count() const;
-    std::size_t des_count() const;
-
-    void record_eval(const std::string& key, Evaluation done);
-    bool lookup_eval(const std::string& key, Evaluation& out) const;
-    void record_des(const std::string& key, DesValidation done);
-    bool lookup_des(const std::string& key, DesValidation& out) const;
-
-    /// Adapters for the ExploreOptions seams. The journal must outlive
-    /// the returned functions.
-    EvalLookup eval_lookup_fn() const;
-    EvalHook eval_record_fn(std::function<void()> after = {});
-    DesLookup des_lookup_fn() const;
-    DesHook des_record_fn(std::function<void()> after = {});
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<std::string, Evaluation> evals_;
-    std::map<std::string, DesValidation> des_;
-};
-
 // Bit-exact (de)serialization of journal entries; exposed for tests.
 io::Json evaluation_to_json(const Evaluation& e);
 Evaluation evaluation_from_json(const io::Json& j);
 io::Json des_validation_to_json(const DesValidation& v);
 DesValidation des_validation_from_json(const io::Json& j);
+
+/// Model-oracle evaluations, keyed by canonical config string.
+struct EvalCodec {
+    using Key = std::string;
+    using Value = Evaluation;
+    static constexpr const char* kArray = "evals";
+    static constexpr const char* kKey = "key";
+    static constexpr auto to_json = evaluation_to_json;
+    static constexpr auto from_json = evaluation_from_json;
+};
+
+/// DES validations of frontier members, under the same keys.
+struct DesCodec {
+    using Key = std::string;
+    using Value = DesValidation;
+    static constexpr const char* kArray = "des";
+    static constexpr const char* kKey = "key";
+    static constexpr auto to_json = des_validation_to_json;
+    static constexpr auto from_json = des_validation_from_json;
+};
+
+/// {"evals": [{"key": ..., ...}], "des": [{"key": ..., ...}]}.
+/// Thread-safe: the record hooks fire from evaluation worker threads.
+struct ExploreJournal {
+    ckpt::Journal<EvalCodec> evals;
+    ckpt::Journal<DesCodec> des;
+
+    io::Json to_json() const;
+    /// Replace the contents from a journal document.
+    /// @throws std::runtime_error on malformed input or a duplicate key.
+    void load_json(const io::Json& j);
+    /// Entries in both journals.
+    std::size_t size() const { return evals.size() + des.size(); }
+
+    void record_eval(const std::string& key, Evaluation done)
+    {
+        evals.record(key, std::move(done));
+    }
+    void record_des(const std::string& key, DesValidation done)
+    {
+        des.record(key, std::move(done));
+    }
+};
 
 struct SupervisedExploration {
     FrontierReport report;

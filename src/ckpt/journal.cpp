@@ -1,12 +1,10 @@
 /**
  * @file
  * Completed-work journals: bit-exact JSON round-trips for the result
- * types, plus the locked map + hook adapters per workload. See
- * journal.hpp for the format contract.
+ * types the journal codecs carry. See journal.hpp for the format contract.
  */
 #include "lognic/ckpt/journal.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "lognic/io/checkpoint.hpp"
@@ -329,258 +327,6 @@ start_record_from_json(const io::Json& j)
     r.residuals = hex_array_back(j, "residuals");
     r.convergence = hex_array_back(j, "convergence");
     return r;
-}
-
-// --- TaskJournal --------------------------------------------------------------
-
-io::Json
-TaskJournal::to_json() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    io::Json tasks(io::JsonArray{});
-    for (const auto& [task, done] : tasks_) {
-        io::Json e = completed_task_to_json(done);
-        e.set("task", hexu(static_cast<std::uint64_t>(task)));
-        tasks.push_back(std::move(e));
-    }
-    io::Json j;
-    j.set("tasks", std::move(tasks));
-    return j;
-}
-
-void
-TaskJournal::load_json(const io::Json& j)
-{
-    std::map<std::size_t, runner::CompletedTask> loaded;
-    for (const auto& e : j.at("tasks").as_array()) {
-        const auto task = static_cast<std::size_t>(get_u(e, "task"));
-        if (!loaded.emplace(task, completed_task_from_json(e)).second)
-            throw std::runtime_error("task journal: duplicate task "
-                                     + std::to_string(task));
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_ = std::move(loaded);
-}
-
-std::size_t
-TaskJournal::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tasks_.size();
-}
-
-std::size_t
-TaskJournal::failed_count() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const auto& [task, done] : tasks_)
-        if (!done.ok)
-            ++n;
-    return n;
-}
-
-void
-TaskJournal::record(std::size_t task, runner::CompletedTask done)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_[task] = std::move(done);
-}
-
-bool
-TaskJournal::lookup(std::size_t task, runner::CompletedTask& out) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = tasks_.find(task);
-    if (it == tasks_.end())
-        return false;
-    out = it->second;
-    return true;
-}
-
-std::size_t
-TaskJournal::erase_failed()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t erased = 0;
-    for (auto it = tasks_.begin(); it != tasks_.end();) {
-        if (!it->second.ok) {
-            it = tasks_.erase(it);
-            ++erased;
-        } else {
-            ++it;
-        }
-    }
-    return erased;
-}
-
-runner::TaskLookup
-TaskJournal::lookup_fn() const
-{
-    return [this](std::size_t task, runner::CompletedTask& out) {
-        return lookup(task, out);
-    };
-}
-
-runner::TaskHook
-TaskJournal::record_fn(std::function<void()> after)
-{
-    return [this, after = std::move(after)](std::size_t task,
-                                            const runner::CompletedTask& t) {
-        record(task, t);
-        if (after)
-            after();
-    };
-}
-
-// --- CheckJournal -------------------------------------------------------------
-
-io::Json
-CheckJournal::to_json() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    io::Json units(io::JsonArray{});
-    for (const auto& [key, done] : units_) {
-        io::Json e = trial_outcome_to_json(done);
-        e.set("key", key);
-        units.push_back(std::move(e));
-    }
-    io::Json j;
-    j.set("units", std::move(units));
-    return j;
-}
-
-void
-CheckJournal::load_json(const io::Json& j)
-{
-    std::map<std::string, check::TrialOutcome> loaded;
-    for (const auto& e : j.at("units").as_array()) {
-        const std::string& key = e.at("key").as_string();
-        if (!loaded.emplace(key, trial_outcome_from_json(e)).second)
-            throw std::runtime_error("check journal: duplicate key '" + key
-                                     + "'");
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    units_ = std::move(loaded);
-}
-
-std::size_t
-CheckJournal::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return units_.size();
-}
-
-void
-CheckJournal::record(const std::string& key, check::TrialOutcome done)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    units_[key] = std::move(done);
-}
-
-bool
-CheckJournal::lookup(const std::string& key, check::TrialOutcome& out) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = units_.find(key);
-    if (it == units_.end())
-        return false;
-    out = it->second;
-    return true;
-}
-
-check::TrialLookup
-CheckJournal::lookup_fn() const
-{
-    return [this](const std::string& key, check::TrialOutcome& out) {
-        return lookup(key, out);
-    };
-}
-
-check::TrialHook
-CheckJournal::record_fn(std::function<void()> after)
-{
-    return [this, after = std::move(after)](const std::string& key,
-                                            const check::TrialOutcome& t) {
-        record(key, t);
-        if (after)
-            after();
-    };
-}
-
-// --- FitJournal ---------------------------------------------------------------
-
-io::Json
-FitJournal::to_json() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    io::Json starts(io::JsonArray{});
-    for (const auto& [start, done] : starts_) {
-        io::Json e = start_record_to_json(done);
-        e.set("start", hexu(static_cast<std::uint64_t>(start)));
-        starts.push_back(std::move(e));
-    }
-    io::Json j;
-    j.set("starts", std::move(starts));
-    return j;
-}
-
-void
-FitJournal::load_json(const io::Json& j)
-{
-    std::map<std::size_t, calib::StartRecord> loaded;
-    for (const auto& e : j.at("starts").as_array()) {
-        const auto start = static_cast<std::size_t>(get_u(e, "start"));
-        if (!loaded.emplace(start, start_record_from_json(e)).second)
-            throw std::runtime_error("fit journal: duplicate start "
-                                     + std::to_string(start));
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    starts_ = std::move(loaded);
-}
-
-std::size_t
-FitJournal::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return starts_.size();
-}
-
-void
-FitJournal::record(std::size_t start, calib::StartRecord done)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    starts_[start] = std::move(done);
-}
-
-bool
-FitJournal::lookup(std::size_t start, calib::StartRecord& out) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = starts_.find(start);
-    if (it == starts_.end())
-        return false;
-    out = it->second;
-    return true;
-}
-
-calib::StartLookup
-FitJournal::lookup_fn() const
-{
-    return [this](std::size_t start, calib::StartRecord& out) {
-        return lookup(start, out);
-    };
-}
-
-calib::StartHook
-FitJournal::record_fn(std::function<void()> after)
-{
-    return [this, after = std::move(after)](std::size_t start,
-                                            const calib::StartRecord& r) {
-        record(start, r);
-        if (after)
-            after();
-    };
 }
 
 } // namespace lognic::ckpt

@@ -1,13 +1,13 @@
 /**
  * @file
- * Kill-tolerant run supervision: checkpoint-store wiring, resume with
- * fingerprint verification, periodic publication, and sweep retry rounds.
+ * Kill-tolerant run supervision: the shared Campaign loop (checkpoint-store
+ * wiring, resume with fingerprint verification, periodic publication) and
+ * the per-workload supervisors on top of it, with sweep retry rounds.
  * See supervisor.hpp for the loop contract.
  */
 #include "lognic/ckpt/supervisor.hpp"
 
 #include <chrono>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -37,8 +37,8 @@ do_sleep(const SupervisorOptions& sup, double seconds)
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
-void
-validate_options(const SupervisorOptions& sup)
+const SupervisorOptions&
+validated(const SupervisorOptions& sup)
 {
     if (sup.dir.empty())
         throw std::invalid_argument(
@@ -48,10 +48,53 @@ validate_options(const SupervisorOptions& sup)
             "supervisor: checkpoint_every must be >= 1");
     if (sup.retention == 0)
         throw std::invalid_argument("supervisor: retention must be >= 1");
+    return sup;
+}
+
+} // namespace
+
+// --- the campaign loop --------------------------------------------------------
+
+Campaign::Campaign(const SupervisorOptions& sup, const std::string& kind,
+                   const Restore& restore, Snapshot snapshot)
+    : store_(validated(sup).dir, kind, StoreOptions{sup.retention}),
+      snapshot_(std::move(snapshot)), every_(sup.checkpoint_every)
+{
+    if (!sup.resume)
+        return;
+    const auto loaded = store_.load_latest(&resume_.rejected);
+    for (const auto& r : resume_.rejected)
+        log_to(sup, "checkpoint: skipping " + r.path + ": " + r.reason);
+    if (!loaded)
+        return;
+    restore(loaded->payload);
+    resume_.resumed = true;
+    resume_.generation = loaded->generation;
+    log_to(sup, "checkpoint: resumed from generation "
+                    + std::to_string(loaded->generation) + " in '"
+                    + store_.dir() + "'");
+}
+
+io::Json
+Campaign::stored_journal(const std::string& dir, const io::Json& fingerprint,
+                         const std::string& payload)
+{
+    const io::Json doc = io::Json::parse(payload);
+    const std::string want = fingerprint.dump(-1);
+    const std::string have = doc.at("fingerprint").dump(-1);
+    if (want != have)
+        throw std::runtime_error(
+            "checkpoint: fingerprint mismatch in '" + dir
+            + "': the stored journal belongs to a different campaign "
+              "(stored "
+            + have + ", running " + want
+            + "); point --checkpoint at a fresh directory or rerun the "
+              "original spec");
+    return doc.at("journal");
 }
 
 std::string
-make_payload(const io::Json& fingerprint, const io::Json& journal)
+Campaign::journal_payload(const io::Json& fingerprint, const io::Json& journal)
 {
     io::Json doc;
     doc.set("fingerprint", fingerprint);
@@ -59,102 +102,37 @@ make_payload(const io::Json& fingerprint, const io::Json& journal)
     return doc.dump(-1);
 }
 
-/**
- * Load the newest valid generation, verify its fingerprint, and hand the
- * journal document to @p load. Rejected generations are logged and
- * recorded; a fingerprint mismatch throws (the directory holds a journal
- * for a different campaign — resuming it would mix incompatible work).
- */
-ResumeInfo
-resume_into(const CheckpointStore& store, const io::Json& fingerprint,
-            const SupervisorOptions& sup,
-            const std::function<void(const io::Json&)>& load)
+void
+Campaign::tick()
 {
-    ResumeInfo info;
-    if (!sup.resume)
-        return info;
-    const auto loaded = store.load_latest(&info.rejected);
-    for (const auto& r : info.rejected)
-        log_to(sup, "checkpoint: skipping " + r.path + ": " + r.reason);
-    if (!loaded)
-        return info;
-    const io::Json doc = io::Json::parse(loaded->payload);
-    const std::string want = fingerprint.dump(-1);
-    const std::string have = doc.at("fingerprint").dump(-1);
-    if (want != have)
-        throw std::runtime_error(
-            "checkpoint: fingerprint mismatch in '" + store.dir()
-            + "': the stored journal belongs to a different campaign "
-              "(stored "
-            + have + ", running " + want
-            + "); point --checkpoint at a fresh directory or rerun the "
-              "original spec");
-    load(doc.at("journal"));
-    info.resumed = true;
-    info.generation = loaded->generation;
-    log_to(sup, "checkpoint: resumed from generation "
-                    + std::to_string(loaded->generation) + " in '"
-                    + store.dir() + "'");
-    return info;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (++pending_ < every_)
+        return;
+    pending_ = 0;
+    publish_locked();
 }
 
-/**
- * Periodic publisher: counts completions (from worker threads) and saves
- * a generation every `checkpoint_every` of them. One mutex serializes the
- * count and the store; journal serialization happens inside it too, which
- * briefly pauses workers — acceptable at checkpoint granularity. Lock
- * order is publisher mutex -> journal mutex, never the reverse.
- */
-class Publisher {
-public:
-    Publisher(CheckpointStore& store, const SupervisorOptions& sup,
-              io::Json fingerprint, std::function<io::Json()> journal_json)
-        : store_(store), sup_(sup), fingerprint_(std::move(fingerprint)),
-          journal_json_(std::move(journal_json))
-    {
-    }
+void
+Campaign::flush()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    pending_ = 0;
+    publish_locked();
+}
 
-    /// Completion hook body: maybe publish a periodic generation.
-    void tick()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (++pending_ < sup_.checkpoint_every)
-            return;
-        pending_ = 0;
-        publish_locked();
-    }
+std::uint64_t
+Campaign::checkpoints() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return checkpoints_;
+}
 
-    /// Unconditional publication (the final checkpoint).
-    void flush()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        pending_ = 0;
-        publish_locked();
-    }
-
-    std::uint64_t checkpoints() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return checkpoints_;
-    }
-
-private:
-    void publish_locked()
-    {
-        store_.save(make_payload(fingerprint_, journal_json_()));
-        ++checkpoints_;
-    }
-
-    CheckpointStore& store_;
-    const SupervisorOptions& sup_;
-    io::Json fingerprint_;
-    std::function<io::Json()> journal_json_;
-    mutable std::mutex mutex_;
-    std::uint64_t pending_{0};
-    std::uint64_t checkpoints_{0};
-};
-
-} // namespace
+void
+Campaign::publish_locked()
+{
+    store_.save(snapshot_());
+    ++checkpoints_;
+}
 
 // --- sweeps -------------------------------------------------------------------
 
@@ -162,7 +140,6 @@ SupervisedSweep
 supervise_sweep(const runner::Sweep& sweep, runner::SweepOptions options,
                 const SupervisorOptions& sup)
 {
-    validate_options(sup);
     if (options.resume_lookup || options.on_task_complete)
         throw std::invalid_argument(
             "supervise_sweep: options.resume_lookup/on_task_complete are "
@@ -177,41 +154,32 @@ supervise_sweep(const runner::Sweep& sweep, runner::SweepOptions options,
     // threads intentionally absent: results are thread-count independent,
     // so resuming on a different machine width is legitimate.
 
-    CheckpointStore store(sup.dir, "sweep", StoreOptions{sup.retention});
     TaskJournal journal;
-    SupervisedSweep out;
-    out.resume = resume_into(store, fp, sup, [&](const io::Json& j) {
-        journal.load_json(j);
-    });
-    out.resume.completed = journal.size();
-
-    Publisher publisher(store, sup, fp, [&journal] {
-        return journal.to_json();
-    });
+    Campaign campaign(sup, "sweep", fp, journal);
     options.resume_lookup = journal.lookup_fn();
     options.on_task_complete =
-        journal.record_fn([&publisher] { publisher.tick(); });
+        journal.record_fn([&campaign] { campaign.tick(); });
 
-    out.report = sweep.run_guarded(options);
+    runner::SweepReport report = sweep.run_guarded(options);
 
+    std::size_t rounds = 0;
     double backoff = sup.backoff_initial_seconds;
-    while (out.retry_rounds_used < sup.retry_rounds
-           && !out.report.failed.empty()) {
-        ++out.retry_rounds_used;
-        log_to(sup, "supervisor: retry round "
-                        + std::to_string(out.retry_rounds_used) + ": "
-                        + std::to_string(out.report.failed.size())
+    while (rounds < sup.retry_rounds && !report.failed.empty()) {
+        ++rounds;
+        log_to(sup, "supervisor: retry round " + std::to_string(rounds)
+                        + ": " + std::to_string(report.failed.size())
                         + " failed point(s), backing off "
                         + std::to_string(backoff) + "s");
         do_sleep(sup, backoff);
         backoff *= sup.backoff_multiplier;
-        journal.erase_failed();
-        out.report = sweep.run_guarded(options);
+        journal.erase_if(
+            [](const runner::CompletedTask& t) { return !t.ok; });
+        report = sweep.run_guarded(options);
     }
 
-    publisher.flush();
-    out.checkpoints = publisher.checkpoints();
-    return out;
+    campaign.flush();
+    return {std::move(report), campaign.resume(), campaign.checkpoints(),
+            rounds};
 }
 
 // --- conformance checks -------------------------------------------------------
@@ -221,7 +189,6 @@ supervise_check(check::CheckOptions copts,
                 const std::vector<check::CorpusEntry>& corpus,
                 const SupervisorOptions& sup)
 {
-    validate_options(sup);
     if (copts.resume_lookup || copts.on_trial_complete)
         throw std::invalid_argument(
             "supervise_check: copts.resume_lookup/on_trial_complete are "
@@ -240,33 +207,23 @@ supervise_check(check::CheckOptions copts,
         names.push_back(e.name);
     fp.set("corpus", std::move(names));
 
-    CheckpointStore store(sup.dir, "check", StoreOptions{sup.retention});
     CheckJournal journal;
-    SupervisedCheck out;
-    out.resume = resume_into(store, fp, sup, [&](const io::Json& j) {
-        journal.load_json(j);
-    });
-    out.resume.completed = journal.size();
-
-    Publisher publisher(store, sup, fp, [&journal] {
-        return journal.to_json();
-    });
+    Campaign campaign(sup, "check", fp, journal);
     copts.resume_lookup = journal.lookup_fn();
     copts.on_trial_complete =
-        journal.record_fn([&publisher] { publisher.tick(); });
+        journal.record_fn([&campaign] { campaign.tick(); });
 
     // Same composition as `lognic check`: corpus replay first, random
     // trials merged on top — so a supervised report is byte-identical to
     // an unsupervised one.
+    check::CheckReport report;
     if (!corpus.empty())
-        out.report = check::replay_corpus(corpus, copts);
+        report = check::replay_corpus(corpus, copts);
     if (copts.trials > 0)
-        out.report =
-            check::merge(std::move(out.report), check::run_trials(copts));
+        report = check::merge(std::move(report), check::run_trials(copts));
 
-    publisher.flush();
-    out.checkpoints = publisher.checkpoints();
-    return out;
+    campaign.flush();
+    return {std::move(report), campaign.resume(), campaign.checkpoints()};
 }
 
 // --- calibrations -------------------------------------------------------------
@@ -276,7 +233,6 @@ supervise_calibration(calib::ParameterSpace space, calib::Dataset data,
                       calib::CalibratorOptions opts,
                       const SupervisorOptions& sup)
 {
-    validate_options(sup);
     if (opts.fit.resume_lookup || opts.fit.on_start_complete)
         throw std::invalid_argument(
             "supervise_calibration: fit.resume_lookup/on_start_complete "
@@ -291,28 +247,18 @@ supervise_calibration(calib::ParameterSpace space, calib::Dataset data,
     fp.set("holdout_fraction", io::double_to_hex(opts.holdout_fraction));
     fp.set("k_folds", io::u64_to_hex(opts.k_folds));
 
-    CheckpointStore store(sup.dir, "calib", StoreOptions{sup.retention});
     FitJournal journal;
-    SupervisedCalibration out;
-    out.resume = resume_into(store, fp, sup, [&](const io::Json& j) {
-        journal.load_json(j);
-    });
-    out.resume.completed = journal.size();
-
-    Publisher publisher(store, sup, fp, [&journal] {
-        return journal.to_json();
-    });
+    Campaign campaign(sup, "calib", fp, journal);
     opts.fit.resume_lookup = journal.lookup_fn();
     opts.fit.on_start_complete =
-        journal.record_fn([&publisher] { publisher.tick(); });
+        journal.record_fn([&campaign] { campaign.tick(); });
 
     const calib::Calibrator calibrator(std::move(space), std::move(data),
                                        std::move(opts));
-    out.report = calibrator.fit();
+    calib::CalibrationReport report = calibrator.fit();
 
-    publisher.flush();
-    out.checkpoints = publisher.checkpoints();
-    return out;
+    campaign.flush();
+    return {std::move(report), campaign.resume(), campaign.checkpoints()};
 }
 
 // --- single long simulations --------------------------------------------------
@@ -322,51 +268,36 @@ supervise_simulation(sim::NicSimulator& sim,
                      std::uint64_t events_per_segment,
                      const SupervisorOptions& sup)
 {
-    validate_options(sup);
     if (events_per_segment == 0)
         throw std::invalid_argument(
             "supervise_simulation: events_per_segment must be > 0");
 
-    CheckpointStore store(sup.dir, "sim", StoreOptions{sup.retention});
-    SupervisedSimulation out;
-    bool resumed = false;
-    if (sup.resume) {
-        const auto loaded = store.load_latest(&out.resume.rejected);
-        for (const auto& r : out.resume.rejected)
-            log_to(sup, "checkpoint: skipping " + r.path + ": " + r.reason);
-        if (loaded) {
-            // load_state() validates the snapshot's config fingerprint
-            // against the live simulator and throws on mismatch.
-            sim.load_state(io::Json::parse(loaded->payload));
-            out.resume.resumed = true;
-            out.resume.generation = loaded->generation;
-            log_to(sup, "checkpoint: resumed simulation from generation "
-                            + std::to_string(loaded->generation));
-            resumed = true;
-        }
-    }
-    if (!resumed)
+    // The payload is the raw state snapshot: load_state() validates the
+    // snapshot's config fingerprint against the live simulator and throws
+    // on mismatch.
+    Campaign campaign(
+        sup, "sim",
+        [&sim](const std::string& payload) {
+            sim.load_state(io::Json::parse(payload));
+        },
+        [&sim] { return sim.save_state().dump(-1); });
+    if (!campaign.resume().resumed)
         sim.begin();
 
-    std::uint64_t since = 0;
+    std::uint64_t segments = 0;
     for (;;) {
         const bool done = sim.advance(events_per_segment);
-        ++out.segments;
+        ++segments;
         if (done)
             break;
-        if (++since >= sup.checkpoint_every) {
-            since = 0;
-            store.save(sim.save_state().dump(-1));
-            ++out.checkpoints;
-        }
+        campaign.tick();
     }
     // Publish the end-of-run snapshot too: a resume after a crash between
     // "run finished" and "results consumed" replays instantly instead of
     // re-simulating the last stretch.
-    store.save(sim.save_state().dump(-1));
-    ++out.checkpoints;
-    out.result = sim.finalize();
-    return out;
+    campaign.flush();
+    return {sim.finalize(), campaign.resume(), campaign.checkpoints(),
+            segments};
 }
 
 } // namespace lognic::ckpt

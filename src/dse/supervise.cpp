@@ -1,133 +1,18 @@
 /**
  * @file
- * Exploration supervision: checkpoint-store wiring, fingerprint-verified
- * resume, and periodic publication. The loop structure deliberately
- * mirrors src/ckpt/supervisor.cpp so the two read the same.
+ * Exploration supervision: the exploration journal's entry codecs, the
+ * campaign fingerprint, and the wiring of both into a ckpt::Campaign.
  */
 #include "lognic/dse/supervise.hpp"
 
 #include <stdexcept>
 #include <utility>
 
-#include "lognic/ckpt/store.hpp"
 #include "lognic/io/checkpoint.hpp"
 #include "lognic/io/serialize.hpp"
 
 namespace lognic::dse {
 namespace {
-
-void
-log_to(const ckpt::SupervisorOptions& sup, const std::string& message)
-{
-    if (sup.log)
-        sup.log(message);
-}
-
-void
-validate_options(const ckpt::SupervisorOptions& sup)
-{
-    if (sup.dir.empty())
-        throw std::invalid_argument(
-            "supervisor: checkpoint directory must be non-empty");
-    if (sup.checkpoint_every == 0)
-        throw std::invalid_argument(
-            "supervisor: checkpoint_every must be >= 1");
-    if (sup.retention == 0)
-        throw std::invalid_argument("supervisor: retention must be >= 1");
-}
-
-std::string
-make_payload(const io::Json& fingerprint, const io::Json& journal)
-{
-    io::Json doc;
-    doc.set("fingerprint", fingerprint);
-    doc.set("journal", journal);
-    return doc.dump(-1);
-}
-
-ckpt::ResumeInfo
-resume_into(const ckpt::CheckpointStore& store, const io::Json& fingerprint,
-            const ckpt::SupervisorOptions& sup,
-            const std::function<void(const io::Json&)>& load)
-{
-    ckpt::ResumeInfo info;
-    if (!sup.resume)
-        return info;
-    const auto loaded = store.load_latest(&info.rejected);
-    for (const auto& r : info.rejected)
-        log_to(sup, "checkpoint: skipping " + r.path + ": " + r.reason);
-    if (!loaded)
-        return info;
-    const io::Json doc = io::Json::parse(loaded->payload);
-    const std::string want = fingerprint.dump(-1);
-    const std::string have = doc.at("fingerprint").dump(-1);
-    if (want != have)
-        throw std::runtime_error(
-            "checkpoint: fingerprint mismatch in '" + store.dir()
-            + "': the stored journal belongs to a different campaign "
-              "(stored "
-            + have + ", running " + want
-            + "); point --checkpoint at a fresh directory or rerun the "
-              "original spec");
-    load(doc.at("journal"));
-    info.resumed = true;
-    info.generation = loaded->generation;
-    log_to(sup, "checkpoint: resumed from generation "
-                    + std::to_string(loaded->generation) + " in '"
-                    + store.dir() + "'");
-    return info;
-}
-
-/// Same publisher as src/ckpt/supervisor.cpp: one mutex serializes the
-/// completion count, journal serialization, and the store. Lock order is
-/// publisher mutex -> journal mutex, never the reverse.
-class Publisher {
-  public:
-    Publisher(ckpt::CheckpointStore& store,
-              const ckpt::SupervisorOptions& sup, io::Json fingerprint,
-              std::function<io::Json()> journal_json)
-        : store_(store), sup_(sup), fingerprint_(std::move(fingerprint)),
-          journal_json_(std::move(journal_json))
-    {
-    }
-
-    void tick()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (++pending_ < sup_.checkpoint_every)
-            return;
-        pending_ = 0;
-        publish_locked();
-    }
-
-    void flush()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        pending_ = 0;
-        publish_locked();
-    }
-
-    std::uint64_t checkpoints() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return checkpoints_;
-    }
-
-  private:
-    void publish_locked()
-    {
-        store_.save(make_payload(fingerprint_, journal_json_()));
-        ++checkpoints_;
-    }
-
-    ckpt::CheckpointStore& store_;
-    const ckpt::SupervisorOptions& sup_;
-    io::Json fingerprint_;
-    std::function<io::Json()> journal_json_;
-    mutable std::mutex mutex_;
-    std::uint64_t pending_{0};
-    std::uint64_t checkpoints_{0};
-};
 
 /**
  * Everything that shapes the result stream, hashed or listed verbatim:
@@ -265,127 +150,16 @@ des_validation_from_json(const io::Json& j)
 io::Json
 ExploreJournal::to_json() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    io::Json evals{io::JsonArray{}};
-    for (const auto& [key, e] : evals_) {
-        io::Json entry = evaluation_to_json(e);
-        entry.set("key", io::Json(key));
-        evals.push_back(std::move(entry));
-    }
-    io::Json des{io::JsonArray{}};
-    for (const auto& [key, v] : des_) {
-        io::Json entry = des_validation_to_json(v);
-        entry.set("key", io::Json(key));
-        des.push_back(std::move(entry));
-    }
-    io::Json j;
-    j.set("evals", std::move(evals));
-    j.set("des", std::move(des));
+    io::Json j = evals.to_json();
+    j.set("des", des.to_json().at("des"));
     return j;
 }
 
 void
 ExploreJournal::load_json(const io::Json& j)
 {
-    std::map<std::string, Evaluation> evals;
-    std::map<std::string, DesValidation> des;
-    for (const io::Json& entry : j.at("evals").as_array())
-        evals.emplace(entry.at("key").as_string(),
-                      evaluation_from_json(entry));
-    for (const io::Json& entry : j.at("des").as_array())
-        des.emplace(entry.at("key").as_string(),
-                    des_validation_from_json(entry));
-    std::lock_guard<std::mutex> lock(mutex_);
-    evals_ = std::move(evals);
-    des_ = std::move(des);
-}
-
-std::size_t
-ExploreJournal::eval_count() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return evals_.size();
-}
-
-std::size_t
-ExploreJournal::des_count() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return des_.size();
-}
-
-void
-ExploreJournal::record_eval(const std::string& key, Evaluation done)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    evals_.insert_or_assign(key, std::move(done));
-}
-
-bool
-ExploreJournal::lookup_eval(const std::string& key, Evaluation& out) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = evals_.find(key);
-    if (it == evals_.end())
-        return false;
-    out = it->second;
-    return true;
-}
-
-void
-ExploreJournal::record_des(const std::string& key, DesValidation done)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    des_.insert_or_assign(key, std::move(done));
-}
-
-bool
-ExploreJournal::lookup_des(const std::string& key, DesValidation& out) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = des_.find(key);
-    if (it == des_.end())
-        return false;
-    out = it->second;
-    return true;
-}
-
-EvalLookup
-ExploreJournal::eval_lookup_fn() const
-{
-    return [this](const std::string& key, Evaluation& out) {
-        return lookup_eval(key, out);
-    };
-}
-
-EvalHook
-ExploreJournal::eval_record_fn(std::function<void()> after)
-{
-    return [this, after = std::move(after)](const std::string& key,
-                                            const Evaluation& done) {
-        record_eval(key, done);
-        if (after)
-            after();
-    };
-}
-
-DesLookup
-ExploreJournal::des_lookup_fn() const
-{
-    return [this](const std::string& key, DesValidation& out) {
-        return lookup_des(key, out);
-    };
-}
-
-DesHook
-ExploreJournal::des_record_fn(std::function<void()> after)
-{
-    return [this, after = std::move(after)](const std::string& key,
-                                            const DesValidation& done) {
-        record_des(key, done);
-        if (after)
-            after();
-    };
+    evals.load_json(j);
+    des.load_json(j);
 }
 
 // --- supervise_exploration ----------------------------------------------------
@@ -397,39 +171,28 @@ supervise_exploration(const DesignSpace& space,
                       ExploreOptions opts, const ckpt::SupervisorOptions& sup,
                       obs::MetricsRegistry* metrics)
 {
-    validate_options(sup);
     if (opts.resume_eval || opts.on_eval || opts.resume_des || opts.on_des)
         throw std::invalid_argument(
             "supervise_exploration: opts.resume_eval/on_eval/resume_des/"
             "on_des are owned by the supervisor and must be unset");
 
-    ckpt::CheckpointStore store(sup.dir, kExploreCheckpointKind,
-                                {sup.retention});
-    const io::Json fingerprint =
-        campaign_fingerprint(space, objectives, constraints, opts);
-
     ExploreJournal journal;
-    SupervisedExploration result;
-    result.resume = resume_into(store, fingerprint, sup,
-                                [&](const io::Json& j) {
-                                    journal.load_json(j);
-                                });
-    result.resume.completed = journal.eval_count() + journal.des_count();
+    ckpt::Campaign campaign(
+        sup, kExploreCheckpointKind,
+        campaign_fingerprint(space, objectives, constraints, opts), journal);
+    opts.resume_eval = journal.evals.lookup_fn();
+    opts.on_eval = journal.evals.record_fn([&campaign] { campaign.tick(); });
+    opts.resume_des = journal.des.lookup_fn();
+    opts.on_des = journal.des.record_fn([&campaign] { campaign.tick(); });
 
-    Publisher publisher(store, sup, fingerprint,
-                        [&journal] { return journal.to_json(); });
-    opts.resume_eval = journal.eval_lookup_fn();
-    opts.on_eval = journal.eval_record_fn([&publisher] { publisher.tick(); });
-    opts.resume_des = journal.des_lookup_fn();
-    opts.on_des = journal.des_record_fn([&publisher] { publisher.tick(); });
-
-    result.report = explore(space, objectives, constraints, opts, metrics);
-    publisher.flush();
-    result.checkpoints = publisher.checkpoints();
-    log_to(sup, "checkpoint: exploration finished; "
-                    + std::to_string(result.checkpoints)
-                    + " generation(s) published to '" + store.dir() + "'");
-    return result;
+    FrontierReport report =
+        explore(space, objectives, constraints, opts, metrics);
+    campaign.flush();
+    if (sup.log)
+        sup.log("checkpoint: exploration finished; "
+                + std::to_string(campaign.checkpoints())
+                + " generation(s) published to '" + sup.dir + "'");
+    return {std::move(report), campaign.resume(), campaign.checkpoints()};
 }
 
 } // namespace lognic::dse

@@ -10,6 +10,16 @@ namespace {
 constexpr int kMaxIterations = 500;
 constexpr double kEps = 1e-14;
 
+/// ln Γ(a). lgamma_r rather than std::lgamma: lgamma also stores the sign
+/// of Γ(a) in the global `signgam`, a data race when model solves run on
+/// several threads at once (exploration batches, calibration starts).
+double
+log_gamma(double a)
+{
+    int sign = 0;
+    return ::lgamma_r(a, &sign);
+}
+
 /// Series representation, converges fast for x < a + 1.
 double
 gamma_p_series(double a, double x)
@@ -24,7 +34,7 @@ gamma_p_series(double a, double x)
         if (std::abs(term) < std::abs(sum) * kEps)
             break;
     }
-    return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+    return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 /// Lentz continued fraction for Q(a, x), converges fast for x >= a + 1.
@@ -51,7 +61,7 @@ gamma_q_continued_fraction(double a, double x)
         if (std::abs(delta - 1.0) < kEps)
             break;
     }
-    return std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
+    return std::exp(-x + a * std::log(x) - log_gamma(a)) * h;
 }
 
 } // namespace

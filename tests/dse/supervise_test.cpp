@@ -128,17 +128,17 @@ TEST(ExploreJournal, BitExactThroughDumpAndParse)
     const io::Json j = journal.to_json();
     dse::ExploreJournal back;
     back.load_json(io::Json::parse(j.dump(-1)));
-    EXPECT_EQ(back.eval_count(), 2u);
-    EXPECT_EQ(back.des_count(), 1u);
+    EXPECT_EQ(back.evals.size(), 2u);
+    EXPECT_EQ(back.des.size(), 1u);
     // Re-serialization equality: every hex double/u64 survives untouched.
     EXPECT_EQ(back.to_json().dump(-1), j.dump(-1));
 
     dse::Evaluation eval_back;
-    ASSERT_TRUE(back.lookup_eval("cfg-b", eval_back));
+    ASSERT_TRUE(back.evals.lookup("cfg-b", eval_back));
     EXPECT_TRUE(std::isnan(eval_back.objectives[0]));
     EXPECT_TRUE(std::isinf(eval_back.objectives[1]));
     dse::DesValidation des_back;
-    ASSERT_TRUE(back.lookup_des("cfg-a", des_back));
+    ASSERT_TRUE(back.des.lookup("cfg-a", des_back));
     EXPECT_EQ(des_back.seed, v.seed);
     EXPECT_EQ(des_back.delivered_gbps, v.delivered_gbps);
 
@@ -163,11 +163,11 @@ TEST(ExploreJournal, PrunedFlagRoundTripsAndDefaultsFalse)
     dse::ExploreJournal back;
     back.load_json(io::Json::parse(journal.to_json().dump(-1)));
     dse::Evaluation e;
-    ASSERT_TRUE(back.lookup_eval("cfg-pruned", e));
+    ASSERT_TRUE(back.evals.lookup("cfg-pruned", e));
     EXPECT_TRUE(e.pruned);
     EXPECT_FALSE(e.feasible);
     EXPECT_EQ(e.why, pruned.why);
-    ASSERT_TRUE(back.lookup_eval("cfg-solved", e));
+    ASSERT_TRUE(back.evals.lookup("cfg-solved", e));
     EXPECT_FALSE(e.pruned);
 
     // A pre-pruning journal has no "pruned" field: every entry was a
@@ -181,8 +181,40 @@ TEST(ExploreJournal, PrunedFlagRoundTripsAndDefaultsFalse)
     ASSERT_EQ(legacy.find("\"pruned\":"), std::string::npos);
     dse::ExploreJournal old;
     old.load_json(io::Json::parse(legacy));
-    ASSERT_TRUE(old.lookup_eval("cfg-pruned", e));
+    ASSERT_TRUE(old.evals.lookup("cfg-pruned", e));
     EXPECT_FALSE(e.pruned);
+}
+
+TEST(ExploreJournal, DuplicateKeysAreRejected)
+{
+    // A journal naming one config twice would silently drop one outcome;
+    // like every other journal, refuse it — in either array.
+    dse::ExploreJournal journal;
+    dse::Evaluation e;
+    e.objectives = {21.0, 4700.0};
+    journal.record_eval("cfg", e);
+    dse::DesValidation v;
+    v.ok = true;
+    journal.record_des("cfg", v);
+    const io::Json doc = journal.to_json();
+    const io::Json eval_entry = doc.at("evals").as_array().at(0);
+    const io::Json des_entry = doc.at("des").as_array().at(0);
+
+    io::Json twice_evals;
+    twice_evals.set("evals", io::Json(io::JsonArray{eval_entry, eval_entry}));
+    twice_evals.set("des", doc.at("des"));
+    io::Json twice_des;
+    twice_des.set("evals", doc.at("evals"));
+    twice_des.set("des", io::Json(io::JsonArray{des_entry, des_entry}));
+
+    dse::ExploreJournal back;
+    EXPECT_THROW(back.load_json(io::Json::parse(twice_evals.dump(-1))),
+                 std::runtime_error);
+    EXPECT_THROW(back.load_json(io::Json::parse(twice_des.dump(-1))),
+                 std::runtime_error);
+    // The well-formed document still loads.
+    back.load_json(io::Json::parse(doc.dump(-1)));
+    EXPECT_EQ(back.size(), 2u);
 }
 
 TEST(SuperviseExploration, PrunedResumeMatchesUnprunedBaseline)

@@ -78,6 +78,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,7 @@
 #include "lognic/fault/fault_plan.hpp"
 #include "lognic/core/reporting.hpp"
 #include "lognic/core/sensitivity.hpp"
+#include "lognic/io/checkpoint.hpp"
 #include "lognic/io/serialize.hpp"
 #include "lognic/obs/attribution.hpp"
 #include "lognic/obs/trace.hpp"
@@ -197,6 +199,31 @@ write_file(const std::string& path, const std::string& contents)
     return true;
 }
 
+/// A malformed command-line value: reported, exit status 2.
+struct UsageError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * Strict parse of @p flag's count value: a sign, trailing garbage,
+ * overflow, or a value below @p min is a usage error naming the flag —
+ * never wrapped around (`--every -1` would silently disable periodic
+ * checkpoints, `--retries -1` retry forever).
+ */
+std::uint64_t
+count_arg(const std::string& flag, const char* text, std::uint64_t min)
+{
+    std::uint64_t value = 0;
+    try {
+        value = io::parse_u64(text, flag);
+    } catch (const std::runtime_error& e) {
+        throw UsageError(e.what());
+    }
+    if (value < min)
+        throw UsageError(flag + " must be >= " + std::to_string(min));
+    return value;
+}
+
 /// Shared checkpoint-flag state for sweep/check/calibrate/run.
 struct CkptArgs {
     bool enabled{false};
@@ -206,7 +233,7 @@ struct CkptArgs {
 /**
  * Try to consume one checkpoint flag at argv[i] (advancing i over its
  * value). Returns true when consumed. @p allow_retries gates the
- * sweep-only --retries flag.
+ * sweep-only --retries flag. @throws UsageError on a malformed count.
  */
 bool
 parse_ckpt_arg(CkptArgs& ck, int argc, char** argv, int& i,
@@ -228,17 +255,15 @@ parse_ckpt_arg(CkptArgs& ck, int argc, char** argv, int& i,
         return true;
     }
     if (arg == "--every" && has_value) {
-        ck.sup.checkpoint_every =
-            static_cast<std::uint64_t>(std::atoll(argv[++i]));
+        ck.sup.checkpoint_every = count_arg(arg, argv[++i], 1);
         return true;
     }
     if (arg == "--retention" && has_value) {
-        ck.sup.retention = static_cast<std::size_t>(std::atoll(argv[++i]));
+        ck.sup.retention = count_arg(arg, argv[++i], 1);
         return true;
     }
     if (allow_retries && arg == "--retries" && has_value) {
-        ck.sup.retry_rounds =
-            static_cast<std::size_t>(std::atoll(argv[++i]));
+        ck.sup.retry_rounds = count_arg(arg, argv[++i], 0);
         return true;
     }
     return false;
@@ -391,8 +416,7 @@ cmd_run(const io::Scenario& sc, int argc, char** argv)
         } else if (arg == "--seed" && has_value) {
             opts.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
         } else if (arg == "--segment-events" && has_value) {
-            segment_events =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            segment_events = count_arg(arg, argv[++i], 1);
         } else {
             std::fprintf(stderr, "run: bad argument '%s'\n", arg.c_str());
             return 2;
@@ -402,8 +426,8 @@ cmd_run(const io::Scenario& sc, int argc, char** argv)
         std::fprintf(stderr, "run: --checkpoint <dir> is required\n");
         return 2;
     }
-    if (opts.duration <= 0.0 || segment_events == 0) {
-        std::fprintf(stderr, "bad duration or segment size\n");
+    if (opts.duration <= 0.0) {
+        std::fprintf(stderr, "bad duration\n");
         return 2;
     }
 
@@ -963,6 +987,9 @@ main(int argc, char** argv)
             return 0;
         }
         return usage();
+    } catch (const UsageError& e) {
+        std::fprintf(stderr, "lognic: %s\n", e.what());
+        return 2;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "lognic: %s\n", e.what());
         return 1;
