@@ -20,9 +20,11 @@
  * Journals are internally locked: the lookup_fn()/record_fn() adapters
  * plug straight into the runner/check/calib/dse hook seams, whose hooks
  * fire from worker threads. record_fn() takes an optional `after` callback
- * fired outside the journal lock (the supervisor hangs its periodic
- * checkpoint there; calling to_json() from inside the lock would
- * deadlock).
+ * that receives the entry just recorded as one log record
+ * ("<Codec::kArray> <entry JSON>"), encoded on the completing thread
+ * outside the journal lock (the supervisor appends it to the checkpoint
+ * log there; calling to_json() from inside the lock would deadlock).
+ * replay() applies such a record, so snapshot + log reload the journal.
  */
 #ifndef LOGNIC_CKPT_JOURNAL_HPP_
 #define LOGNIC_CKPT_JOURNAL_HPP_
@@ -84,16 +86,15 @@ public:
         std::conditional_t<std::is_integral_v<Key>, Key, const Key&>;
     using Lookup = std::function<bool(KeyArg, Value&)>;
     using Hook = std::function<void(KeyArg, const Value&)>;
+    /// Receives each recorded entry as a log record.
+    using After = std::function<void(std::string record)>;
 
     io::Json to_json() const
     {
         std::lock_guard<std::mutex> lock(mutex_);
         io::Json entries(io::JsonArray{});
-        for (const auto& [key, done] : entries_) {
-            io::Json e = Codec::to_json(done);
-            e.set(Codec::kKey, key_to_json(key));
-            entries.push_back(std::move(e));
-        }
+        for (const auto& [key, done] : entries_)
+            entries.push_back(entry_json(key, done));
         io::Json j;
         j.set(Codec::kArray, std::move(entries));
         return j;
@@ -128,6 +129,31 @@ public:
         entries_.insert_or_assign(key, std::move(done));
     }
 
+    /// One entry as a log record: "<Codec::kArray> <entry JSON>".
+    static std::string encode_record(KeyArg key, const Value& done)
+    {
+        return std::string(Codec::kArray) + ' '
+            + entry_json(key, done).dump(-1);
+    }
+
+    /// Apply a record from encode_record(), replacing any entry under its
+    /// key (a later record supersedes the snapshot and earlier records).
+    /// Returns false, applying nothing, when the record belongs to another
+    /// journal's array. @throws std::runtime_error on a malformed entry.
+    bool replay(const std::string& record)
+    {
+        const std::size_t tag = std::char_traits<char>::length(Codec::kArray);
+        if (record.size() <= tag || record[tag] != ' '
+            || record.compare(0, tag, Codec::kArray) != 0)
+            return false;
+        const io::Json e = io::Json::parse(record.substr(tag + 1));
+        Key key = key_from_json(e);
+        Value done = Codec::from_json(e);
+        std::lock_guard<std::mutex> lock(mutex_);
+        entries_.insert_or_assign(std::move(key), std::move(done));
+        return true;
+    }
+
     bool lookup(KeyArg key, Value& out) const
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -156,19 +182,26 @@ public:
         return [this](KeyArg key, Value& out) { return lookup(key, out); };
     }
 
-    /// Adapter for the completion hook; @p after (may be empty) runs after
-    /// each record, outside the journal lock.
-    Hook record_fn(std::function<void()> after = {})
+    /// Adapter for the completion hook; @p after (may be empty) receives
+    /// each recorded entry's log record, outside the journal lock.
+    Hook record_fn(After after = {})
     {
         return [this, after = std::move(after)](KeyArg key,
                                                 const Value& done) {
             record(key, done);
             if (after)
-                after();
+                after(encode_record(key, done));
         };
     }
 
 private:
+    static io::Json entry_json(KeyArg key, const Value& done)
+    {
+        io::Json e = Codec::to_json(done);
+        e.set(Codec::kKey, key_to_json(key));
+        return e;
+    }
+
     static io::Json key_to_json(KeyArg key)
     {
         if constexpr (std::is_integral_v<Key>)

@@ -11,14 +11,24 @@
  * generation, never silently loaded. That is the whole point of keeping
  * more than one generation: the failure mode of "crashed mid-publication"
  * or "disk ate a byte" costs one checkpoint interval, not the run.
+ *
+ * Next to a generation may sit its record log, `<kind>-<00000042>.lnlog`:
+ * records appended after that snapshot was published (see io/checkpoint
+ * for the framing). A log is named with its generation and pruned with
+ * it. load_log() returns the valid prefix of a snapshot's log and names
+ * the first bad record, or the whole log when its header is bound to
+ * another snapshot.
  */
 #ifndef LOGNIC_CKPT_STORE_HPP_
 #define LOGNIC_CKPT_STORE_HPP_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "lognic/io/checkpoint.hpp"
 
 namespace lognic::ckpt {
 
@@ -37,6 +47,16 @@ struct Rejected {
 struct Loaded {
     std::uint64_t generation{0};
     std::string payload;
+};
+
+/// What a snapshot's record log adds to it.
+struct LogReplay {
+    /// Payloads of the valid records, in append order.
+    std::vector<std::string> records;
+    /// Set when the log could not be used in full: the first bad record
+    /// ("truncated at byte N: <why>") or, with no records, a header that
+    /// is unreadable or bound to another snapshot.
+    std::optional<Rejected> rejected;
 };
 
 class CheckpointStore {
@@ -63,6 +83,16 @@ public:
     std::vector<std::uint64_t> generations() const;
 
     std::string path_for(std::uint64_t generation) const;
+    std::string log_path_for(std::uint64_t generation) const;
+
+    /// The valid prefix of @p snapshot's record log; no records when it
+    /// has none (nothing was appended after the snapshot).
+    LogReplay load_log(const Loaded& snapshot) const;
+
+    /// Start the record log of @p generation, whose snapshot payload
+    /// hashes to @p frame_checksum, replacing any stale file by that name.
+    std::unique_ptr<io::AppendFile>
+    open_log(std::uint64_t generation, std::uint64_t frame_checksum) const;
 
 private:
     std::string dir_;

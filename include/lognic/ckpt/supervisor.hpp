@@ -13,17 +13,20 @@
  *  1. resume: load the newest *valid* generation (torn/corrupt/skewed
  *     files are recorded in ResumeInfo::rejected and skipped — never
  *     silently loaded), verify its config fingerprint against the live
- *     run, and preload the journal;
+ *     run, preload the journal, and replay the valid prefix of the
+ *     generation's record log (a torn or rotten record is named in
+ *     ResumeInfo::rejected by path and byte offset);
  *  2. run with journal hooks: completed units are recorded as they
- *     finish, and every `checkpoint_every` completions a new generation
- *     is published via the atomic-rename protocol;
+ *     finish, and every `checkpoint_every` completions they are published
+ *     — appended to the record log, or compacted into a new snapshot
+ *     generation once the log outgrows its snapshot;
  *  3. (sweeps, in supervise_sweep) retry: failed points are erased from
  *     the journal and re-run, up to `retry_rounds` extra passes with
  *     exponential backoff between them — transient failures (wall-clock
  *     truncation on a loaded host, resource exhaustion) heal,
  *     deterministic ones fail identically and are reported as data;
- *  4. final checkpoint: the finished journal is always published, so a
- *     later invocation resumes straight to the report.
+ *  4. final checkpoint: the finished journal is always published as a
+ *     snapshot, so a later invocation resumes straight to the report.
  *
  * Resuming a finished or partial run is byte-identical to running it
  * uninterrupted, at any thread count: journaled outcomes replay verbatim,
@@ -38,7 +41,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -79,9 +84,11 @@ struct SupervisorOptions {
 struct ResumeInfo {
     bool resumed{false};          ///< a valid generation was loaded
     std::uint64_t generation{0};  ///< its number (when resumed)
-    std::size_t completed{0};     ///< journal entries replayed
+    std::size_t completed{0};     ///< journal entries restored
+    std::size_t replayed{0};      ///< of which log records, applied in order
     /// Generations that could not be used (torn write, checksum mismatch,
-    /// version skew) and why. Never silently loaded.
+    /// version skew) and why, then the loaded generation's log when it
+    /// could not be replayed in full. Never silently loaded.
     std::vector<Rejected> rejected;
 };
 
@@ -90,31 +97,50 @@ struct ResumeInfo {
  * SupervisorOptions, opens the generation store, and resumes: the newest
  * valid generation is handed to the restore step, and every rejected one
  * is logged and kept in resume().rejected. tick() counts a completion,
- * from any thread, and publishes a generation every `checkpoint_every` of
- * them; flush() publishes the final one.
+ * from any thread, and publishes every `checkpoint_every` of them;
+ * flush() publishes the final one.
  *
- * A journal campaign publishes {"fingerprint": ..., "journal": ...} and
- * throws rather than resume a generation whose fingerprint differs from
- * the live campaign's. A snapshot campaign publishes and restores opaque
- * payloads (a simulator snapshot carries and checks its own fingerprint).
+ * A journal campaign publishes {"fingerprint": ..., "journal": ...}
+ * snapshots and throws rather than resume a generation whose fingerprint
+ * differs from the live campaign's. Between snapshots it publishes by
+ * appending: each tick() carries the record of the entry just journaled,
+ * and a publication appends the records since the last one to the
+ * newest snapshot's log and fdatasyncs it — O(records since the last
+ * publication), not O(journal). A publication compacts instead (a full
+ * snapshot generation, then a fresh log) when this campaign has no
+ * snapshot of its own yet, after compact_next(), and when the log would
+ * outgrow its snapshot; flush() always compacts. Snapshot sizes thus
+ * about double from one compaction to the next, so a campaign of N
+ * records writes O(log N) generations and O(N) bytes in total.
  *
- * One mutex serializes the count and the store; journal serialization
- * happens inside it too, which briefly pauses workers — acceptable at
- * checkpoint granularity. Lock order is campaign mutex -> journal mutex,
- * never the reverse.
+ * A snapshot campaign publishes and restores opaque payloads, every
+ * publication a full generation (a simulator snapshot carries and checks
+ * its own fingerprint, and is not a journal to append to).
+ *
+ * One mutex serializes the count, the pending records, and the store;
+ * records are encoded and checksummed on the completing thread before it
+ * is taken, and journal serialization happens inside it only at
+ * compactions. A second mutex orders the appends: a publication takes it
+ * under the first, then releases the first while its append syncs, so
+ * other completions keep recording meanwhile. Lock order is campaign
+ * mutex -> append mutex -> journal mutex, never the reverse.
  */
 class Campaign {
 public:
     using Restore = std::function<void(const std::string& payload)>;
     using Snapshot = std::function<std::string()>;
+    using Replay = std::function<void(const std::string& record)>;
 
     /// Snapshot campaign: @p restore receives the newest valid payload,
     /// @p snapshot produces each published one.
     Campaign(const SupervisorOptions& sup, const std::string& kind,
-             const Restore& restore, Snapshot snapshot);
+             const Restore& restore, Snapshot snapshot)
+        : Campaign(sup, kind, restore, Replay{}, std::move(snapshot))
+    {
+    }
 
-    /// Journal campaign over @p journal (load_json/to_json/size), which
-    /// must outlive the campaign.
+    /// Journal campaign over @p journal (load_json/to_json/size, and
+    /// replay() of its records), which must outlive the campaign.
     template <class J>
     Campaign(const SupervisorOptions& sup, const std::string& kind,
              const io::Json& fingerprint, J& journal)
@@ -123,6 +149,11 @@ public:
             [&](const std::string& payload) {
                 journal.load_json(stored_journal(sup.dir, fingerprint,
                                                  payload));
+            },
+            [&journal](const std::string& record) {
+                if (!journal.replay(record))
+                    throw std::runtime_error(
+                        "the record belongs to no array of this journal");
             },
             [fingerprint, &journal] {
                 return journal_payload(fingerprint, journal.to_json());
@@ -134,14 +165,29 @@ public:
     const ResumeInfo& resume() const { return resume_; }
 
     /// Count one completion; publish when `checkpoint_every` are pending.
-    /// The journal record_fn() callback.
-    void tick();
-    /// Unconditional publication (the final checkpoint).
+    /// A journal campaign's @p record is the entry's log record, as the
+    /// journal's record_fn() hands it over.
+    void tick(std::string record = {});
+    /// tick() as a journal record_fn() callback. The campaign must outlive
+    /// the returned function.
+    std::function<void(std::string record)> tick_fn()
+    {
+        return [this](std::string record) { tick(std::move(record)); };
+    }
+    /// Unconditional publication of a full snapshot (the final checkpoint).
     void flush();
-    /// Generations published by this campaign.
+    /// Make the next publication a full snapshot. Call after erasing
+    /// journal entries: no log record of an erased entry may outlive the
+    /// erase.
+    void compact_next();
+    /// Publications by this campaign: log appends and snapshots.
     std::uint64_t checkpoints() const;
 
 private:
+    Campaign(const SupervisorOptions& sup, const std::string& kind,
+             const Restore& restore, const Replay& replay,
+             Snapshot snapshot);
+
     /// The journal document of a stored {"fingerprint", "journal"}
     /// payload. @throws std::runtime_error when the stored fingerprint is
     /// not @p fingerprint: the directory holds a journal for a different
@@ -151,15 +197,37 @@ private:
                                    const std::string& payload);
     static std::string journal_payload(const io::Json& fingerprint,
                                        const io::Json& journal);
-    void publish_locked();
+    /// Publish what is pending; @p lock holds mutex_ and may be released
+    /// before an append returns.
+    void publish_locked(std::unique_lock<std::mutex>& lock);
 
     CheckpointStore store_;
     Snapshot snapshot_;
+    bool logged_; ///< a journal campaign: publishes through the record log
     std::uint64_t every_;
     ResumeInfo resume_;
+
+    /// Guards the members below; the store and log_ are changed only with
+    /// io_mutex_ held too.
     mutable std::mutex mutex_;
-    std::uint64_t pending_{0};
+    std::uint64_t pending_{0};     ///< completions since the last publication
+    std::string pending_records_;  ///< their framed records
+    std::size_t pending_bytes_{0}; ///< their record payload bytes
+    /// This campaign's newest snapshot (generation 0: none yet), and its
+    /// log once the first append starts it. Only logs this campaign
+    /// started are appended to.
+    std::uint64_t snapshot_generation_{0};
+    std::uint64_t snapshot_checksum_{0};
+    std::size_t snapshot_bytes_{0};
+    std::size_t log_bytes_{0}; ///< record payload bytes appended to log_
+    bool compact_next_{false};
     std::uint64_t checkpoints_{0};
+
+    /// Held, after mutex_, for each append and compaction: appends land in
+    /// publication order, and a compaction waits out the append in flight.
+    /// An append writes *log_ with only this mutex held.
+    std::mutex io_mutex_;
+    std::unique_ptr<io::AppendFile> log_;
 };
 
 struct SupervisedSweep {

@@ -11,14 +11,15 @@
  * replays journaled outcomes verbatim.
  *
  * supervise_exploration() wraps explore() in a ckpt::Campaign: resume
- * from the newest valid "explore" generation (fingerprint-checked against
- * the live campaign), wire the journals into the resume_eval/on_eval and
- * resume_des/on_des seams, publish a generation every checkpoint_every
- * completions (evaluations and DES validations tick one counter), and
- * always publish a final checkpoint. A run SIGKILLed at any point and
- * resumed produces a FrontierReport byte-identical to the uninterrupted
- * run, at any thread count — journal replay satisfies the *work* of a
- * memo-cache miss without perturbing the miss count (see memo.hpp).
+ * from the newest valid "explore" generation and its record log
+ * (fingerprint-checked against the live campaign), wire the journals into
+ * the resume_eval/on_eval and resume_des/on_des seams, publish every
+ * checkpoint_every completions (evaluations and DES validations tick one
+ * counter, and append to one log), and always publish a final snapshot.
+ * A run SIGKILLed at any point and resumed produces a FrontierReport
+ * byte-identical to the uninterrupted run, at any thread count — journal
+ * replay satisfies the *work* of a memo-cache miss without perturbing the
+ * miss count (see memo.hpp).
  */
 #ifndef LOGNIC_DSE_SUPERVISE_HPP_
 #define LOGNIC_DSE_SUPERVISE_HPP_
@@ -73,6 +74,8 @@ struct ExploreJournal {
     /// Replace the contents from a journal document.
     /// @throws std::runtime_error on malformed input or a duplicate key.
     void load_json(const io::Json& j);
+    /// Apply a log record of either journal; false when it is neither's.
+    bool replay(const std::string& record);
     /// Entries in both journals.
     std::size_t size() const { return evals.size() + des.size(); }
 

@@ -22,6 +22,18 @@
  * partial one. Leftover "*.tmp" files from a crashed writer are garbage by
  * construction and are ignored by checkpoint scans.
  *
+ * A record log is the append-only companion of one frame: a header line
+ * binding it to that frame, then checksummed records,
+ *
+ *     LOGNICLOG <version> <kind> <generation> <frame-fnv1a64-hex>\n
+ *     <payload-bytes> <fnv1a64-hex>\n<payload bytes>      (per record)
+ *
+ * appended through AppendFile, which makes every append durable with
+ * fdatasync. A crash mid-append leaves a torn last record; bit rot leaves
+ * a record whose checksum fails. decode_log() returns the valid prefix and
+ * names the first bad record by byte offset and reason — it never skips
+ * past one, because records after a gap cannot be trusted to be in order.
+ *
  * The hex helpers exist because checkpoints must round-trip *bit-exactly*:
  * the JSON writer emits null for non-finite doubles (a calibration start
  * that failed has final_loss = inf) and %.17g for the rest, so doubles
@@ -36,6 +48,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace lognic::io {
 
@@ -70,12 +83,71 @@ std::string encode_frame(const CheckpointFrame& frame);
 std::optional<CheckpointFrame> decode_frame(const std::string& data,
                                             std::string* reason = nullptr);
 
+/// What a record log is bound to: the frame of kind @p kind published as
+/// generation @p generation, whose payload hashes to @p frame_checksum.
+struct LogHeader {
+    std::uint32_t version{kCheckpointVersion};
+    std::string kind;
+    std::uint64_t generation{0};
+    std::uint64_t frame_checksum{0};
+};
+
+/// The header line. @p header.kind follows encode_frame()'s rules.
+std::string encode_log_header(const LogHeader& header);
+
+/// One record, ready to append: size and checksum line, then @p payload.
+std::string encode_record(std::string_view payload);
+
+/// The readable part of a record log.
+struct DecodedLog {
+    LogHeader header;
+    /// Payloads of the valid records, in append order.
+    std::vector<std::string> records;
+    /// Bytes of header and valid records: where the first bad record, if
+    /// any, begins.
+    std::size_t valid_bytes{0};
+    /// Why the bytes from valid_bytes on are not a record ("truncated
+    /// record: ...", "checksum mismatch: ..."); empty when the log ends on
+    /// a record boundary.
+    std::string defect;
+};
+
+/**
+ * Parse a record log. Returns nullopt when the header line itself is
+ * unusable (reason stored like decode_frame()'s); otherwise the valid
+ * prefix, with the first defect after it named in DecodedLog::defect.
+ */
+std::optional<DecodedLog> decode_log(const std::string& data,
+                                     std::string* reason = nullptr);
+
 /**
  * Crash-safe replacement of @p path with @p contents: write "<path>.tmp",
  * fsync, rename over @p path, fsync the containing directory.
  * @throws std::runtime_error naming the path on any I/O failure.
  */
 void atomic_write_file(const std::string& path, const std::string& contents);
+
+/**
+ * An append-only file whose every append is durable. Construction creates
+ * (or truncates) @p path, writes @p header, fdatasyncs it, and fsyncs the
+ * containing directory so the file itself survives a crash.
+ * @throws std::runtime_error naming the path on any I/O failure, here and
+ * in append().
+ */
+class AppendFile {
+public:
+    AppendFile(std::string path, const std::string& header);
+    ~AppendFile();
+    AppendFile(const AppendFile&) = delete;
+    AppendFile& operator=(const AppendFile&) = delete;
+
+    /// Write @p bytes at the end of the file, then fdatasync.
+    void append(std::string_view bytes);
+
+private:
+    std::string path_;
+    int fd_{-1};
+};
 
 /**
  * Whole-file read; nullopt when the file cannot be opened (missing or

@@ -1,5 +1,6 @@
 #include "lognic/check/generate.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -138,8 +139,10 @@ generate_dag(CheckRng& rng, std::uint64_t seed, const GeneratorConfig& cfg)
                 total += wgt;
             }
             for (std::size_t t = 0; t < layer.size(); ++t) {
+                // A share summed over several sources can round to
+                // 1 + eps; no edge carries more than the whole flow.
                 const double delta =
-                    prev_share[u] * weights[t] / total;
+                    std::min(prev_share[u] * weights[t] / total, 1.0);
                 if (delta <= 1e-9)
                     continue;
                 core::EdgeParams ep;
@@ -157,7 +160,7 @@ generate_dag(CheckRng& rng, std::uint64_t seed, const GeneratorConfig& cfg)
     }
     for (std::size_t u = 0; u < prev.size(); ++u) {
         core::EdgeParams ep;
-        ep.delta = prev_share[u];
+        ep.delta = std::min(prev_share[u], 1.0);
         g.add_edge(prev[u], eg, ep);
     }
 

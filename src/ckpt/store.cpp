@@ -30,10 +30,16 @@ CheckpointStore::CheckpointStore(std::string dir, std::string kind,
 }
 
 std::string CheckpointStore::path_for(std::uint64_t generation) const {
-    char name[64];
-    std::snprintf(name, sizeof(name), "%s-%08llu.lnck", kind_.c_str(),
+    char name[32];
+    std::snprintf(name, sizeof(name), "-%08llu.lnck",
                   static_cast<unsigned long long>(generation));
-    return dir_ + "/" + name;
+    return dir_ + "/" + kind_ + name;
+}
+
+std::string CheckpointStore::log_path_for(std::uint64_t generation) const {
+    std::string path = path_for(generation);
+    path.replace(path.size() - 5, 5, ".lnlog");
+    return path;
 }
 
 std::vector<std::uint64_t> CheckpointStore::generations() const {
@@ -69,11 +75,61 @@ std::uint64_t CheckpointStore::save(const std::string& payload) {
 
     std::vector<std::uint64_t> gens = generations();
     while (gens.size() > options_.retention) {
-        std::error_code ec;
-        fs::remove(path_for(gens.front()), ec); // best-effort prune
+        std::error_code ec; // best-effort prune, the log before its snapshot
+        fs::remove(log_path_for(gens.front()), ec);
+        fs::remove(path_for(gens.front()), ec);
         gens.erase(gens.begin());
     }
     return gen;
+}
+
+LogReplay CheckpointStore::load_log(const Loaded& snapshot) const {
+    LogReplay out;
+    const std::string path = log_path_for(snapshot.generation);
+    const auto reject = [&](std::string reason) {
+        out.rejected = Rejected{path, std::move(reason)};
+        return out;
+    };
+    std::optional<std::string> data;
+    try {
+        data = io::read_file_if_exists(path);
+    } catch (const std::exception& e) {
+        return reject(e.what());
+    }
+    if (!data) return out;
+    std::string reason;
+    std::optional<io::DecodedLog> log = io::decode_log(*data, &reason);
+    if (!log) return reject("unusable header: " + reason);
+    const io::LogHeader& h = log->header;
+    if (h.kind != kind_)
+        return reject("header mismatch: kind '" + h.kind + "', store is '" +
+                      kind_ + "'");
+    if (h.generation != snapshot.generation)
+        return reject("header mismatch: generation " +
+                      std::to_string(h.generation) + ", snapshot is generation " +
+                      std::to_string(snapshot.generation));
+    const std::uint64_t sum = io::fnv1a64(snapshot.payload);
+    if (h.frame_checksum != sum)
+        return reject("header mismatch: snapshot checksum " +
+                      io::u64_to_hex(h.frame_checksum) + ", snapshot hashes to " +
+                      io::u64_to_hex(sum));
+    out.records = std::move(log->records);
+    if (!log->defect.empty())
+        out.rejected = Rejected{path, "truncated at byte " +
+                                          std::to_string(log->valid_bytes) +
+                                          ": " + log->defect};
+    return out;
+}
+
+std::unique_ptr<io::AppendFile>
+CheckpointStore::open_log(std::uint64_t generation,
+                          std::uint64_t frame_checksum) const {
+    io::LogHeader header;
+    header.kind = kind_;
+    header.generation = generation;
+    header.frame_checksum = frame_checksum;
+    return std::make_unique<io::AppendFile>(log_path_for(generation),
+                                            io::encode_log_header(header));
 }
 
 std::optional<Loaded>

@@ -56,9 +56,11 @@ validated(const SupervisorOptions& sup)
 // --- the campaign loop --------------------------------------------------------
 
 Campaign::Campaign(const SupervisorOptions& sup, const std::string& kind,
-                   const Restore& restore, Snapshot snapshot)
+                   const Restore& restore, const Replay& replay,
+                   Snapshot snapshot)
     : store_(validated(sup).dir, kind, StoreOptions{sup.retention}),
-      snapshot_(std::move(snapshot)), every_(sup.checkpoint_every)
+      snapshot_(std::move(snapshot)), logged_(static_cast<bool>(replay)),
+      every_(sup.checkpoint_every)
 {
     if (!sup.resume)
         return;
@@ -68,11 +70,34 @@ Campaign::Campaign(const SupervisorOptions& sup, const std::string& kind,
     if (!loaded)
         return;
     restore(loaded->payload);
+    std::string replayed;
+    if (logged_) {
+        LogReplay log = store_.load_log(*loaded);
+        if (log.rejected) {
+            log_to(sup, "checkpoint: log " + log.rejected->path + " "
+                            + log.rejected->reason);
+            resume_.rejected.push_back(std::move(*log.rejected));
+        }
+        for (const std::string& record : log.records) {
+            try {
+                replay(record);
+            } catch (const std::exception& e) {
+                throw std::runtime_error(
+                    "checkpoint: cannot replay record "
+                    + std::to_string(resume_.replayed + 1) + " of '"
+                    + store_.log_path_for(loaded->generation)
+                    + "': " + e.what());
+            }
+            ++resume_.replayed;
+        }
+        replayed = ", replayed " + std::to_string(resume_.replayed)
+            + " log record(s)";
+    }
     resume_.resumed = true;
     resume_.generation = loaded->generation;
     log_to(sup, "checkpoint: resumed from generation "
                     + std::to_string(loaded->generation) + " in '"
-                    + store_.dir() + "'");
+                    + store_.dir() + "'" + replayed);
 }
 
 io::Json
@@ -103,21 +128,32 @@ Campaign::journal_payload(const io::Json& fingerprint, const io::Json& journal)
 }
 
 void
-Campaign::tick()
+Campaign::tick(std::string record)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    // Frame and checksum the record before taking the lock.
+    const std::string framed =
+        logged_ ? io::encode_record(record) : std::string();
+    std::unique_lock<std::mutex> lock(mutex_);
+    pending_records_ += framed;
+    pending_bytes_ += record.size();
     if (++pending_ < every_)
         return;
-    pending_ = 0;
-    publish_locked();
+    publish_locked(lock);
 }
 
 void
 Campaign::flush()
 {
+    std::unique_lock<std::mutex> lock(mutex_);
+    compact_next_ = true;
+    publish_locked(lock);
+}
+
+void
+Campaign::compact_next()
+{
     std::lock_guard<std::mutex> lock(mutex_);
-    pending_ = 0;
-    publish_locked();
+    compact_next_ = true;
 }
 
 std::uint64_t
@@ -128,10 +164,40 @@ Campaign::checkpoints() const
 }
 
 void
-Campaign::publish_locked()
+Campaign::publish_locked(std::unique_lock<std::mutex>& lock)
 {
-    store_.save(snapshot_());
+    // Appends are ordered by taking io_mutex_ under mutex_; the append
+    // itself runs after mutex_ is released, so other completions keep
+    // recording while it syncs.
+    std::unique_lock<std::mutex> io(io_mutex_);
+    std::string batch = std::move(pending_records_);
+    pending_records_.clear();
+    const std::size_t batch_bytes = pending_bytes_;
+    pending_ = 0;
+    pending_bytes_ = 0;
     ++checkpoints_;
+    // The log's record payloads are what a compaction would add to the
+    // snapshot; once they would outweigh it, compacting costs no more
+    // than the log already did, which keeps the total bytes linear.
+    if (!logged_ || snapshot_generation_ == 0 || compact_next_
+        || log_bytes_ + batch_bytes > snapshot_bytes_) {
+        // Every pending record is already in the journal the snapshot
+        // serializes, so the snapshot supersedes them.
+        const std::string payload = snapshot_();
+        snapshot_generation_ = store_.save(payload);
+        snapshot_checksum_ = io::fnv1a64(payload);
+        snapshot_bytes_ = payload.size();
+        log_.reset();
+        log_bytes_ = 0;
+        compact_next_ = false;
+        return;
+    }
+    if (!log_)
+        log_ = store_.open_log(snapshot_generation_, snapshot_checksum_);
+    log_bytes_ += batch_bytes;
+    io::AppendFile& log = *log_;
+    lock.unlock();
+    log.append(batch);
 }
 
 // --- sweeps -------------------------------------------------------------------
@@ -157,8 +223,7 @@ supervise_sweep(const runner::Sweep& sweep, runner::SweepOptions options,
     TaskJournal journal;
     Campaign campaign(sup, "sweep", fp, journal);
     options.resume_lookup = journal.lookup_fn();
-    options.on_task_complete =
-        journal.record_fn([&campaign] { campaign.tick(); });
+    options.on_task_complete = journal.record_fn(campaign.tick_fn());
 
     runner::SweepReport report = sweep.run_guarded(options);
 
@@ -174,6 +239,7 @@ supervise_sweep(const runner::Sweep& sweep, runner::SweepOptions options,
         backoff *= sup.backoff_multiplier;
         journal.erase_if(
             [](const runner::CompletedTask& t) { return !t.ok; });
+        campaign.compact_next();
         report = sweep.run_guarded(options);
     }
 
@@ -210,8 +276,7 @@ supervise_check(check::CheckOptions copts,
     CheckJournal journal;
     Campaign campaign(sup, "check", fp, journal);
     copts.resume_lookup = journal.lookup_fn();
-    copts.on_trial_complete =
-        journal.record_fn([&campaign] { campaign.tick(); });
+    copts.on_trial_complete = journal.record_fn(campaign.tick_fn());
 
     // Same composition as `lognic check`: corpus replay first, random
     // trials merged on top — so a supervised report is byte-identical to
@@ -250,8 +315,7 @@ supervise_calibration(calib::ParameterSpace space, calib::Dataset data,
     FitJournal journal;
     Campaign campaign(sup, "calib", fp, journal);
     opts.fit.resume_lookup = journal.lookup_fn();
-    opts.fit.on_start_complete =
-        journal.record_fn([&campaign] { campaign.tick(); });
+    opts.fit.on_start_complete = journal.record_fn(campaign.tick_fn());
 
     const calib::Calibrator calibrator(std::move(space), std::move(data),
                                        std::move(opts));

@@ -162,6 +162,12 @@ ExploreJournal::load_json(const io::Json& j)
     des.load_json(j);
 }
 
+bool
+ExploreJournal::replay(const std::string& record)
+{
+    return evals.replay(record) || des.replay(record);
+}
+
 // --- supervise_exploration ----------------------------------------------------
 
 SupervisedExploration
@@ -181,9 +187,9 @@ supervise_exploration(const DesignSpace& space,
         sup, kExploreCheckpointKind,
         campaign_fingerprint(space, objectives, constraints, opts), journal);
     opts.resume_eval = journal.evals.lookup_fn();
-    opts.on_eval = journal.evals.record_fn([&campaign] { campaign.tick(); });
+    opts.on_eval = journal.evals.record_fn(campaign.tick_fn());
     opts.resume_des = journal.des.lookup_fn();
-    opts.on_des = journal.des.record_fn([&campaign] { campaign.tick(); });
+    opts.on_des = journal.des.record_fn(campaign.tick_fn());
 
     FrontierReport report =
         explore(space, objectives, constraints, opts, metrics);
@@ -191,7 +197,7 @@ supervise_exploration(const DesignSpace& space,
     if (sup.log)
         sup.log("checkpoint: exploration finished; "
                 + std::to_string(campaign.checkpoints())
-                + " generation(s) published to '" + sup.dir + "'");
+                + " publication(s) to '" + sup.dir + "'");
     return {std::move(report), campaign.resume(), campaign.checkpoints()};
 }
 

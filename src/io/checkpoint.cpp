@@ -1,5 +1,6 @@
 #include "lognic/io/checkpoint.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cerrno>
@@ -33,6 +34,58 @@ std::string dir_of(const std::string& path) {
     return path.substr(0, slash);
 }
 
+/// Persist the directory entry of @p path: without it a crash can roll a
+/// new name back even though the data blocks are safe.
+void fsync_dir_of(const std::string& path) {
+    const int dfd = ::open(dir_of(path).c_str(), O_RDONLY | O_DIRECTORY);
+    if (dfd >= 0) {
+        ::fsync(dfd); // best-effort: some filesystems reject directory fsync
+        ::close(dfd);
+    }
+}
+
+/// Write all of @p bytes, retrying on EINTR; false (errno set) on failure.
+bool write_all(int fd, std::string_view bytes) {
+    std::size_t written = 0;
+    while (written < bytes.size()) {
+        const ssize_t n =
+            ::write(fd, bytes.data() + written, bytes.size() - written);
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            return false;
+        }
+        written += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+/// @p line split at every space. Empty fields are kept, so a doubled or
+/// trailing space shows up as a wrong field count.
+std::vector<std::string> split_fields(std::string_view line) {
+    std::vector<std::string> out;
+    std::size_t pos = 0;
+    for (;;) {
+        const std::size_t sp = line.find(' ', pos);
+        out.emplace_back(line.substr(pos, sp - pos));
+        if (sp == std::string_view::npos) return out;
+        pos = sp + 1;
+    }
+}
+
+/// A kind is a token in a header line: non-empty, no whitespace.
+void require_kind_token(const std::string& kind) {
+    if (kind.empty())
+        throw std::runtime_error("checkpoint frame kind must be non-empty");
+    for (const char c : kind)
+        if (std::isspace(static_cast<unsigned char>(c)))
+            throw std::runtime_error("checkpoint frame kind '" + kind +
+                                     "' must not contain whitespace");
+}
+
+/// Longest record size/checksum line: a 20-digit size, a space, a
+/// 0x-prefixed checksum, a newline.
+constexpr std::size_t kMaxRecordHeader = 64;
+
 } // namespace
 
 std::uint64_t fnv1a64(std::string_view data) {
@@ -45,12 +98,7 @@ std::uint64_t fnv1a64(std::string_view data) {
 }
 
 std::string encode_frame(const CheckpointFrame& frame) {
-    if (frame.kind.empty())
-        throw std::runtime_error("checkpoint frame kind must be non-empty");
-    for (const char c : frame.kind)
-        if (std::isspace(static_cast<unsigned char>(c)))
-            throw std::runtime_error("checkpoint frame kind '" + frame.kind +
-                                     "' must not contain whitespace");
+    require_kind_token(frame.kind);
     std::string out = "LOGNICCKPT ";
     out += std::to_string(frame.version);
     out += ' ';
@@ -75,18 +123,9 @@ std::optional<CheckpointFrame> decode_frame(const std::string& data,
     if (nl == std::string::npos) return fail("truncated header: no newline");
     const std::string header = data.substr(0, nl);
 
-    // Tokenize the header line: magic, version, kind, size, checksum.
-    std::string tokens[5];
-    std::size_t ntok = 0;
-    std::size_t pos = 0;
-    while (pos < header.size() && ntok < 5) {
-        const std::size_t sp = header.find(' ', pos);
-        const std::size_t end = (sp == std::string::npos) ? header.size() : sp;
-        tokens[ntok++] = header.substr(pos, end - pos);
-        pos = (sp == std::string::npos) ? header.size() : sp + 1;
-    }
-    if (ntok != 5 || pos != header.size())
-        return fail("malformed header: expected 5 fields");
+    // The header line: magic, version, kind, size, checksum.
+    const std::vector<std::string> tokens = split_fields(header);
+    if (tokens.size() != 5) return fail("malformed header: expected 5 fields");
     if (tokens[0] != "LOGNICCKPT") return fail("bad magic");
 
     CheckpointFrame frame;
@@ -125,17 +164,12 @@ void atomic_write_file(const std::string& path, const std::string& contents) {
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) throw_errno("cannot create", tmp);
 
-    std::size_t written = 0;
-    while (written < contents.size()) {
-        const ssize_t n =
-            ::write(fd, contents.data() + written, contents.size() - written);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            throw_errno("cannot write", tmp);
-        }
-        written += static_cast<std::size_t>(n);
+    if (!write_all(fd, contents)) {
+        const int err = errno;
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        errno = err;
+        throw_errno("cannot write", tmp);
     }
     if (::fsync(fd) != 0) {
         ::close(fd);
@@ -150,14 +184,122 @@ void atomic_write_file(const std::string& path, const std::string& contents) {
         ::unlink(tmp.c_str());
         throw_errno("cannot rename into place", path);
     }
-    // Persist the rename itself: without the directory fsync a crash can
-    // roll the directory entry back even though the data blocks are safe.
-    const std::string dir = dir_of(path);
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd >= 0) {
-        ::fsync(dfd); // best-effort: some filesystems reject directory fsync
-        ::close(dfd);
+    fsync_dir_of(path); // persist the rename itself
+}
+
+std::string encode_log_header(const LogHeader& header) {
+    require_kind_token(header.kind);
+    return "LOGNICLOG " + std::to_string(header.version) + ' ' + header.kind +
+           ' ' + std::to_string(header.generation) + ' ' +
+           hex16(header.frame_checksum) + '\n';
+}
+
+std::string encode_record(std::string_view payload) {
+    std::string out = std::to_string(payload.size());
+    out += ' ';
+    out += hex16(fnv1a64(payload));
+    out += '\n';
+    out += payload;
+    return out;
+}
+
+std::optional<DecodedLog> decode_log(const std::string& data,
+                                     std::string* reason) {
+    const auto fail = [reason](std::string why) -> std::optional<DecodedLog> {
+        if (reason != nullptr) *reason = std::move(why);
+        return std::nullopt;
+    };
+
+    const std::size_t nl = data.find('\n');
+    if (nl == std::string::npos) return fail("truncated header: no newline");
+    // The header line: magic, version, kind, generation, frame checksum.
+    const std::vector<std::string> tokens =
+        split_fields(std::string_view(data).substr(0, nl));
+    if (tokens.size() != 5) return fail("malformed header: expected 5 fields");
+    if (tokens[0] != "LOGNICLOG") return fail("bad magic");
+    DecodedLog log;
+    std::uint64_t version = 0;
+    try {
+        version = parse_u64(tokens[1], "record log header version");
+        log.header.generation =
+            parse_u64(tokens[3], "record log header generation");
+        log.header.frame_checksum =
+            parse_u64(tokens[4], "record log header frame checksum");
+    } catch (const std::exception& e) {
+        return fail(std::string("malformed header: ") + e.what());
     }
+    if (version != kCheckpointVersion)
+        return fail("version skew: log version " + tokens[1] +
+                    ", reader supports " + std::to_string(kCheckpointVersion));
+    log.header.version = static_cast<std::uint32_t>(version);
+    log.header.kind = tokens[2];
+    if (log.header.kind.empty()) return fail("malformed header: empty kind");
+
+    std::size_t pos = nl + 1;
+    log.valid_bytes = pos;
+    while (pos < data.size()) {
+        const std::size_t rest = data.size() - pos;
+        const std::size_t window = std::min(rest, kMaxRecordHeader);
+        const std::size_t rnl = data.find('\n', pos);
+        if (rnl == std::string::npos || rnl - pos >= window) {
+            log.defect = rest < kMaxRecordHeader
+                ? "truncated record: header has no newline"
+                : "malformed record: header has no newline";
+            break;
+        }
+        const std::vector<std::string> fields =
+            split_fields(std::string_view(data).substr(pos, rnl - pos));
+        if (fields.size() != 2) {
+            log.defect = "malformed record: expected 2 header fields";
+            break;
+        }
+        std::uint64_t size = 0;
+        std::uint64_t sum = 0;
+        try {
+            size = parse_u64(fields[0], "record size");
+            sum = parse_u64(fields[1], "record checksum");
+        } catch (const std::exception& e) {
+            log.defect = std::string("malformed record: ") + e.what();
+            break;
+        }
+        const std::size_t have = data.size() - (rnl + 1);
+        if (size > have) {
+            log.defect = "truncated record: header declares " + fields[0] +
+                         " bytes, " + std::to_string(have) + " remain";
+            break;
+        }
+        std::string payload = data.substr(rnl + 1, size);
+        const std::uint64_t actual = fnv1a64(payload);
+        if (actual != sum) {
+            log.defect = "checksum mismatch: record declares " + fields[1] +
+                         ", payload hashes to " + hex16(actual);
+            break;
+        }
+        log.records.push_back(std::move(payload));
+        pos = rnl + 1 + size;
+        log.valid_bytes = pos;
+    }
+    return log;
+}
+
+AppendFile::AppendFile(std::string path, const std::string& header)
+    : path_(std::move(path)) {
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
+    if (fd_ < 0) throw_errno("cannot create", path_);
+    try {
+        append(header);
+    } catch (...) {
+        ::close(fd_);
+        throw;
+    }
+    fsync_dir_of(path_);
+}
+
+AppendFile::~AppendFile() { ::close(fd_); }
+
+void AppendFile::append(std::string_view bytes) {
+    if (!write_all(fd_, bytes)) throw_errno("cannot append to", path_);
+    if (::fdatasync(fd_) != 0) throw_errno("cannot fdatasync", path_);
 }
 
 std::optional<std::string> read_file_if_exists(const std::string& path) {

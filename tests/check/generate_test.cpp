@@ -7,6 +7,7 @@
 
 #include "lognic/check/generate.hpp"
 #include "lognic/core/model.hpp"
+#include "lognic/io/checkpoint.hpp"
 #include "lognic/io/serialize.hpp"
 
 namespace lognic::check {
@@ -81,6 +82,30 @@ TEST(GenerateScenario, ManySeedsValidateAndStayInRegime)
     // With single_queue_fraction = 0.35 both branches must appear often.
     EXPECT_GT(single, 30u);
     EXPECT_LT(single, 170u);
+}
+
+TEST(GenerateScenario, SharesThatRoundAboveOneStillGenerate)
+{
+    // Seed 936 narrows a layer to one vertex whose summed share rounds to
+    // 1 + eps; its egress edge used to fail validation.
+    const GeneratedScenario gen = generate_scenario(936);
+    EXPECT_FALSE(gen.single_queue);
+    EXPECT_NO_THROW(gen.scenario.graph.validate(gen.scenario.hw));
+    const core::ExecutionGraph& g = gen.scenario.graph;
+    for (core::EdgeId e = 0; e < g.edge_count(); ++e)
+        EXPECT_LE(g.edge(e).params.delta, 1.0);
+}
+
+TEST(GenerateScenario, ScenariosThatGeneratedBeforeAreUnchanged)
+{
+    // Digest of the saved scenario documents of the first 256 seeds,
+    // pinned before shares were clamped: clamping only touches draws that
+    // used to throw.
+    std::uint64_t digest = io::fnv1a64("");
+    for (std::uint64_t seed = 0; seed < 256; ++seed)
+        digest = io::fnv1a64(io::u64_to_hex(digest)
+                             + io::save_scenario(generate_scenario(seed).scenario));
+    EXPECT_EQ(io::u64_to_hex(digest), "0x90548b38dc76d7ee");
 }
 
 TEST(GenerateScenario, SingleQueueDrawsPinRhoExactly)

@@ -19,30 +19,13 @@
 
 #include "lognic/ckpt/store.hpp"
 #include "lognic/io/checkpoint.hpp"
+#include "kill_points.hpp"
 
 namespace lognic {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Fresh scratch directory per test.
-class TempDir {
-  public:
-    explicit TempDir(const std::string& tag)
-        : path_((fs::temp_directory_path()
-                 / ("lognic_ckpt_" + tag + "_"
-                    + std::to_string(::getpid())))
-                    .string())
-    {
-        fs::remove_all(path_);
-        fs::create_directories(path_);
-    }
-    ~TempDir() { fs::remove_all(path_); }
-    const std::string& path() const { return path_; }
-
-  private:
-    std::string path_;
-};
+using test::TempDir;
 
 void
 write_raw(const std::string& path, const std::string& contents)
@@ -254,7 +237,7 @@ TEST(Frame, GarbageHeaderNumbersRejectedByNameNotCrash)
 
 TEST(AtomicWrite, CreatesAndReplaces)
 {
-    TempDir dir("atomic");
+    TempDir dir("ckpt_atomic");
     const std::string path = dir.path() + "/file.txt";
     io::atomic_write_file(path, "first");
     EXPECT_EQ(read_raw(path), "first");
@@ -281,7 +264,7 @@ TEST(AtomicWrite, NamesThePathOnFailure)
 
 TEST(Store, SaveLoadRoundTripsNewestGeneration)
 {
-    TempDir dir("store");
+    TempDir dir("ckpt_store");
     ckpt::CheckpointStore store(dir.path(), "sweep");
     EXPECT_FALSE(store.load_latest().has_value());
 
@@ -295,7 +278,7 @@ TEST(Store, SaveLoadRoundTripsNewestGeneration)
 
 TEST(Store, ResumesNumberingAcrossInstances)
 {
-    TempDir dir("renum");
+    TempDir dir("ckpt_renum");
     {
         ckpt::CheckpointStore store(dir.path(), "sim");
         store.save("a");
@@ -308,7 +291,7 @@ TEST(Store, ResumesNumberingAcrossInstances)
 
 TEST(Store, PrunesBeyondRetention)
 {
-    TempDir dir("retention");
+    TempDir dir("ckpt_retention");
     ckpt::CheckpointStore store(dir.path(), "calib",
                                 ckpt::StoreOptions{2});
     for (int i = 0; i < 5; ++i)
@@ -321,7 +304,7 @@ TEST(Store, PrunesBeyondRetention)
 
 TEST(Store, FallsBackPastCorruptTornAndSkewedGenerations)
 {
-    TempDir dir("fallback");
+    TempDir dir("ckpt_fallback");
     ckpt::CheckpointStore store(dir.path(), "check",
                                 ckpt::StoreOptions{10});
     store.save("oldest good");
@@ -361,7 +344,7 @@ TEST(Store, FallsBackPastCorruptTornAndSkewedGenerations)
 
 TEST(Store, IgnoresTmpLeftoversAndForeignKinds)
 {
-    TempDir dir("tmp");
+    TempDir dir("ckpt_tmp");
     ckpt::CheckpointStore store(dir.path(), "sweep");
     store.save("real");
     // A crashed writer's leftover and unrelated files must not be scanned.
@@ -384,7 +367,7 @@ TEST(Store, IgnoresTmpLeftoversAndForeignKinds)
 
 TEST(Store, ScanSurvivesGarbageNeighborFilenames)
 {
-    TempDir dir("garbage");
+    TempDir dir("ckpt_garbage");
     ckpt::CheckpointStore store(dir.path(), "sweep");
     store.save("real");
 
@@ -413,7 +396,7 @@ TEST(Store, ScanSurvivesGarbageNeighborFilenames)
 
 TEST(Store, RejectsInvalidConstruction)
 {
-    TempDir dir("invalid");
+    TempDir dir("ckpt_invalid");
     EXPECT_THROW(ckpt::CheckpointStore(dir.path(), ""),
                  std::runtime_error);
     EXPECT_THROW(

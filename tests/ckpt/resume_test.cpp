@@ -9,12 +9,14 @@
  *
  * The kill is simulated at the storage layer: the supervisor checkpoints
  * after every completion (checkpoint_every=1, retention high enough to
- * keep them all), then we clone the directory and delete every generation
- * newer than g — exactly the on-disk state a SIGKILL after the g-th
- * publication leaves behind — and resume from the clone.
+ * keep them all), then we clone the directory cut to the state a SIGKILL
+ * right after the g-th publication leaves behind — newer generations
+ * deleted, the record log truncated to its g-th publication boundary
+ * (kill_points.hpp) — and resume from the clone.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -29,46 +31,15 @@
 #include "lognic/io/checkpoint.hpp"
 #include "lognic/io/serialize.hpp"
 #include "../test_helpers.hpp"
+#include "kill_points.hpp"
 
 namespace lognic::ckpt {
 namespace {
 
-namespace fs = std::filesystem;
-
-class TempDir {
-  public:
-    explicit TempDir(const std::string& tag)
-        : path_((fs::temp_directory_path()
-                 / ("lognic_resume_" + tag + "_"
-                    + std::to_string(::getpid())))
-                    .string())
-    {
-        fs::remove_all(path_);
-        fs::create_directories(path_);
-    }
-    ~TempDir() { fs::remove_all(path_); }
-    const std::string& path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-/// Clone @p src and delete every generation newer than @p keep — the
-/// directory a kill right after the keep-th publication would leave.
-std::string
-clone_killed_at(const std::string& src, const std::string& dst,
-                const std::string& kind, std::uint64_t keep)
-{
-    fs::remove_all(dst);
-    fs::create_directories(dst);
-    for (const auto& entry : fs::directory_iterator(src))
-        fs::copy(entry.path(), dst / entry.path().filename());
-    CheckpointStore probe(dst, kind, StoreOptions{1000});
-    for (std::uint64_t g : probe.generations())
-        if (g > keep)
-            fs::remove(probe.path_for(g));
-    return dst;
-}
+using test::clone_killed_at;
+using test::KillPoint;
+using test::publications;
+using test::TempDir;
 
 // --- journal round trips ------------------------------------------------------
 
@@ -236,24 +207,33 @@ TEST(SuperviseSweep, ResumeIsByteIdenticalAfterAnyKillPoint)
         EXPECT_EQ(runner::to_json(uninterrupted.report).dump(2), baseline)
             << "threads=" << threads;
         EXPECT_FALSE(uninterrupted.resume.resumed);
-        EXPECT_GE(uninterrupted.checkpoints, 5u); // 4 ticks + final flush
+        EXPECT_EQ(uninterrupted.checkpoints, 5u); // 4 ticks + final flush
+        ASSERT_EQ(publications(full.path(), "sweep").size(),
+                  uninterrupted.checkpoints);
 
         // Kill after each checkpoint publication in turn and resume.
-        CheckpointStore probe(full.path(), "sweep", StoreOptions{1000});
-        const auto gens = probe.generations();
-        ASSERT_GE(gens.size(), 2u);
-        for (std::uint64_t keep : {gens.front(), gens[gens.size() / 2]}) {
-            TempDir killed("sweep_kill_t" + std::to_string(threads) + "_g"
-                           + std::to_string(keep));
-            clone_killed_at(full.path(), killed.path(), "sweep", keep);
+        for (std::uint64_t p = 1; p <= uninterrupted.checkpoints; ++p) {
+            TempDir killed("sweep_kill_t" + std::to_string(threads) + "_p"
+                           + std::to_string(p));
+            const KillPoint at =
+                clone_killed_at(full.path(), killed.path(), "sweep", p);
             SupervisorOptions rsup;
             rsup.dir = killed.path();
             const SupervisedSweep resumed =
                 supervise_sweep(sweep, so, rsup);
             EXPECT_TRUE(resumed.resume.resumed);
-            EXPECT_GT(resumed.resume.completed, 0u);
+            EXPECT_EQ(resumed.resume.generation, at.generation);
+            EXPECT_EQ(resumed.resume.replayed, at.records);
+            // A snapshot serializes the journal, which may already hold
+            // entries other threads recorded but have not yet published.
+            if (threads == 1)
+                EXPECT_EQ(resumed.resume.completed, std::min<std::size_t>(p, 4));
+            else
+                EXPECT_GE(resumed.resume.completed, std::min<std::size_t>(p, 4));
+            EXPECT_TRUE(resumed.resume.rejected.empty());
             EXPECT_EQ(runner::to_json(resumed.report).dump(2), baseline)
-                << "threads=" << threads << " killed after gen " << keep;
+                << "threads=" << threads << " killed after publication "
+                << p;
         }
 
         // Resuming the *finished* directory replays everything.
@@ -370,6 +350,63 @@ TEST(SuperviseSweep, RetriesFailedPointsWithExponentialBackoff)
               runner::to_json(plain).dump(2));
 }
 
+TEST(SuperviseSweep, ErasedFailuresNeverComeBackFromTheLog)
+{
+    // A point that simulates and one that fails to construct, two
+    // replications each: tasks 0-1 succeed, tasks 2-3 fail. The retry
+    // round erases both failures and re-runs them one at a time, so a
+    // kill after its first publication leaves task 3 erased and not yet
+    // re-run. Its old failure record sits in the log before the erase;
+    // replaying it would resume a different journal than the one
+    // published.
+    const auto hw = test::small_nic();
+    runner::Sweep sweep;
+    runner::SweepPoint good{"good", hw, test::single_stage_graph(hw),
+                            test::mtu_traffic(6.0), {}};
+    good.options.duration = sim::SimTime{0.002};
+    sweep.add(good);
+    runner::SweepPoint bad = good;
+    bad.label = "bad";
+    bad.graph.vertex(*bad.graph.find_vertex("cores")).params.parallelism = 99;
+    sweep.add(bad);
+    runner::SweepOptions so;
+    so.replications = 2;
+    so.threads = 1;
+
+    TempDir full("sweep_erase_full");
+    SupervisorOptions sup;
+    sup.dir = full.path();
+    sup.checkpoint_every = 1;
+    sup.retention = 100;
+    sup.retry_rounds = 1;
+    sup.sleep_fn = [](double) {};
+    const SupervisedSweep uninterrupted = supervise_sweep(sweep, so, sup);
+    const std::string want = runner::to_json(uninterrupted.report).dump(2);
+    EXPECT_EQ(uninterrupted.retry_rounds_used, 1u);
+    // Four first-pass tasks, two retried, the final flush.
+    ASSERT_EQ(uninterrupted.checkpoints, 7u);
+    const auto pubs = publications(full.path(), "sweep");
+    ASSERT_EQ(pubs.size(), uninterrupted.checkpoints);
+    // The retry round's first publication is a snapshot.
+    EXPECT_EQ(pubs[4].records, 0u);
+
+    for (std::uint64_t p = 1; p <= uninterrupted.checkpoints; ++p) {
+        TempDir killed("sweep_erase_p" + std::to_string(p));
+        clone_killed_at(full.path(), killed.path(), "sweep", p);
+        SupervisorOptions rsup = sup;
+        rsup.dir = killed.path();
+        const SupervisedSweep resumed = supervise_sweep(sweep, so, rsup);
+        EXPECT_TRUE(resumed.resume.resumed);
+        if (p == 5) { // tasks 0, 1, and the re-run task 2; task 3 erased
+            EXPECT_EQ(resumed.resume.completed, 3u);
+        }
+        EXPECT_EQ(resumed.retry_rounds_used, uninterrupted.retry_rounds_used)
+            << "killed after publication " << p;
+        EXPECT_EQ(runner::to_json(resumed.report).dump(2), want)
+            << "killed after publication " << p;
+    }
+}
+
 TEST(SuperviseSweep, RejectsPresetHooksAndBadOptions)
 {
     const runner::Sweep sweep = small_sweep();
@@ -419,20 +456,22 @@ TEST(SuperviseCheck, ResumeIsByteIdenticalAfterAnyKillPoint)
     const SupervisedCheck uninterrupted =
         supervise_check(copts, {}, sup);
     EXPECT_EQ(check::to_json(uninterrupted.report).dump(2), baseline);
+    EXPECT_EQ(uninterrupted.checkpoints, 5u); // 4 trials + final flush
+    ASSERT_EQ(publications(full.path(), "check").size(),
+              uninterrupted.checkpoints);
 
-    CheckpointStore probe(full.path(), "check", StoreOptions{1000});
-    const auto gens = probe.generations();
-    ASSERT_GE(gens.size(), 2u);
-    for (std::uint64_t keep : {gens.front(), gens[gens.size() / 2]}) {
-        TempDir killed("check_kill_g" + std::to_string(keep));
-        clone_killed_at(full.path(), killed.path(), "check", keep);
+    for (std::uint64_t p = 1; p <= uninterrupted.checkpoints; ++p) {
+        TempDir killed("check_kill_p" + std::to_string(p));
+        const KillPoint at =
+            clone_killed_at(full.path(), killed.path(), "check", p);
         SupervisorOptions rsup;
         rsup.dir = killed.path();
         const SupervisedCheck resumed = supervise_check(copts, {}, rsup);
         EXPECT_TRUE(resumed.resume.resumed);
-        EXPECT_GT(resumed.resume.completed, 0u);
+        EXPECT_EQ(resumed.resume.generation, at.generation);
+        EXPECT_EQ(resumed.resume.completed, std::min<std::size_t>(p, 4));
         EXPECT_EQ(check::to_json(resumed.report).dump(2), baseline)
-            << "killed after gen " << keep;
+            << "killed after publication " << p;
     }
 }
 
@@ -563,22 +602,23 @@ TEST(SuperviseCalibration, ResumeIsByteIdenticalAfterAnyKillPoint)
     EXPECT_EQ(calib::to_json(uninterrupted.report).dump(-1), baseline);
     EXPECT_FALSE(uninterrupted.resume.resumed);
     EXPECT_EQ(uninterrupted.checkpoints, 4u); // 3 starts + final flush
+    ASSERT_EQ(publications(full.path(), "calib").size(),
+              uninterrupted.checkpoints);
 
-    CheckpointStore probe(full.path(), "calib", StoreOptions{1000});
-    const auto gens = probe.generations();
-    ASSERT_GE(gens.size(), 3u);
-    for (std::uint64_t keep : {gens.front(), gens[gens.size() / 2]}) {
-        TempDir killed("calib_kill_g" + std::to_string(keep));
-        clone_killed_at(full.path(), killed.path(), "calib", keep);
+    for (std::uint64_t p = 1; p <= uninterrupted.checkpoints; ++p) {
+        TempDir killed("calib_kill_p" + std::to_string(p));
+        const KillPoint at =
+            clone_killed_at(full.path(), killed.path(), "calib", p);
         SupervisorOptions rsup;
         rsup.dir = killed.path();
         const SupervisedCalibration resumed =
             supervise_calibration(c.space, c.data, c.opts, rsup);
         EXPECT_TRUE(resumed.resume.resumed);
-        EXPECT_EQ(resumed.resume.generation, keep);
-        EXPECT_EQ(resumed.resume.completed, keep);
+        EXPECT_EQ(resumed.resume.generation, at.generation);
+        EXPECT_EQ(resumed.resume.replayed, at.records);
+        EXPECT_EQ(resumed.resume.completed, std::min<std::size_t>(p, 3));
         EXPECT_EQ(calib::to_json(resumed.report).dump(-1), baseline)
-            << "killed after gen " << keep;
+            << "killed after publication " << p;
     }
 }
 
@@ -632,9 +672,11 @@ TEST(SuperviseSimulation, ResumeIsByteIdenticalAfterAnyKillPoint)
     // One snapshot after every segment but the last, plus the final one.
     EXPECT_EQ(uninterrupted.checkpoints, uninterrupted.segments);
 
+    // Snapshot campaigns publish whole generations, never a log.
     CheckpointStore probe(full.path(), "sim", StoreOptions{1000});
     const auto gens = probe.generations();
     ASSERT_GE(gens.size(), 3u);
+    ASSERT_EQ(publications(full.path(), "sim").size(), gens.size());
     for (std::uint64_t keep : {gens.front(), gens[gens.size() / 2]}) {
         TempDir killed("sim_kill_g" + std::to_string(keep));
         clone_killed_at(full.path(), killed.path(), "sim", keep);

@@ -6,7 +6,8 @@
  * run — including the memo-cache counters in the report, which journal
  * replay must not perturb. The kill is simulated at the storage layer
  * exactly like tests/ckpt/resume_test.cpp: checkpoint after every
- * completion, clone the directory, delete generations newer than g.
+ * completion, clone the directory cut to the state right after
+ * publication g (tests/ckpt/kill_points.hpp).
  */
 #include "lognic/dse/supervise.hpp"
 
@@ -16,50 +17,27 @@
 #include <filesystem>
 #include <limits>
 #include <string>
-#include <unistd.h>
 
 #include "lognic/apps/nf_chain.hpp"
 #include "lognic/ckpt/store.hpp"
 #include "lognic/dse/report.hpp"
 #include "lognic/io/checkpoint.hpp"
+#include "../ckpt/kill_points.hpp"
 
 using namespace lognic;
 
 namespace {
 
 namespace fs = std::filesystem;
+using test::KillPoint;
+using test::TempDir;
 
-class TempDir {
-  public:
-    explicit TempDir(const std::string& tag)
-        : path_((fs::temp_directory_path()
-                 / ("lognic_dse_" + tag + "_" + std::to_string(::getpid())))
-                    .string())
-    {
-        fs::remove_all(path_);
-        fs::create_directories(path_);
-    }
-    ~TempDir() { fs::remove_all(path_); }
-    const std::string& path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-std::string
+test::KillPoint
 clone_killed_at(const std::string& src, const std::string& dst,
-                std::uint64_t keep)
+                std::uint64_t publication)
 {
-    fs::remove_all(dst);
-    fs::create_directories(dst);
-    for (const auto& entry : fs::directory_iterator(src))
-        fs::copy(entry.path(), dst / entry.path().filename());
-    ckpt::CheckpointStore probe(dst, dse::kExploreCheckpointKind,
-                                ckpt::StoreOptions{1000});
-    for (std::uint64_t g : probe.generations())
-        if (g > keep)
-            fs::remove(probe.path_for(g));
-    return dst;
+    return test::clone_killed_at(src, dst, dse::kExploreCheckpointKind,
+                                 publication);
 }
 
 io::Scenario
@@ -240,7 +218,7 @@ TEST(SuperviseExploration, PrunedResumeMatchesUnprunedBaseline)
 
     auto on = off;
     on.prune = dse::PruneMode::kOn;
-    TempDir full_dir("prune_full");
+    TempDir full_dir("dse_prune_full");
     ckpt::SupervisorOptions sup;
     sup.dir = full_dir.path();
     sup.checkpoint_every = 1;
@@ -251,7 +229,7 @@ TEST(SuperviseExploration, PrunedResumeMatchesUnprunedBaseline)
     EXPECT_GT(full.report.pruned, 0u);
     ASSERT_GE(full.checkpoints, 2u);
 
-    TempDir kill_dir("prune_kill");
+    TempDir kill_dir("dse_prune_kill");
     clone_killed_at(full_dir.path(), kill_dir.path(), 1);
     ckpt::SupervisorOptions resume_sup;
     resume_sup.dir = kill_dir.path();
@@ -266,7 +244,7 @@ TEST(SuperviseExploration, PrunedResumeMatchesUnprunedBaseline)
     EXPECT_EQ(resumed.report.pruned, full.report.pruned);
 
     // And the off-mode resumes a journal written with pruning on.
-    TempDir kill_dir2("prune_kill_off");
+    TempDir kill_dir2("dse_prune_kill_off");
     clone_killed_at(full_dir.path(), kill_dir2.path(), 1);
     ckpt::SupervisorOptions resume_sup2;
     resume_sup2.dir = kill_dir2.path();
@@ -279,7 +257,7 @@ TEST(SuperviseExploration, PrunedResumeMatchesUnprunedBaseline)
 
 TEST(SuperviseExploration, SeamsMustBeUnset)
 {
-    TempDir dir("seams");
+    TempDir dir("dse_seams");
     ckpt::SupervisorOptions sup;
     sup.dir = dir.path();
     dse::ExploreOptions opts = fast_opts();
@@ -295,7 +273,7 @@ TEST(SuperviseExploration, SeamsMustBeUnset)
 
 TEST(SuperviseExploration, UninterruptedMatchesUnsupervised)
 {
-    TempDir dir("plain");
+    TempDir dir("dse_plain");
     ckpt::SupervisorOptions sup;
     sup.dir = dir.path();
     const auto space = placement_space();
@@ -316,7 +294,7 @@ TEST(SuperviseExploration, ResumeAfterKillIsByteIdentical)
 
     // Uninterrupted supervised run, checkpointing after every completion
     // so every kill point exists on disk.
-    TempDir full_dir("full");
+    TempDir full_dir("dse_full");
     ckpt::SupervisorOptions sup;
     sup.dir = full_dir.path();
     sup.checkpoint_every = 1;
@@ -326,27 +304,31 @@ TEST(SuperviseExploration, ResumeAfterKillIsByteIdentical)
     const std::string want =
         dse::frontier_report_to_json(full.report).dump(-1);
     ASSERT_GE(full.checkpoints, 3u);
+    const std::size_t units = full.checkpoints - 1; // all but the final flush
+    ASSERT_EQ(
+        test::publications(full_dir.path(), dse::kExploreCheckpointKind).size(),
+        full.checkpoints);
 
-    // Resume from the state a SIGKILL would leave after generation g, for
-    // an early, a middle, and a late kill.
-    const std::uint64_t kills[] = {1, full.checkpoints / 2,
-                                   full.checkpoints - 1};
-    for (std::uint64_t keep : kills) {
-        TempDir kill_dir("kill_" + std::to_string(keep));
-        clone_killed_at(full_dir.path(), kill_dir.path(), keep);
+    // Resume from the state a SIGKILL would leave after each publication.
+    for (std::uint64_t p = 1; p <= full.checkpoints; ++p) {
+        TempDir kill_dir("dse_kill_" + std::to_string(p));
+        const KillPoint at =
+            clone_killed_at(full_dir.path(), kill_dir.path(), p);
         ckpt::SupervisorOptions resume_sup;
         resume_sup.dir = kill_dir.path();
         const auto resumed = dse::supervise_exploration(
             space, objectives, {}, fast_opts(), resume_sup);
         EXPECT_TRUE(resumed.resume.resumed);
-        EXPECT_EQ(resumed.resume.generation, keep);
+        EXPECT_EQ(resumed.resume.generation, at.generation);
+        EXPECT_EQ(resumed.resume.replayed, at.records);
+        EXPECT_EQ(resumed.resume.completed, std::min<std::size_t>(p, units));
         EXPECT_EQ(dse::frontier_report_to_json(resumed.report).dump(-1),
                   want)
-            << "kill after generation " << keep;
+            << "kill after publication " << p;
     }
 
     // And at a different thread count, still byte-identical.
-    TempDir kill_dir("kill_threads");
+    TempDir kill_dir("dse_kill_threads");
     clone_killed_at(full_dir.path(), kill_dir.path(), 2);
     ckpt::SupervisorOptions resume_sup;
     resume_sup.dir = kill_dir.path();
@@ -357,9 +339,67 @@ TEST(SuperviseExploration, ResumeAfterKillIsByteIdentical)
     EXPECT_EQ(dse::frontier_report_to_json(resumed.report).dump(-1), want);
 }
 
+TEST(SuperviseExploration, TornLogTailAtEveryOffsetResumesByteIdentically)
+{
+    const auto space = placement_space();
+    const auto objectives = tput_p99();
+    // Model evaluations only, so each of the many resumes below is cheap.
+    auto opts = fast_opts();
+    opts.des.enabled = false;
+    TempDir full_dir("dse_torn_full");
+    ckpt::SupervisorOptions sup;
+    sup.dir = full_dir.path();
+    sup.checkpoint_every = 1;
+    sup.retention = 1000;
+    const auto full =
+        dse::supervise_exploration(space, objectives, {}, opts, sup);
+    const std::string want =
+        dse::frontier_report_to_json(full.report).dump(-1);
+
+    // The last publication that appended, cut anywhere inside its record:
+    // the newest log of a kill that landed mid-append.
+    const auto pubs =
+        test::publications(full_dir.path(), dse::kExploreCheckpointKind);
+    std::uint64_t p = pubs.size();
+    while (p > 0 && pubs[p - 1].records == 0)
+        --p;
+    ASSERT_GT(p, 0u);
+    TempDir kill_dir("dse_torn");
+    const KillPoint at = clone_killed_at(full_dir.path(), kill_dir.path(), p);
+    const ckpt::CheckpointStore probe(kill_dir.path(),
+                                      dse::kExploreCheckpointKind);
+    const std::string log = probe.log_path_for(at.generation);
+    const std::size_t start =
+        test::log_prefix_bytes(probe, at.generation, at.records - 1);
+    const std::size_t end = fs::file_size(log);
+    for (std::size_t cut = start + 1; cut < end; ++cut) {
+        clone_killed_at(full_dir.path(), kill_dir.path(), p);
+        fs::resize_file(log, cut);
+        std::vector<std::string> logged;
+        ckpt::SupervisorOptions resume_sup;
+        resume_sup.dir = kill_dir.path();
+        resume_sup.log = [&logged](const std::string& m) {
+            logged.push_back(m);
+        };
+        const auto resumed = dse::supervise_exploration(
+            space, objectives, {}, opts, resume_sup);
+        ASSERT_EQ(resumed.resume.rejected.size(), 1u) << cut;
+        EXPECT_EQ(resumed.resume.rejected[0].path, log);
+        EXPECT_EQ(resumed.resume.replayed, at.records - 1);
+        bool named = false;
+        for (const auto& m : logged)
+            named = named
+                || (m.find(log + " truncated at byte " + std::to_string(start))
+                    != std::string::npos);
+        EXPECT_TRUE(named) << cut;
+        EXPECT_EQ(dse::frontier_report_to_json(resumed.report).dump(-1), want)
+            << "log cut at byte " << cut;
+    }
+}
+
 TEST(SuperviseExploration, ForeignCampaignRefused)
 {
-    TempDir dir("foreign");
+    TempDir dir("dse_foreign");
     ckpt::SupervisorOptions sup;
     sup.dir = dir.path();
     const auto space = placement_space();
@@ -382,7 +422,7 @@ TEST(SuperviseExploration, ForeignCampaignRefused)
 
 TEST(SuperviseExploration, CorruptNewestGenerationIsSkipped)
 {
-    TempDir dir("corrupt");
+    TempDir dir("dse_corrupt");
     ckpt::SupervisorOptions sup;
     sup.dir = dir.path();
     sup.checkpoint_every = 1;
