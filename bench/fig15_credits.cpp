@@ -10,7 +10,7 @@
  */
 #include "bench_util.hpp"
 #include "lognic/apps/panic_models.hpp"
-#include "lognic/sim/panic.hpp"
+#include "lognic/sim/nic_simulator.hpp"
 #include "lognic/traffic/profiles.hpp"
 
 using namespace lognic;
@@ -36,13 +36,13 @@ main()
         std::vector<double> sim_bw;
         std::vector<double> model_bw;
         for (std::uint32_t credits = 1; credits <= 8; ++credits) {
-            const auto cfg = apps::make_panic_pipelined_chain(credits);
+            const auto sc = apps::make_panic_pipelined_chain(credits);
             sim::SimOptions opts;
             opts.duration = 0.02;
             opts.seed = 17;
             // PANIC compute units are fixed-function hardware pipelines.
             opts.exponential_service = false;
-            const auto res = sim::simulate_panic(cfg, tp, opts);
+            const auto res = sim::simulate(sc.hw, sc.graph, tp, opts);
             sim_bw.push_back(res.delivered.gbps());
             model_bw.push_back(std::min(
                 apps::lognic_panic_chain_capacity(tp, credits).gbps(),
@@ -51,12 +51,12 @@ main()
         // Latency comparison under the same saturating load: past the
         // knee, extra credits only buy buffer occupancy.
         auto latency_at = [&](std::uint32_t credits) {
-            const auto cfg = apps::make_panic_pipelined_chain(credits);
+            const auto sc = apps::make_panic_pipelined_chain(credits);
             sim::SimOptions opts;
             opts.duration = 0.05;
             opts.seed = 29;
             opts.exponential_service = false;
-            return sim::simulate_panic(cfg, tp, opts)
+            return sim::simulate(sc.hw, sc.graph, tp, opts)
                 .mean_latency.micros();
         };
         const double lat_at_suggested = latency_at(suggested);

@@ -10,7 +10,7 @@
  *  - `fig10_pktsweep`: the Figure-10 inline-accelerator scenario across
  *    packet sizes — NicSimulator's slab/queue/link path under line rate;
  *  - `panic_chain`: the Figure-15 PANIC pipelined chain at 8 credits —
- *    PanicSim's scheduler/credit/fabric path.
+ *    NicSimulator's credit-window and dedicated-link path.
  *
  * Each workload runs `--repeat` times (default 3) and reports the best
  * (max events/sec) pass, so a background hiccup cannot fail a regression
@@ -38,7 +38,6 @@
 #include "lognic/apps/panic_models.hpp"
 #include "lognic/sim/event_queue.hpp"
 #include "lognic/sim/nic_simulator.hpp"
-#include "lognic/sim/panic.hpp"
 #include "lognic/traffic/profiles.hpp"
 
 using namespace lognic;
@@ -129,7 +128,7 @@ run_fig10_sweep()
 BenchResult
 run_panic_chain()
 {
-    const auto cfg = apps::make_panic_pipelined_chain(8);
+    const auto sc = apps::make_panic_pipelined_chain(8);
     const auto tp =
         traffic::panic_profile(1, Bandwidth::from_gbps(90.0));
     sim::SimOptions opts;
@@ -137,7 +136,7 @@ run_panic_chain()
     opts.seed = 17;
     opts.exponential_service = false;
     const double start = now_seconds();
-    const auto res = sim::simulate_panic(cfg, tp, opts);
+    const auto res = sim::simulate(sc.hw, sc.graph, tp, opts);
     const double wall = now_seconds() - start;
     return BenchResult{"panic_chain", res.events_executed, wall};
 }

@@ -56,6 +56,16 @@ struct VertexParams {
      * the whole buffer. When false (default), inputs share one FIFO.
      */
     bool per_input_queues{false};
+    /**
+     * Credit window (IP vertices only; 0 = none). A packet takes one of
+     * the vertex's credits when it leaves its upstream vertex for this
+     * one; a packet that finds none waits upstream in a FIFO bounded by
+     * N_vi (overflow drops). The credit comes back O_i after the vertex
+     * finishes (or loses) the packet, so the window caps throughput at
+     * credits x request / (service + O_up + O_i + transfer). Honored by
+     * the simulator; the analytical model does not read it.
+     */
+    std::uint32_t credits{0};
 };
 
 struct Vertex {

@@ -1,30 +1,34 @@
 /**
  * @file
- * Parameter catalog for the PANIC academic prototype (case study #5, S4.6).
- *
- * Provides (a) defaults for the credit-scheduler simulator (sim/panic.hpp)
- * matching the prototype's 100 Gbps switching fabric, and (b) a generic
- * HardwareModel exposing four configurable compute units as IPs for the
- * Model-2/Model-3 experiments (Figures 16-19).
+ * Parameter catalog for the PANIC academic prototype (case study #5, S4.6):
+ * HardwareModels exposing its configurable compute units as IPs — Model 1
+ * "Pipelined Chain" behind the RMT pipeline (Figure 15), and the
+ * Model-2/Model-3 unit sets of Figures 16-19.
  */
 #ifndef LOGNIC_DEVICES_PANIC_PROTO_HPP_
 #define LOGNIC_DEVICES_PANIC_PROTO_HPP_
 
+#include <string>
+#include <vector>
+
 #include "lognic/core/hardware_model.hpp"
-#include "lognic/sim/panic.hpp"
 
 namespace lognic::devices {
 
-/// Fabric/RMT defaults for the PANIC prototype.
-sim::PanicConfig panic_defaults();
+/**
+ * A PANIC compute unit as an accelerator IP: @p engines engines, each
+ * with per-op cost @p fixed and streaming rate @p stream.
+ */
+core::IpSpec panic_unit_ip(const std::string& name, Seconds fixed,
+                           Bandwidth stream, std::uint32_t engines = 1);
 
 /**
- * A compute unit as a PanicUnit: per-engine op cost @p fixed, streaming
- * rate @p stream, with @p parallelism engines and @p credits buffer slots.
+ * Hardware model for Model 1 "Pipelined Chain": IP 0 is the RMT pipeline
+ * "rmt" (parse + descriptor, a fixed 300 ns with deterministic service and
+ * engines enough never to queue at line rate), followed by @p units in
+ * chain order. Line rate 100 Gbps.
  */
-sim::PanicUnit panic_unit(const std::string& name, Seconds fixed,
-                          Bandwidth stream, std::uint32_t parallelism = 1,
-                          std::uint32_t credits = 8);
+core::HardwareModel panic_pipelined_chain_hw(std::vector<core::IpSpec> units);
 
 /**
  * Hardware model for the Model-2 "Parallelized Chain" scenario: three

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lognic::io {
@@ -63,6 +64,20 @@ class Json {
           object_(std::make_shared<JsonObject>(std::move(o)))
     {
     }
+
+    Json(const Json&) = default;
+    Json(Json&&) noexcept = default;
+    /// Copy first, then take the copy: @p other may be an element of this
+    /// value (`v = v.as_array()[0]`, `v = v.at(k)`), which releasing the
+    /// old contents would free mid-assignment.
+    Json& operator=(const Json& other)
+    {
+        Json copy(other);
+        return *this = std::move(copy);
+    }
+    /// Elements are reachable only through const references, so a moved
+    /// right-hand side can never be owned by this value.
+    Json& operator=(Json&&) noexcept = default;
 
     Type type() const { return type_; }
     bool is_null() const { return type_ == Type::kNull; }

@@ -20,7 +20,12 @@
  *  - edges move data over the shared interface and/or memory links (FIFO
  *    bandwidth servers, so contention emerges) and optional dedicated links;
  *  - the computation-transfer overhead O_i is charged as latency between
- *    service completion and the outbound transfer.
+ *    service completion and the outbound transfer;
+ *  - a vertex with `credits` > 0 admits packets through a credit window
+ *    (the PANIC scheduler of case study #5): a packet takes a credit as it
+ *    leaves its upstream vertex, waits upstream in a FIFO bounded by N_vi
+ *    while none is free (overflow drops), and the credit returns O_i after
+ *    the vertex finishes or loses the packet.
  */
 #ifndef LOGNIC_SIM_NIC_SIMULATOR_HPP_
 #define LOGNIC_SIM_NIC_SIMULATOR_HPP_

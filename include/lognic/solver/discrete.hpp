@@ -63,23 +63,6 @@ IntSearchResult coordinate_descent(const IntObjectiveFn& f, IntVector x0,
                                    const std::vector<IntRange>& ranges,
                                    std::size_t max_passes = 20);
 
-/// Continuous grid search over box ranges (for coarse seeding).
-struct GridRange {
-    double lo{0.0};
-    double hi{0.0};
-    std::size_t points{2}; ///< >= 2 samples including both endpoints
-};
-
-struct GridSearchResult {
-    std::vector<double> x;
-    double value{std::numeric_limits<double>::infinity()};
-    std::size_t evaluations{0};
-};
-
-GridSearchResult grid_search(
-    const std::function<double(const std::vector<double>&)>& f,
-    const std::vector<GridRange>& ranges, std::size_t max_points = 2'000'000);
-
 } // namespace lognic::solver
 
 #endif // LOGNIC_SOLVER_DISCRETE_HPP_

@@ -16,25 +16,86 @@ namespace {
 const Seconds kChainUnitFixed = Seconds::from_nanos(12.5);
 const Bandwidth kChainUnitStream = Bandwidth::from_gbps(250.0);
 
+/// The prototype's switching fabric and central-scheduler buffer share.
+const Bandwidth kFabricPort = Bandwidth::from_gbps(100.0);
+const Seconds kHop = Seconds::from_nanos(20.0);
+const std::uint32_t kSchedulerSlots = 16;
+
 } // namespace
 
-sim::PanicConfig
+PanicScenario
+make_panic_chain(std::vector<core::IpSpec> units, std::uint32_t credits)
+{
+    if (units.empty() || credits == 0)
+        throw std::invalid_argument(
+            "make_panic_chain: needs at least one unit and one credit");
+    PanicScenario sc{devices::panic_pipelined_chain_hw(std::move(units)),
+                     core::ExecutionGraph("panic-model1")};
+    core::VertexParams rmt;
+    rmt.overhead = kHop;
+    core::VertexId prev = sc.graph.add_ip_vertex("rmt", 0, rmt);
+    sc.graph.add_edge(sc.graph.add_ingress(), prev);
+
+    core::EdgeParams port;
+    port.dedicated_bw = kFabricPort;
+    for (core::IpId ip = 1; ip < sc.hw.ip_count(); ++ip) {
+        core::VertexParams unit;
+        unit.overhead = kHop;
+        unit.queue_capacity = kSchedulerSlots;
+        unit.credits = credits;
+        const core::VertexId v =
+            sc.graph.add_ip_vertex(sc.hw.ip(ip).name, ip, unit);
+        sc.graph.add_edge(prev, v, port);
+        prev = v;
+    }
+    sc.graph.add_edge(prev, sc.graph.add_egress(), port); // the TX port
+    return sc;
+}
+
+PanicScenario
 make_panic_pipelined_chain(std::uint32_t credits, std::uint32_t stages)
 {
     if (credits == 0 || stages == 0)
         throw std::invalid_argument(
             "make_panic_pipelined_chain: credits and stages must be >= 1");
-    sim::PanicConfig cfg = devices::panic_defaults();
-    sim::PanicChain chain;
-    for (std::uint32_t s = 0; s < stages; ++s) {
-        cfg.units.push_back(devices::panic_unit(
+    std::vector<core::IpSpec> units;
+    for (std::uint32_t s = 0; s < stages; ++s)
+        units.push_back(devices::panic_unit_ip(
             "unit" + std::to_string(s + 1), kChainUnitFixed,
-            kChainUnitStream, 1, credits));
-        chain.units.push_back(s);
-    }
-    chain.weight = 1.0;
-    cfg.chains.push_back(std::move(chain));
-    return cfg;
+            kChainUnitStream));
+    return make_panic_chain(std::move(units), credits);
+}
+
+Bandwidth
+panic_credit_capacity(const core::HardwareModel& hw,
+                      const core::ExecutionGraph& graph, core::VertexId v,
+                      Bytes request)
+{
+    const core::Vertex& vx = graph.vertex(v);
+    const auto ins = graph.in_edges(v);
+    if (vx.params.credits == 0 || ins.size() != 1
+        || !graph.edge(ins[0]).params.dedicated_bw)
+        throw std::invalid_argument(
+            "panic_credit_capacity: vertex '" + vx.name
+            + "' needs credits and one dedicated in-link");
+    const core::Edge& in = graph.edge(ins[0]);
+    const core::IpSpec& spec = hw.ip(vx.ip);
+    const core::ServiceModel& engine = spec.roofline.engine();
+
+    const double service = engine.service_time(request).seconds();
+    const double rtt = graph.vertex(in.from).params.overhead.seconds()
+        + vx.params.overhead.seconds()
+        + (request / *in.params.dedicated_bw).seconds();
+    const double window_bytes_per_sec =
+        static_cast<double>(vx.params.credits) * request.bytes()
+        / (service + rtt);
+    const std::uint32_t engines = vx.params.parallelism > 0
+        ? vx.params.parallelism
+        : spec.max_engines;
+    const Bandwidth compute =
+        engine.throughput(request) * static_cast<double>(engines);
+    return std::min(compute,
+                    Bandwidth::from_bytes_per_sec(window_bytes_per_sec));
 }
 
 Bytes
@@ -52,12 +113,13 @@ Bandwidth
 lognic_panic_chain_capacity(const core::TrafficProfile& traffic,
                             std::uint32_t credits, std::uint32_t stages)
 {
-    const sim::PanicConfig cfg = make_panic_pipelined_chain(credits, stages);
+    const PanicScenario sc = make_panic_pipelined_chain(credits, stages);
     const Bytes request = mean_request_size(traffic);
-    Bandwidth capacity = cfg.fabric_bw;
-    for (const auto& unit : cfg.units) {
-        capacity = std::min(capacity,
-                            sim::panic_credit_capacity(unit, request, cfg));
+    Bandwidth capacity = kFabricPort;
+    for (core::VertexId v = 0; v < sc.graph.vertex_count(); ++v) {
+        if (sc.graph.vertex(v).params.credits > 0)
+            capacity = std::min(
+                capacity, panic_credit_capacity(sc.hw, sc.graph, v, request));
     }
     return capacity;
 }
@@ -77,14 +139,14 @@ lognic_optimal_credits(const core::TrafficProfile& traffic,
     return max_credits;
 }
 
-PanicParallelScenario
+PanicScenario
 make_panic_parallel_chain(double a2_percent)
 {
     if (a2_percent <= 0.0 || a2_percent >= 80.0)
         throw std::invalid_argument(
             "make_panic_parallel_chain: A2 share must be in (0, 80)");
-    PanicParallelScenario sc{devices::panic_parallel_chain_hw(),
-                             core::ExecutionGraph("panic-model2")};
+    PanicScenario sc{devices::panic_parallel_chain_hw(),
+                     core::ExecutionGraph("panic-model2")};
     const auto ingress = sc.graph.add_ingress();
     const auto egress = sc.graph.add_egress();
     const auto a1 = sc.graph.add_ip_vertex("a1", *sc.hw.find_ip("a1"));
@@ -107,7 +169,7 @@ double
 lognic_opt_split(const core::TrafficProfile& traffic)
 {
     // One continuous knob: X, the percentage steered to A2.
-    PanicParallelScenario seed = make_panic_parallel_chain(40.0);
+    PanicScenario seed = make_panic_parallel_chain(40.0);
     core::ContinuousProblem problem;
     problem.graph = seed.graph;
     problem.traffic = traffic;
@@ -135,7 +197,7 @@ lognic_opt_split(const core::TrafficProfile& traffic)
     return opt.optimize(problem).x[0];
 }
 
-PanicHybridScenario
+PanicScenario
 make_panic_hybrid(double ip3_fraction, std::uint32_t ip4_parallelism)
 {
     if (ip3_fraction < 0.0 || ip3_fraction > 1.0)
@@ -145,8 +207,8 @@ make_panic_hybrid(double ip3_fraction, std::uint32_t ip4_parallelism)
         throw std::invalid_argument(
             "make_panic_hybrid: IP4 parallelism must be 1..8");
 
-    PanicHybridScenario sc{devices::panic_hybrid_chain_hw(),
-                           core::ExecutionGraph("panic-model3")};
+    PanicScenario sc{devices::panic_hybrid_chain_hw(),
+                     core::ExecutionGraph("panic-model3")};
     const auto ingress = sc.graph.add_ingress();
     const auto egress = sc.graph.add_egress();
     const auto ip1 = sc.graph.add_ip_vertex("ip1", *sc.hw.find_ip("ip1"));
@@ -179,14 +241,13 @@ lognic_opt_parallelism(double ip3_fraction,
 {
     double saturated = 0.0;
     {
-        PanicHybridScenario sc =
-            make_panic_hybrid(ip3_fraction, max_parallelism);
+        PanicScenario sc = make_panic_hybrid(ip3_fraction, max_parallelism);
         const core::Model model(sc.hw);
         saturated =
             model.throughput(sc.graph, traffic).capacity.bits_per_sec();
     }
     for (std::uint32_t d = 1; d < max_parallelism; ++d) {
-        PanicHybridScenario sc = make_panic_hybrid(ip3_fraction, d);
+        PanicScenario sc = make_panic_hybrid(ip3_fraction, d);
         const core::Model model(sc.hw);
         const double cap =
             model.throughput(sc.graph, traffic).capacity.bits_per_sec();

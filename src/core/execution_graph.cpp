@@ -274,6 +274,10 @@ ExecutionGraph::validate(const HardwareModel& hw) const
                     where + "acceleration must be positive");
             if (v.params.overhead.seconds() < 0.0)
                 throw std::invalid_argument(where + "negative overhead");
+        } else if (v.params.credits > 0) {
+            throw std::invalid_argument(
+                where + "credits need an IP vertex, not "
+                + to_string(v.kind));
         }
         const bool needs_input = v.kind != VertexKind::kIngress;
         const bool needs_output = v.kind != VertexKind::kEgress;

@@ -2,15 +2,9 @@
 
 namespace lognic::devices {
 
-namespace {
-
-const Bandwidth kFabric = Bandwidth::from_gbps(100.0);
-const Seconds kHop = Seconds::from_nanos(20.0);
-const Seconds kRmt = Seconds::from_nanos(300.0);
-
 core::IpSpec
-unit_ip(const std::string& name, Seconds fixed, Bandwidth stream,
-        std::uint32_t engines)
+panic_unit_ip(const std::string& name, Seconds fixed, Bandwidth stream,
+              std::uint32_t engines)
 {
     core::ServiceModel svc;
     svc.fixed_cost = fixed;
@@ -25,29 +19,22 @@ unit_ip(const std::string& name, Seconds fixed, Bandwidth stream,
     return spec;
 }
 
-} // namespace
-
-sim::PanicConfig
-panic_defaults()
+core::HardwareModel
+panic_pipelined_chain_hw(std::vector<core::IpSpec> units)
 {
-    sim::PanicConfig cfg;
-    cfg.fabric_bw = kFabric;
-    cfg.hop_latency = kHop;
-    cfg.rmt_latency = kRmt;
-    return cfg;
-}
-
-sim::PanicUnit
-panic_unit(const std::string& name, Seconds fixed, Bandwidth stream,
-           std::uint32_t parallelism, std::uint32_t credits)
-{
-    sim::PanicUnit unit;
-    unit.name = name;
-    unit.service.fixed_cost = fixed;
-    unit.service.byte_rate = stream;
-    unit.parallelism = parallelism;
-    unit.credits = credits;
-    return unit;
+    core::HardwareModel hw("PANIC-model1", Bandwidth::from_gbps(100.0),
+                           Bandwidth::from_gbps(100.0),
+                           Bandwidth::from_gbps(100.0));
+    // The RMT pipeline is a fixed-latency stage, not a server: 128 engines
+    // cover the ~59 packets it holds at 100 Gbps of 64 B packets.
+    core::IpSpec rmt = panic_unit_ip("rmt", Seconds::from_nanos(300.0),
+                                     Bandwidth::from_gbps(1e6), 128);
+    rmt.default_queue_capacity = 256;
+    rmt.service_scv = 0.0;
+    hw.add_ip(std::move(rmt));
+    for (core::IpSpec& unit : units)
+        hw.add_ip(std::move(unit));
+    return hw;
 }
 
 core::HardwareModel
@@ -60,9 +47,9 @@ panic_parallel_chain_hw()
                            Bandwidth::from_gbps(100.0));
     const Seconds fixed = Seconds::from_micros(0.2);
     const Bandwidth stream = Bandwidth::from_gbps(12.0);
-    hw.add_ip(unit_ip("a1", fixed, stream, 4));
-    hw.add_ip(unit_ip("a2", fixed, stream, 7));
-    hw.add_ip(unit_ip("a3", fixed, stream, 3));
+    hw.add_ip(panic_unit_ip("a1", fixed, stream, 4));
+    hw.add_ip(panic_unit_ip("a2", fixed, stream, 7));
+    hw.add_ip(panic_unit_ip("a3", fixed, stream, 3));
     return hw;
 }
 
@@ -75,10 +62,10 @@ panic_hybrid_chain_hw()
                            Bandwidth::from_gbps(100.0));
     const Seconds fixed = Seconds::from_micros(0.1);
     const Bandwidth stream = Bandwidth::from_gbps(12.72);
-    hw.add_ip(unit_ip("ip1", fixed, stream, 8));
-    hw.add_ip(unit_ip("ip2", fixed, stream, 4));
-    hw.add_ip(unit_ip("ip3", fixed, stream, 6));
-    hw.add_ip(unit_ip("ip4", fixed, stream, 8));
+    hw.add_ip(panic_unit_ip("ip1", fixed, stream, 8));
+    hw.add_ip(panic_unit_ip("ip2", fixed, stream, 4));
+    hw.add_ip(panic_unit_ip("ip3", fixed, stream, 6));
+    hw.add_ip(panic_unit_ip("ip4", fixed, stream, 8));
     return hw;
 }
 

@@ -163,6 +163,10 @@ to_json(const core::ExecutionGraph& graph)
         jv.set("overhead_us", vx.params.overhead.micros());
         jv.set("acceleration", vx.params.acceleration);
         jv.set("per_input_queues", Json{vx.params.per_input_queues});
+        // Written only when set, so a document without a credit window
+        // keeps its exact bytes.
+        if (vx.params.credits > 0)
+            jv.set("credits", static_cast<int>(vx.params.credits));
         vertices.push_back(std::move(jv));
     }
 
@@ -205,27 +209,33 @@ graph_from_json(const Json& j)
         params.acceleration = jv.number_or("acceleration", 1.0);
         params.per_input_queues = jv.contains("per_input_queues")
             && jv.at("per_input_queues").as_bool();
+        params.credits =
+            static_cast<std::uint32_t>(jv.number_or("credits", 0.0));
 
+        core::VertexId id = 0;
         switch (kind) {
           case core::VertexKind::kIngress:
-            graph.add_ingress(name);
+            id = graph.add_ingress(name);
             break;
           case core::VertexKind::kEgress:
-            graph.add_egress(name);
+            id = graph.add_egress(name);
             break;
           case core::VertexKind::kIp:
-            graph.add_ip_vertex(
+            id = graph.add_ip_vertex(
                 name,
                 static_cast<core::IpId>(jv.at("ip").as_number()), params);
             break;
           case core::VertexKind::kRateLimiter:
-            graph.add_rate_limiter(
+            id = graph.add_rate_limiter(
                 name,
                 Bandwidth::from_gbps(
                     jv.at("rate_limit_gbps").as_number()),
                 params.queue_capacity);
             break;
         }
+        // Kept on every kind, so validation rejects a credit window on a
+        // non-IP vertex instead of the parser silently dropping it.
+        graph.vertex(id).params.credits = params.credits;
     }
     for (const Json& je : j.at("edges").as_array()) {
         core::EdgeParams params;

@@ -232,6 +232,22 @@ struct NicSimulator::Impl {
             std::size_t slot{0};
         };
         std::vector<InService> in_service;
+        // Credit window (credits > 0 only; see depart()). Held packets
+        // are done at their upstream vertex and wait there for a credit.
+        std::uint32_t credits{0};
+        std::uint32_t credits_free{0};
+        struct Held {
+            Packet* pkt{nullptr};
+            EdgeId edge{0}; ///< the edge the packet leaves on
+        };
+        std::deque<Held> held;
+        /// Pending credit returns, oldest first (ckpt_track only). They
+        /// fire in this order: each is scheduled O_i after its cause.
+        struct CreditReturn {
+            SimTime when{0.0};
+            std::uint64_t seq{0};
+        };
+        std::deque<CreditReturn> returns;
 
         std::uint32_t available() const
         {
@@ -245,6 +261,9 @@ struct NicSimulator::Impl {
         std::uint64_t vertex_dropped{0};
     };
     std::vector<VertexState> vertices;
+    /// Some vertex has a credit window; when false, departures skip the
+    /// window check entirely.
+    bool windows_active{false};
 
     LinkServer interface_link;
     LinkServer memory_link;
@@ -397,6 +416,9 @@ struct NicSimulator::Impl {
             st.per_queue_capacity = std::max<std::uint32_t>(
                 1, st.capacity
                        / static_cast<std::uint32_t>(st.queues.size()));
+            st.credits = vx.params.credits; // validated: IP vertices only
+            st.credits_free = st.credits;
+            windows_active = windows_active || st.credits > 0;
         }
     }
 
@@ -567,10 +589,11 @@ struct NicSimulator::Impl {
                 tracks[v].slot_busy[victim.slot] = 0;
             if (options.faults.in_service_policy
                 == fault::InServicePolicy::kRequeue) {
+                // Still inside v: the request keeps its credit.
                 victim.pkt->enqueued = events.now();
                 st.queues[victim.qi].push_front(victim.pkt);
             } else {
-                drop(victim.pkt, v, st, kDropEngineFail);
+                lose(victim.pkt, v, st, kDropEngineFail);
             }
         }
         trace_counters(v, st);
@@ -632,6 +655,9 @@ struct NicSimulator::Impl {
                                  static_cast<double>(queued_total(st)));
         trace_opts.sink->counter(vt.queue, "busy", now,
                                  static_cast<double>(st.busy));
+        if (st.credits > 0)
+            trace_opts.sink->counter(vt.queue, "credits_free", now,
+                                     static_cast<double>(st.credits_free));
     }
 
     /// Instantaneous arrival-rate multiplier under the burst model
@@ -763,7 +789,6 @@ struct NicSimulator::Impl {
             packet_slab.release(pkt);
             return;
         }
-        ++in_transit; // leaves v; in an overhead delay or link transfer
         // Pick the outgoing edge by delta weights.
         std::size_t pick = 0;
         if (st.out.size() > 1) {
@@ -779,21 +804,91 @@ struct NicSimulator::Impl {
         }
         const EdgeId eid = st.out[pick];
 
-        // Overhead O_i first, then the transfer chain. Each link must be
-        // occupied *at the moment the packet reaches it* — reserving a
-        // link for a future instant would block other packets' transfers
-        // for the whole overhead duration.
+        // A credited target admits the packet only against a free credit;
+        // without one the packet waits here, in the target's held FIFO.
+        if (windows_active) {
+            const VertexId to = graph.edge(eid).to;
+            VertexState& ts = vertices[to];
+            if (ts.credits > 0) {
+                if (ts.credits_free == 0) {
+                    hold(pkt, to, ts, eid);
+                    return;
+                }
+                --ts.credits_free;
+                trace_counters(to, ts);
+            }
+        }
+        send(pkt, eid, st.overhead.seconds());
+    }
+
+    /// Start @p pkt's hop over edge @p eid: the source vertex's overhead
+    /// O_i (@p overhead) first, then the transfer chain. Each link must be
+    /// occupied *at the moment the packet reaches it* — reserving a link
+    /// for a future instant would block other packets' transfers for the
+    /// whole overhead duration.
+    void
+    send(Packet* pkt, EdgeId eid, double overhead)
+    {
+        ++in_transit; // in an overhead delay or link transfer
         const std::uint64_t seq =
-            events.schedule_in(st.overhead.seconds(), [this, pkt, eid] {
+            events.schedule_in(overhead, [this, pkt, eid] {
                 transfer_stage(pkt, eid, 0);
             });
         if (ckpt_track) {
             pkt->pending_kind = 1;
             pkt->pending_stage = 0;
             pkt->pending_edge = eid;
-            pkt->pending_when = events.now() + st.overhead.seconds();
+            pkt->pending_when = events.now() + overhead;
             pkt->pending_seq = seq;
         }
+    }
+
+    /// Park @p pkt (bound for credited vertex @p w over @p eid) until one
+    /// of w's credits returns; the FIFO holds at most N_w packets.
+    void
+    hold(Packet* pkt, VertexId w, VertexState& ws, EdgeId eid)
+    {
+        const std::uint32_t cap =
+            ws.capacity_override > 0 ? ws.capacity_override : ws.capacity;
+        if (ws.held.size() >= cap) {
+            drop(pkt, w, ws, kDropOverflow);
+            return;
+        }
+        if (ckpt_track)
+            pkt->pending_kind = 0; // waiting; no event of its own
+        ws.held.push_back({pkt, eid});
+    }
+
+    /// Return one of @p w's credits O_w from now, once w has finished
+    /// (or lost) a packet that held it.
+    void
+    return_credit(VertexId w)
+    {
+        VertexState& ws = vertices[w];
+        const double delay = ws.overhead.seconds();
+        const std::uint64_t seq = events.schedule_in(
+            delay, [this, w] { credit_returned(w); });
+        if (ckpt_track)
+            ws.returns.push_back({events.now() + delay, seq});
+    }
+
+    /// Body of a credit-return event: the oldest held packet, if any,
+    /// takes the credit straight away and leaves its upstream vertex.
+    void
+    credit_returned(VertexId w)
+    {
+        VertexState& ws = vertices[w];
+        if (ckpt_track)
+            ws.returns.pop_front();
+        if (ws.held.empty()) {
+            ++ws.credits_free;
+        } else {
+            const VertexState::Held h = ws.held.front();
+            ws.held.pop_front();
+            send(h.pkt, h.edge,
+                 vertices[graph.edge(h.edge).from].overhead.seconds());
+        }
+        trace_counters(w, ws);
     }
 
     /// Run transfer stage @p stage (0 = interface, 1 = memory,
@@ -858,6 +953,16 @@ struct NicSimulator::Impl {
         packet_slab.release(pkt);
     }
 
+    /// A packet lost inside queueing vertex @p v: beyond drop(), it gives
+    /// back the credit it took to enter v.
+    void
+    lose(Packet* pkt, VertexId v, VertexState& st, DropCause cause)
+    {
+        drop(pkt, v, st, cause);
+        if (st.credits > 0)
+            return_credit(v);
+    }
+
     void
     arrive(Packet* pkt, VertexId v, EdgeId via)
     {
@@ -869,7 +974,7 @@ struct NicSimulator::Impl {
         }
         if (faults_active && st.drop_prob > 0.0
             && rng.uniform() < st.drop_prob) {
-            drop(pkt, v, st, kDropBurstLoss);
+            lose(pkt, v, st, kDropBurstLoss);
             return;
         }
         std::size_t qi = 0;
@@ -888,7 +993,7 @@ struct NicSimulator::Impl {
             // Shared FIFO: the whole capacity N bounds queue + service.
             std::size_t queued = st.queues[0].size();
             if (queued + st.busy >= cap) {
-                drop(pkt, v, st, kDropOverflow);
+                lose(pkt, v, st, kDropOverflow);
                 return;
             }
         } else {
@@ -898,7 +1003,7 @@ struct NicSimulator::Impl {
                 : st.per_queue_capacity;
             if (st.queues[qi].size() >= pq_cap) {
                 // Per-input queue full: only this input's share overflows.
-                drop(pkt, v, st, kDropOverflow);
+                lose(pkt, v, st, kDropOverflow);
                 return;
             }
         }
@@ -1017,6 +1122,8 @@ struct NicSimulator::Impl {
         }
         trace_counters(v, s2);
         try_dispatch(v);
+        if (s2.credits > 0)
+            return_credit(v);
         depart(pkt, v);
     }
 
@@ -1107,7 +1214,7 @@ struct NicSimulator::Impl {
             if (st.passthrough)
                 continue;
             touch(st);
-            queued_or_busy += queued_total(st) + st.busy;
+            queued_or_busy += queued_total(st) + st.busy + st.held.size();
             VertexStats vs;
             vs.name = graph.vertex(v).name;
             if (window > 0.0) {
@@ -1355,6 +1462,28 @@ struct NicSimulator::Impl {
                 vo["served"] = io::Json(io::u64_to_hex(st.served));
                 vo["dropped"] =
                     io::Json(io::u64_to_hex(st.vertex_dropped));
+                // Credit-window state exists only on credited vertices, so
+                // snapshots of window-free graphs keep their old bytes.
+                if (st.credits > 0) {
+                    vo["credits_free"] =
+                        io::Json(static_cast<double>(st.credits_free));
+                    io::JsonArray held;
+                    for (const VertexState::Held& h : st.held) {
+                        io::JsonObject ho;
+                        ho["id"] = io::Json(io::u64_to_hex(h.pkt->id));
+                        ho["edge"] = io::Json(static_cast<double>(h.edge));
+                        held.push_back(io::Json(std::move(ho)));
+                    }
+                    vo["held"] = io::Json(std::move(held));
+                    io::JsonArray returns;
+                    for (const VertexState::CreditReturn& cr : st.returns) {
+                        io::JsonObject ro;
+                        ro["when"] = io::Json(io::double_to_hex(cr.when));
+                        ro["seq"] = io::Json(io::u64_to_hex(cr.seq));
+                        returns.push_back(io::Json(std::move(ro)));
+                    }
+                    vo["credit_returns"] = io::Json(std::move(returns));
+                }
                 arr.push_back(io::Json(std::move(vo)));
             }
             o["vertices"] = io::Json(std::move(arr));
@@ -1582,6 +1711,37 @@ struct NicSimulator::Impl {
                 st.served = hexu(vo.at("served"), "snapshot served");
                 st.vertex_dropped =
                     hexu(vo.at("dropped"), "snapshot vertex dropped");
+                if (st.credits == 0) {
+                    if (vo.contains("held"))
+                        throw std::runtime_error(
+                            "NicSimulator::load_state: snapshot has a "
+                            "credit window on a vertex without one");
+                    continue;
+                }
+                st.credits_free = static_cast<std::uint32_t>(
+                    vo.at("credits_free").as_number());
+                if (st.credits_free > st.credits)
+                    throw std::runtime_error(
+                        "NicSimulator::load_state: more free credits "
+                        "than the window holds");
+                st.held.clear();
+                for (const io::Json& ho : vo.at("held").as_array()) {
+                    const auto edge =
+                        static_cast<EdgeId>(ho.at("edge").as_number());
+                    if (edge >= graph.edge_count()
+                        || graph.edge(edge).to != v)
+                        throw std::runtime_error(
+                            "NicSimulator::load_state: held packet's "
+                            "edge does not lead to its vertex");
+                    st.held.push_back(
+                        {find_packet(hexu(ho.at("id"), "snapshot held id")),
+                         edge});
+                }
+                st.returns.clear();
+                for (const io::Json& ro : vo.at("credit_returns").as_array())
+                    st.returns.push_back(
+                        {hexd(ro.at("when"), "snapshot credit return when"),
+                         hexu(ro.at("seq"), "snapshot credit return seq")});
             }
         }
 
@@ -1652,6 +1812,11 @@ struct NicSimulator::Impl {
                                          serial);
                     });
             }
+        }
+        for (VertexId w = 0; w < vertices.size(); ++w) {
+            for (const VertexState::CreditReturn& cr : vertices[w].returns)
+                events.restore_event(cr.when, cr.seq,
+                                     [this, w] { credit_returned(w); });
         }
         for (const StaleEvent& ev : stale_events) {
             const std::uint64_t serial = ev.serial;

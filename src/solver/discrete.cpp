@@ -106,47 +106,4 @@ coordinate_descent(const IntObjectiveFn& f, IntVector x0,
     return best;
 }
 
-GridSearchResult
-grid_search(const std::function<double(const std::vector<double>&)>& f,
-            const std::vector<GridRange>& ranges, std::size_t max_points)
-{
-    std::size_t total = 1;
-    for (const auto& r : ranges) {
-        if (r.points < 2)
-            throw std::invalid_argument("grid_search: need >= 2 points");
-        total *= r.points;
-        if (total > max_points)
-            throw std::invalid_argument(
-                "grid_search: design space exceeds max_points");
-    }
-
-    GridSearchResult best;
-    std::vector<std::size_t> idx(ranges.size(), 0);
-    std::vector<double> x(ranges.size());
-
-    for (;;) {
-        for (std::size_t d = 0; d < ranges.size(); ++d) {
-            const auto& r = ranges[d];
-            x[d] = r.lo
-                + (r.hi - r.lo) * static_cast<double>(idx[d])
-                    / static_cast<double>(r.points - 1);
-        }
-        const double v = f(x);
-        ++best.evaluations;
-        if (v < best.value) {
-            best.value = v;
-            best.x = x;
-        }
-        std::size_t d = 0;
-        for (; d < ranges.size(); ++d) {
-            if (++idx[d] < ranges[d].points)
-                break;
-            idx[d] = 0;
-        }
-        if (d == ranges.size())
-            break;
-    }
-    return best;
-}
-
 } // namespace lognic::solver

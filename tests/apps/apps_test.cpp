@@ -341,6 +341,17 @@ TEST(PanicModels, BuildersValidate)
     const auto hyb = make_panic_hybrid(0.5, 6);
     EXPECT_NO_THROW(hyb.graph.validate(hyb.hw));
     EXPECT_EQ(hyb.graph.enumerate_paths().size(), 3u);
+    // Model 1: ingress -> rmt -> unit1..3 -> egress, the units credited.
+    const auto chain = make_panic_pipelined_chain(5);
+    EXPECT_NO_THROW(chain.graph.validate(chain.hw));
+    EXPECT_EQ(chain.graph.vertex_count(), 6u);
+    EXPECT_EQ(chain.graph.enumerate_paths().size(), 1u);
+    EXPECT_EQ(chain.graph.vertex(*chain.graph.find_vertex("unit3"))
+                  .params.credits,
+              5u);
+    EXPECT_EQ(chain.graph.vertex(*chain.graph.find_vertex("rmt"))
+                  .params.credits,
+              0u);
 }
 
 TEST(PanicModels, MeanRequestSizeIsPacketCountMean)

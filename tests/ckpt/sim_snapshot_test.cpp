@@ -5,8 +5,9 @@
  * size — and a mid-run save_state() restored through a JSON dump/parse
  * cycle into a *fresh* simulator must complete to the identical result.
  * Exercised across the behaviors a checkpoint must capture faithfully:
- * overload drops, deterministic service, burst modulation, and
- * fault-plan replay (engine fail-stop with requeue, drop bursts). The
+ * overload drops, deterministic service, burst modulation, fault-plan
+ * replay (engine fail-stop with requeue, drop bursts), and a credit
+ * window (held packets, free credits, pending credit returns). The
  * unsupported-configuration guards (tracing, watchdog, API misuse) must
  * throw rather than silently produce a snapshot that cannot resume.
  */
@@ -15,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "lognic/apps/panic_models.hpp"
 #include "lognic/ckpt/journal.hpp"
+#include "lognic/devices/panic_proto.hpp"
 #include "lognic/fault/fault_plan.hpp"
 #include "lognic/obs/trace.hpp"
 #include "lognic/sim/nic_simulator.hpp"
@@ -78,6 +81,33 @@ corpus()
     drop.duration = 0.0004;
     faulted.options.faults.events.push_back(drop);
     all.push_back(std::move(faulted));
+
+    // Overloaded credited Model-1 chain: held FIFOs stay non-empty, and
+    // engines of a credited unit fail mid-run with their requests lost,
+    // so snapshots carry held packets, free credits, and pending credit
+    // returns (including those of dropped requests).
+    auto panic = apps::make_panic_chain(
+        {devices::panic_unit_ip("u1", Seconds::from_nanos(100.0),
+                                Bandwidth::from_gbps(100.0), 2),
+         devices::panic_unit_ip("u2", Seconds::from_nanos(60.0),
+                                Bandwidth::from_gbps(100.0))},
+        3);
+    SimCase credited{"credited", std::move(panic.hw), std::move(panic.graph),
+                     core::TrafficProfile::fixed(
+                         Bytes{512.0}, Bandwidth::from_gbps(60.0)),
+                     {}};
+    credited.options.duration = 0.0002;
+    credited.options.seed = 23;
+    fault::FaultEvent unit_fail;
+    unit_fail.kind = fault::FaultKind::kEngineFail;
+    unit_fail.at = 0.00008;
+    unit_fail.target = "u1";
+    unit_fail.count = 2;
+    unit_fail.duration = 0.00003;
+    credited.options.faults.events.push_back(unit_fail);
+    credited.options.faults.in_service_policy =
+        fault::InServicePolicy::kDrop;
+    all.push_back(std::move(credited));
     return all;
 }
 
@@ -126,6 +156,27 @@ TEST(SimSnapshot, MidRunSnapshotResumesToTheIdenticalResult)
         }
         EXPECT_EQ(render(primary.finalize()), expected) << s.name;
         ASSERT_GE(snapshots.size(), 2u) << s.name;
+        if (s.name == "credited") {
+            // The cut points land on live credit state, not an idle window.
+            std::size_t held = 0;
+            std::size_t returns = 0;
+            for (const std::string& text : snapshots) {
+                const io::Json snap = io::Json::parse(text);
+                for (const io::Json& v : snap.at("vertices").as_array()) {
+                    if (!v.contains("held"))
+                        continue;
+                    held += v.at("held").as_array().size();
+                    returns += v.at("credit_returns").as_array().size();
+                }
+            }
+            EXPECT_GT(held, 0u);
+            EXPECT_GT(returns, 0u);
+            const sim::SimResult r =
+                sim::NicSimulator(s.hw, s.graph, s.traffic, s.options).run();
+            EXPECT_GT(
+                r.metrics.counter_or_zero("sim.dropped_by_cause.engine_fail"),
+                0u);
+        }
 
         for (std::size_t i : {std::size_t{0}, snapshots.size() / 2,
                               snapshots.size() - 1}) {

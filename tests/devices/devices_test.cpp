@@ -136,15 +136,28 @@ TEST(Stingray, CatalogHasTwoCoreStages)
 
 TEST(PanicProto, DefaultsAndUnits)
 {
-    const sim::PanicConfig cfg = panic_defaults();
-    EXPECT_DOUBLE_EQ(cfg.fabric_bw.gbps(), 100.0);
-    EXPECT_GT(cfg.hop_latency.seconds(), 0.0);
-    const sim::PanicUnit u = panic_unit(
-        "u", Seconds::from_nanos(50.0), Bandwidth::from_gbps(10.0), 2, 4);
-    EXPECT_EQ(u.parallelism, 2u);
-    EXPECT_EQ(u.credits, 4u);
-    EXPECT_NEAR(u.service.service_time(Bytes{1250.0}).micros(),
+    // Model 1: the RMT pipeline is IP 0, a fixed 300 ns deterministic
+    // stage, followed by the chain's units in order.
+    const core::HardwareModel hw = panic_pipelined_chain_hw(
+        {panic_unit_ip("a", Seconds::from_nanos(50.0),
+                       Bandwidth::from_gbps(10.0), 2),
+         panic_unit_ip("b", Seconds::from_nanos(80.0),
+                       Bandwidth::from_gbps(20.0))});
+    EXPECT_DOUBLE_EQ(hw.line_rate().gbps(), 100.0);
+    ASSERT_EQ(hw.ip_count(), 3u);
+    const core::IpSpec& rmt = hw.ip(0);
+    EXPECT_EQ(rmt.name, "rmt");
+    EXPECT_EQ(rmt.service_scv, 0.0);
+    EXPECT_NEAR(rmt.roofline.engine().service_time(Bytes{1500.0}).nanos(),
+                300.0, 0.1);
+    EXPECT_GT(rmt.default_queue_capacity, rmt.max_engines);
+
+    const core::IpSpec& u = hw.ip(1);
+    EXPECT_EQ(u.name, "a");
+    EXPECT_EQ(u.max_engines, 2u);
+    EXPECT_NEAR(u.roofline.engine().service_time(Bytes{1250.0}).micros(),
                 0.05 + 1.0, 1e-9);
+    EXPECT_EQ(hw.ip(2).name, "b");
 }
 
 TEST(PanicProto, ParallelChainRatioIs4To7To3)

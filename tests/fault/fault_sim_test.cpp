@@ -8,10 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "../test_helpers.hpp"
+#include "lognic/apps/panic_models.hpp"
 #include "lognic/devices/panic_proto.hpp"
 #include "lognic/fault/fault_plan.hpp"
 #include "lognic/sim/nic_simulator.hpp"
-#include "lognic/sim/panic.hpp"
 
 namespace lognic::fault {
 namespace {
@@ -256,82 +256,77 @@ TEST(FaultSim, FaultInstantsAppearOnTraceTimeline)
 
 // --- PANIC ------------------------------------------------------------------
 
-sim::PanicConfig
+/// Model 1 over two heterogeneous units, each behind an 8-credit window.
+apps::PanicScenario
 panic_two_units()
 {
-    sim::PanicConfig cfg = devices::panic_defaults();
-    cfg.units.push_back(devices::panic_unit(
-        "crypto", Seconds::from_nanos(120.0), Bandwidth::from_gbps(100.0),
-        2, 8));
-    cfg.units.push_back(devices::panic_unit(
-        "compress", Seconds::from_nanos(200.0), Bandwidth::from_gbps(80.0),
-        2, 8));
-    cfg.chains.push_back(sim::PanicChain{{0, 1}, 1.0});
-    return cfg;
+    return apps::make_panic_chain(
+        {devices::panic_unit_ip("crypto", Seconds::from_nanos(120.0),
+                                Bandwidth::from_gbps(100.0), 2),
+         devices::panic_unit_ip("compress", Seconds::from_nanos(200.0),
+                                Bandwidth::from_gbps(80.0), 2)},
+        8);
 }
 
 TEST(FaultPanic, EmptyPlanIsBitIdentical)
 {
-    const auto cfg = panic_two_units();
+    const auto sc = panic_two_units();
     const auto traffic = core::TrafficProfile::fixed(
         Bytes{512.0}, Bandwidth::from_gbps(20.0));
     sim::SimOptions o;
     o.duration = 0.01;
-    const auto plain = sim::simulate_panic(cfg, traffic, o);
+    const auto plain = sim::simulate(sc.hw, sc.graph, traffic, o);
     o.faults = FaultPlan{};
-    const auto faulted = sim::simulate_panic(cfg, traffic, o);
+    const auto faulted = sim::simulate(sc.hw, sc.graph, traffic, o);
     EXPECT_EQ(plain.generated, faulted.generated);
     EXPECT_EQ(plain.completed, faulted.completed);
+    EXPECT_EQ(plain.events_executed, faulted.events_executed);
     EXPECT_DOUBLE_EQ(plain.mean_latency.seconds(),
                      faulted.mean_latency.seconds());
 }
 
 TEST(FaultPanic, UnitFailureDegradesAndConserves)
 {
-    const auto cfg = panic_two_units();
+    const auto sc = panic_two_units();
     const auto traffic = core::TrafficProfile::fixed(
         Bytes{512.0}, Bandwidth::from_gbps(25.0));
     sim::SimOptions o;
     o.duration = 0.01;
-    const auto base = sim::simulate_panic(cfg, traffic, o);
+    const auto base = sim::simulate(sc.hw, sc.graph, traffic, o);
 
     auto fail = event(FaultKind::kEngineFail, 0.003, "crypto");
     fail.count = 1;
     o.faults.events.push_back(fail);
-    const auto res = sim::simulate_panic(cfg, traffic, o);
+    const auto res = sim::simulate(sc.hw, sc.graph, traffic, o);
     EXPECT_LT(res.delivered.gbps(), base.delivered.gbps());
     EXPECT_GT(res.metrics.counter_or_zero("sim.fault_events"), 0u);
     expect_conserved(res);
 
     // Determinism of the faulted run.
-    const auto res2 = sim::simulate_panic(cfg, traffic, o);
+    const auto res2 = sim::simulate(sc.hw, sc.graph, traffic, o);
     EXPECT_EQ(res.generated, res2.generated);
     EXPECT_EQ(res.completed_total, res2.completed_total);
     EXPECT_DOUBLE_EQ(res.delivered.gbps(), res2.delivered.gbps());
-}
 
-TEST(FaultPanic, FabricDegradeSlowsDelivery)
-{
-    const auto cfg = panic_two_units();
-    const auto traffic = core::TrafficProfile::fixed(
-        Bytes{1024.0}, Bandwidth::from_gbps(40.0));
-    sim::SimOptions o;
-    o.duration = 0.01;
-    const auto base = sim::simulate_panic(cfg, traffic, o);
+    // Requests lost with their engine give their credits back: under
+    // the drop policy the window still carries traffic afterwards.
+    o.faults.in_service_policy = InServicePolicy::kDrop;
+    fail.count = 2;
+    fail.duration = 0.001;
+    o.faults.events = {fail};
+    const auto dropped = sim::simulate(sc.hw, sc.graph, traffic, o);
+    EXPECT_GT(dropped.metrics.counter_or_zero(
+                  "sim.dropped_by_cause.engine_fail"),
+              0u);
+    EXPECT_GT(dropped.delivered.gbps(), 0.8 * base.delivered.gbps());
+    expect_conserved(dropped);
 
-    auto degrade = event(FaultKind::kLinkDegrade, 0.0, "fabric");
-    degrade.factor = 0.2;
-    o.faults.events.push_back(degrade);
-    const auto res = sim::simulate_panic(cfg, traffic, o);
-    EXPECT_LT(res.delivered.gbps(), base.delivered.gbps());
-    expect_conserved(res);
-
-    // Unknown unit targets throw with the PANIC reserved link name rule.
+    // Unknown unit targets throw at construction.
     sim::SimOptions bad;
     bad.duration = 0.01;
     bad.faults.events.push_back(
         event(FaultKind::kEngineFail, 0.001, "no-such-unit"));
-    EXPECT_THROW(sim::simulate_panic(cfg, traffic, bad),
+    EXPECT_THROW(sim::simulate(sc.hw, sc.graph, traffic, bad),
                  std::invalid_argument);
 }
 

@@ -111,6 +111,15 @@ TEST(Json, DeepNestingRoundTrip)
     for (int i = 0; i < 50; ++i)
         v = v.as_array()[0];
     EXPECT_DOUBLE_EQ(v.as_number(), 1.0);
+
+    // The object case: assigning a value one of its own members.
+    text = "2";
+    for (int i = 0; i < 50; ++i)
+        text = "{\"k\": " + text + "}";
+    v = Json::parse(text);
+    for (int i = 0; i < 50; ++i)
+        v = v.at("k");
+    EXPECT_DOUBLE_EQ(v.as_number(), 2.0);
 }
 
 TEST(Json, PreservesNumberPrecision)

@@ -136,6 +136,22 @@ TEST(Serialize, CaseStudyGraphsRoundTrip)
     const auto g_back = graph_from_json(to_json(sc.graph));
     expect_same_estimates(sc.hw, sc.graph, hw_back, g_back,
                           test::mtu_traffic(80.0));
+
+    // Credit windows round-trip, and are written only where set, so a
+    // window-free document keeps its bytes.
+    EXPECT_EQ(to_json(sc.graph).dump().find("credits"), std::string::npos);
+    const auto chain = apps::make_panic_pipelined_chain(5);
+    const Json doc = to_json(chain.graph);
+    const core::ExecutionGraph chain_back = graph_from_json(doc);
+    for (core::VertexId v = 0; v < chain.graph.vertex_count(); ++v)
+        EXPECT_EQ(chain_back.vertex(v).params.credits,
+                  chain.graph.vertex(v).params.credits);
+    EXPECT_EQ(to_json(chain_back).dump(), doc.dump());
+    // A window on a non-IP vertex survives parsing so validation sees it.
+    core::ExecutionGraph bad = chain.graph;
+    bad.vertex(bad.ingress_vertices()[0]).params.credits = 2;
+    EXPECT_THROW(graph_from_json(to_json(bad)).validate(chain.hw),
+                 std::invalid_argument);
 }
 
 TEST(Serialize, SojournCurveIsDroppedWithNotice)

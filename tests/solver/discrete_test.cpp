@@ -70,44 +70,5 @@ TEST(CoordinateDescent, DimensionMismatchThrows)
                  std::invalid_argument);
 }
 
-TEST(GridSearch, FindsMinimumOnGrid)
-{
-    const auto res = grid_search(
-        [](const std::vector<double>& x) {
-            return (x[0] - 0.5) * (x[0] - 0.5);
-        },
-        {{0.0, 1.0, 11}});
-    EXPECT_NEAR(res.x[0], 0.5, 1e-12);
-    EXPECT_EQ(res.evaluations, 11u);
-}
-
-TEST(GridSearch, CoversEndpoints)
-{
-    // Minimum at the upper endpoint must be found exactly.
-    const auto res = grid_search(
-        [](const std::vector<double>& x) { return -x[0]; },
-        {{0.0, 2.0, 5}});
-    EXPECT_DOUBLE_EQ(res.x[0], 2.0);
-}
-
-TEST(GridSearch, MultiDimensionalSweep)
-{
-    const auto res = grid_search(
-        [](const std::vector<double>& x) {
-            return (x[0] - 1.0) * (x[0] - 1.0) + (x[1] + 1.0) * (x[1] + 1.0);
-        },
-        {{-2.0, 2.0, 5}, {-2.0, 2.0, 5}});
-    EXPECT_DOUBLE_EQ(res.x[0], 1.0);
-    EXPECT_DOUBLE_EQ(res.x[1], -1.0);
-    EXPECT_EQ(res.evaluations, 25u);
-}
-
-TEST(GridSearch, RejectsDegenerateRanges)
-{
-    EXPECT_THROW(grid_search([](const std::vector<double>&) { return 0.0; },
-                             {{0.0, 1.0, 1}}),
-                 std::invalid_argument);
-}
-
 } // namespace
 } // namespace lognic::solver

@@ -73,6 +73,7 @@
  * failed-point retry rounds with exponential backoff.
  */
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -221,6 +222,22 @@ count_arg(const std::string& flag, const char* text, std::uint64_t min)
     }
     if (value < min)
         throw UsageError(flag + " must be >= " + std::to_string(min));
+    return value;
+}
+
+/**
+ * Strict parse of @p flag's simulated duration: anything but a finite
+ * number of seconds > 0, with nothing after it, is a usage error naming
+ * the flag (`--seconds abc` must not run a zero-length simulation).
+ */
+double
+seconds_arg(const std::string& flag, const char* text)
+{
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value) || value <= 0.0)
+        throw UsageError(flag + " must be a finite number of seconds > 0, "
+                         "got '" + text + "'");
     return value;
 }
 
@@ -412,9 +429,9 @@ cmd_run(const io::Scenario& sc, int argc, char** argv)
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
         if (arg == "--seconds" && has_value) {
-            opts.duration = std::atof(argv[++i]);
+            opts.duration = seconds_arg(arg, argv[++i]);
         } else if (arg == "--seed" && has_value) {
-            opts.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            opts.seed = count_arg(arg, argv[++i], 0);
         } else if (arg == "--segment-events" && has_value) {
             segment_events = count_arg(arg, argv[++i], 1);
         } else {
@@ -424,10 +441,6 @@ cmd_run(const io::Scenario& sc, int argc, char** argv)
     }
     if (!ck.enabled) {
         std::fprintf(stderr, "run: --checkpoint <dir> is required\n");
-        return 2;
-    }
-    if (opts.duration <= 0.0) {
-        std::fprintf(stderr, "bad duration\n");
         return 2;
     }
 
@@ -465,20 +478,15 @@ cmd_trace(const io::Scenario& sc, int argc, char** argv)
         if (arg == "--out" && has_value) {
             out_path = argv[++i];
         } else if (arg == "--seconds" && has_value) {
-            opts.duration = std::atof(argv[++i]);
+            opts.duration = seconds_arg(arg, argv[++i]);
         } else if (arg == "--seed" && has_value) {
-            opts.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            opts.seed = count_arg(arg, argv[++i], 0);
         } else if (arg == "--sample" && has_value) {
-            sample_every =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            sample_every = count_arg(arg, argv[++i], 0);
         } else {
             std::fprintf(stderr, "trace: bad argument '%s'\n", arg.c_str());
             return 2;
         }
-    }
-    if (opts.duration <= 0.0) {
-        std::fprintf(stderr, "bad duration\n");
-        return 2;
     }
 
     obs::ChromeTraceWriter writer;
@@ -533,13 +541,11 @@ cmd_check(int argc, char** argv)
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
         if (arg == "--trials" && has_value) {
-            copts.trials =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            copts.trials = count_arg(arg, argv[++i], 0);
         } else if (arg == "--seed" && has_value) {
-            copts.seed =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            copts.seed = count_arg(arg, argv[++i], 0);
         } else if (arg == "--duration" && has_value) {
-            copts.duration = std::atof(argv[++i]);
+            copts.duration = seconds_arg(arg, argv[++i]);
         } else if (arg == "--corpus" && has_value) {
             corpus_dir = argv[++i];
         } else if (arg == "--out" && has_value) {
@@ -553,10 +559,6 @@ cmd_check(int argc, char** argv)
                          arg.c_str());
             return 2;
         }
-    }
-    if (copts.duration <= 0.0) {
-        std::fprintf(stderr, "bad duration\n");
-        return 2;
     }
 
     std::vector<check::CorpusEntry> entries;
@@ -668,9 +670,9 @@ cmd_faults(const io::Scenario& sc, const std::string& plan_path, int argc,
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
         if (arg == "--seconds" && has_value) {
-            opts.duration = std::atof(argv[++i]);
+            opts.duration = seconds_arg(arg, argv[++i]);
         } else if (arg == "--seed" && has_value) {
-            opts.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            opts.seed = count_arg(arg, argv[++i], 0);
         } else if (arg == "--curve" && has_value) {
             curve_vertex = argv[++i];
         } else {
@@ -678,10 +680,6 @@ cmd_faults(const io::Scenario& sc, const std::string& plan_path, int argc,
                          arg.c_str());
             return 2;
         }
-    }
-    if (opts.duration <= 0.0) {
-        std::fprintf(stderr, "bad duration\n");
-        return 2;
     }
     opts.faults =
         fault::fault_plan_from_json(io::Json::parse(read_file(plan_path)));
@@ -754,8 +752,7 @@ cmd_calibrate(const io::Json& doc, int argc, char** argv)
         if (arg == "--out" && has_value) {
             out_path = argv[++i];
         } else if (arg == "--threads" && has_value) {
-            threads_override =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            threads_override = count_arg(arg, argv[++i], 0);
         } else {
             std::fprintf(stderr, "calibrate: bad argument '%s'\n",
                          arg.c_str());
@@ -816,8 +813,7 @@ cmd_explore(const io::Json& doc, int argc, char** argv)
         if (arg == "--out" && has_value) {
             out_path = argv[++i];
         } else if (arg == "--threads" && has_value) {
-            threads_override =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            threads_override = count_arg(arg, argv[++i], 0);
         } else if (arg.rfind("--prune=", 0) == 0) {
             prune_override = arg.substr(8);
         } else if (arg == "--prune" && has_value) {
@@ -959,14 +955,10 @@ main(int argc, char** argv)
         if (command == "trace")
             return cmd_trace(sc, argc - 3, argv + 3);
         if (command == "simulate") {
-            const double seconds = argc > 3 ? std::atof(argv[3]) : 0.05;
-            const std::uint64_t seed = argc > 4
-                ? static_cast<std::uint64_t>(std::atoll(argv[4]))
-                : 42;
-            if (seconds <= 0.0) {
-                std::fprintf(stderr, "bad duration\n");
-                return 2;
-            }
+            const double seconds =
+                argc > 3 ? seconds_arg("simulate seconds", argv[3]) : 0.05;
+            const std::uint64_t seed =
+                argc > 4 ? count_arg("simulate seed", argv[4], 0) : 42;
             return cmd_simulate(sc, seconds, seed);
         }
         if (command == "sensitivity") {
