@@ -10,6 +10,9 @@
 #ifndef LOGNIC_IO_JSON_HPP_
 #define LOGNIC_IO_JSON_HPP_
 
+#include <concepts>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -122,6 +125,39 @@ class Json {
     std::shared_ptr<JsonArray> array_;
     std::shared_ptr<JsonObject> object_;
 };
+
+/**
+ * The one reader of integer fields in input documents: @p v, the value of
+ * field @p key, must be a non-negative integral JSON number no greater
+ * than @p max, or a string parse_u64() accepts (decimal or 0x-hex, the
+ * encoding of values above 2^53 that a double cannot carry exactly).
+ * @throws std::runtime_error naming the field on anything else, so a
+ * "parallelism" of 2.5 is not truncated to 2, nor -1 wrapped to
+ * 4294967295.
+ */
+std::uint64_t to_uint(const Json& v, const std::string& key,
+                      std::uint64_t max);
+
+/// to_uint() of the required member @p key of @p j, ranged to @p T.
+template <std::unsigned_integral T>
+T
+uint_at(const Json& j, const std::string& key)
+{
+    return static_cast<T>(
+        to_uint(j.at(key), key, std::numeric_limits<T>::max()));
+}
+
+/// uint_at(), or @p fallback when @p j has no member @p key.
+template <std::unsigned_integral T>
+T
+uint_or(const Json& j, const std::string& key, T fallback)
+{
+    return j.contains(key) ? uint_at<T>(j, key) : fallback;
+}
+
+/// The exact encoding of @p value that to_uint() reads back: a number up
+/// to 2^53, a hex string above it (where a double would round it).
+Json uint_to_json(std::uint64_t value);
 
 } // namespace lognic::io
 

@@ -32,8 +32,7 @@ observation_from_json(const io::Json& j)
     Observation obs;
     if (j.contains("label"))
         obs.label = j.at("label").as_string();
-    obs.graph_index =
-        static_cast<std::size_t>(j.number_or("graph_index", 0.0));
+    obs.graph_index = io::uint_or<std::size_t>(j, "graph_index", 0);
     obs.traffic = io::traffic_from_json(j.at("traffic"));
     obs.throughput =
         Bandwidth::from_gbps(j.at("throughput_gbps").as_number());

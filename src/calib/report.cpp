@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "lognic/io/checkpoint.hpp"
-
 namespace lognic::calib {
 
 namespace {
@@ -17,18 +15,6 @@ hex_seed(std::uint64_t seed)
     std::snprintf(buf, sizeof buf, "0x%016llx",
                   static_cast<unsigned long long>(seed));
     return buf;
-}
-
-std::uint64_t
-seed_from_json(const io::Json& j, const std::string& key)
-{
-    if (!j.contains(key))
-        return 0;
-    const io::Json& v = j.at(key);
-    if (v.is_number())
-        return static_cast<std::uint64_t>(v.as_number());
-    return io::parse_u64(v.as_string(),
-                         "calibration report field \"" + key + "\"");
 }
 
 io::Json
@@ -126,22 +112,18 @@ StartOutcome
 start_from_json(const io::Json& j)
 {
     StartOutcome s;
-    s.index = static_cast<std::size_t>(j.number_or("index", 0.0));
-    s.seed = seed_from_json(j, "seed");
+    s.index = io::uint_or<std::size_t>(j, "index", 0);
+    s.seed = io::uint_or<std::uint64_t>(j, "seed", 0);
     s.initial_loss = j.number_or("initial_loss", 0.0);
     s.final_loss = j.number_or("final_loss", 0.0);
     s.converged = j.contains("converged") && j.at("converged").as_bool();
     s.failed = j.contains("failed") && j.at("failed").as_bool();
     if (j.contains("message"))
         s.message = j.at("message").as_string();
-    s.iterations =
-        static_cast<std::size_t>(j.number_or("iterations", 0.0));
-    s.model_solves =
-        static_cast<std::uint64_t>(j.number_or("model_solves", 0.0));
-    s.cache_hits =
-        static_cast<std::uint64_t>(j.number_or("cache_hits", 0.0));
-    s.cache_misses =
-        static_cast<std::uint64_t>(j.number_or("cache_misses", 0.0));
+    s.iterations = io::uint_or<std::size_t>(j, "iterations", 0);
+    s.model_solves = io::uint_or<std::uint64_t>(j, "model_solves", 0);
+    s.cache_hits = io::uint_or<std::uint64_t>(j, "cache_hits", 0);
+    s.cache_misses = io::uint_or<std::uint64_t>(j, "cache_misses", 0);
     return s;
 }
 
@@ -161,7 +143,7 @@ FoldOutcome
 fold_from_json(const io::Json& j)
 {
     FoldOutcome f;
-    f.fold = static_cast<std::size_t>(j.number_or("fold", 0.0));
+    f.fold = io::uint_or<std::size_t>(j, "fold", 0);
     f.train_error = j.number_or("train_error", 0.0);
     f.validation_error = j.number_or("validation_error", 0.0);
     f.failed = j.contains("failed") && j.at("failed").as_bool();
@@ -185,8 +167,7 @@ FitError
 fit_error_from_json(const io::Json& j)
 {
     FitError e;
-    e.observations =
-        static_cast<std::size_t>(j.number_or("observations", 0.0));
+    e.observations = io::uint_or<std::size_t>(j, "observations", 0);
     e.throughput = j.number_or("throughput", 0.0);
     e.latency = j.number_or("latency", 0.0);
     e.worst_throughput = j.number_or("worst_throughput", 0.0);
@@ -256,8 +237,8 @@ report_from_json(const io::Json& j)
     CalibrationReport report;
     report.device = j.at("device").as_string();
     report.backend = j.at("backend").as_string();
-    report.seed = seed_from_json(j, "seed");
-    report.starts = static_cast<std::size_t>(j.number_or("starts", 0.0));
+    report.seed = io::uint_or<std::uint64_t>(j, "seed", 0);
+    report.starts = io::uint_or<std::size_t>(j, "starts", 0);
 
     for (const auto& n : j.at("parameter_names").as_array())
         report.parameter_names.push_back(n.as_string());
@@ -293,12 +274,9 @@ report_from_json(const io::Json& j)
             report.warnings.push_back(warning_from_json(w));
     }
 
-    report.cache_hits =
-        static_cast<std::uint64_t>(j.number_or("cache_hits", 0.0));
-    report.cache_misses =
-        static_cast<std::uint64_t>(j.number_or("cache_misses", 0.0));
-    report.model_solves =
-        static_cast<std::uint64_t>(j.number_or("model_solves", 0.0));
+    report.cache_hits = io::uint_or<std::uint64_t>(j, "cache_hits", 0);
+    report.cache_misses = io::uint_or<std::uint64_t>(j, "cache_misses", 0);
+    report.model_solves = io::uint_or<std::uint64_t>(j, "model_solves", 0);
     if (j.contains("convergence"))
         report.convergence = vector_from_json(j.at("convergence"));
 

@@ -3,25 +3,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "lognic/io/checkpoint.hpp"
-
 namespace lognic::calib {
 
 namespace {
-
-std::uint64_t
-seed_or(const io::Json& j, const std::string& key, std::uint64_t fallback)
-{
-    if (!j.contains(key))
-        return fallback;
-    const io::Json& v = j.at(key);
-    if (v.is_number())
-        return static_cast<std::uint64_t>(v.as_number());
-    // Strict parse naming the field: a typo'd "seed" must read as an
-    // error about "seed", not a bare std::invalid_argument.
-    return io::parse_u64(v.as_string(), "calibration spec field \"" + key
-                                            + "\"");
-}
 
 std::vector<double>
 doubles_or(const io::Json& j, const std::string& key)
@@ -72,18 +56,15 @@ calib_spec_from_json(const io::Json& doc)
     if (c.contains("backend"))
         options.fit.backend =
             backend_from_string(c.at("backend").as_string());
-    options.fit.starts =
-        static_cast<std::size_t>(c.number_or("starts", 4.0));
-    options.fit.threads =
-        static_cast<std::size_t>(c.number_or("threads", 1.0));
-    options.fit.seed = seed_or(c, "seed", 42);
-    options.fit.max_iterations = static_cast<std::size_t>(
-        c.number_or("max_iterations", 200.0));
-    options.fit.cache_capacity = static_cast<std::size_t>(
-        c.number_or("cache_capacity", 4096.0));
+    options.fit.starts = io::uint_or<std::size_t>(c, "starts", 4);
+    options.fit.threads = io::uint_or<std::size_t>(c, "threads", 1);
+    options.fit.seed = io::uint_or<std::uint64_t>(c, "seed", 42);
+    options.fit.max_iterations =
+        io::uint_or<std::size_t>(c, "max_iterations", 200);
+    options.fit.cache_capacity =
+        io::uint_or<std::size_t>(c, "cache_capacity", 4096);
     options.holdout_fraction = c.number_or("holdout_fraction", 0.0);
-    options.k_folds =
-        static_cast<std::size_t>(c.number_or("k_folds", 0.0));
+    options.k_folds = io::uint_or<std::size_t>(c, "k_folds", 0);
 
     if (c.contains("dataset") == c.contains("generate"))
         throw std::runtime_error(
@@ -98,9 +79,9 @@ calib_spec_from_json(const io::Json& doc)
         GenerationSpec gen;
         gen.rates_gbps = doubles_or(g, "rates_gbps");
         gen.packet_sizes_bytes = doubles_or(g, "packet_sizes");
-        gen.replications =
-            static_cast<std::size_t>(g.number_or("replications", 1.0));
-        gen.root_seed = seed_or(g, "seed", options.fit.seed);
+        gen.replications = io::uint_or<std::size_t>(g, "replications", 1);
+        gen.root_seed =
+            io::uint_or<std::uint64_t>(g, "seed", options.fit.seed);
         gen.threads = options.fit.threads;
         gen.sim.duration = g.number_or("duration", 0.004);
         data = generate_dataset(scenario.hw, scenario.graph,

@@ -12,7 +12,7 @@ options_to_json(const sim::SimOptions& opts, bool monotonicity)
     io::Json j;
     j.set("duration", opts.duration);
     j.set("warmup_fraction", opts.warmup_fraction);
-    j.set("seed", static_cast<double>(opts.seed));
+    j.set("seed", io::uint_to_json(opts.seed));
     j.set("exponential_service", opts.exponential_service);
     j.set("poisson_arrivals", opts.poisson_arrivals);
     j.set("monotonicity", monotonicity);
@@ -26,8 +26,7 @@ options_from_json(const io::Json& j)
     opts.duration = j.number_or("duration", opts.duration);
     opts.warmup_fraction =
         j.number_or("warmup_fraction", opts.warmup_fraction);
-    opts.seed =
-        static_cast<std::uint64_t>(j.number_or("seed", 42.0));
+    opts.seed = io::uint_or<std::uint64_t>(j, "seed", 42);
     if (j.contains("exponential_service"))
         opts.exponential_service = j.at("exponential_service").as_bool();
     if (j.contains("poisson_arrivals"))
@@ -171,7 +170,7 @@ to_json(const CheckReport& report)
     for (const auto& f : report.failures) {
         io::Json fj;
         fj.set("name", f.name);
-        fj.set("generator_seed", static_cast<double>(f.generator_seed));
+        fj.set("generator_seed", io::uint_to_json(f.generator_seed));
         fj.set("single_queue", f.single_queue);
         io::Json vs;
         for (const auto& v : f.violations)

@@ -1,10 +1,8 @@
 #include "lognic/dse/spec.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "lognic/apps/nf_chain.hpp"
-#include "lognic/io/checkpoint.hpp"
 #include "lognic/io/serialize.hpp"
 
 namespace lognic::dse {
@@ -14,30 +12,6 @@ namespace {
 bad_spec(const std::string& why)
 {
     throw std::runtime_error("explore spec: " + why);
-}
-
-/// Accepts a plain JSON number or a hex string (the checkpoint u64
-/// convention), so seeds survive a round-trip above 2^53.
-std::uint64_t
-u64_field(const io::Json& j, const std::string& key, std::uint64_t fallback)
-{
-    if (!j.contains(key))
-        return fallback;
-    const io::Json& v = j.at(key);
-    if (v.is_string())
-        return io::parse_u64(v.as_string(), "explore spec field '" + key
-                                                + "'");
-    const double n = v.as_number();
-    if (!(n >= 0) || n != std::floor(n))
-        bad_spec("field '" + key + "' must be a non-negative integer");
-    return static_cast<std::uint64_t>(n);
-}
-
-std::size_t
-size_field(const io::Json& j, const std::string& key, std::size_t fallback)
-{
-    return static_cast<std::size_t>(
-        u64_field(j, key, static_cast<std::uint64_t>(fallback)));
 }
 
 io::Scenario
@@ -118,21 +92,21 @@ explore_spec_from_json(const io::Json& doc)
         opts.strategy = strategy_from_name(dse.at("strategy").as_string());
     if (dse.contains("prune"))
         opts.prune = prune_mode_from_name(dse.at("prune").as_string());
-    opts.seed = u64_field(dse, "seed", opts.seed);
-    opts.budget = size_field(dse, "budget", opts.budget);
-    opts.population = size_field(dse, "population", opts.population);
-    opts.generations = size_field(dse, "generations", opts.generations);
+    opts.seed = io::uint_or(dse, "seed", opts.seed);
+    opts.budget = io::uint_or(dse, "budget", opts.budget);
+    opts.population = io::uint_or(dse, "population", opts.population);
+    opts.generations = io::uint_or(dse, "generations", opts.generations);
     opts.exhaustive_limit =
-        u64_field(dse, "exhaustive_limit", opts.exhaustive_limit);
+        io::uint_or(dse, "exhaustive_limit", opts.exhaustive_limit);
     opts.cache_capacity =
-        size_field(dse, "cache_capacity", opts.cache_capacity);
-    opts.cache_shards = size_field(dse, "cache_shards", opts.cache_shards);
+        io::uint_or(dse, "cache_capacity", opts.cache_capacity);
+    opts.cache_shards = io::uint_or(dse, "cache_shards", opts.cache_shards);
     if (dse.contains("des")) {
         const io::Json& d = dse.at("des");
         if (d.contains("enabled"))
             opts.des.enabled = d.at("enabled").as_bool();
         opts.des.replications =
-            size_field(d, "replications", opts.des.replications);
+            io::uint_or(d, "replications", opts.des.replications);
         opts.des.duration = d.number_or("duration", opts.des.duration);
         opts.des.warmup_fraction =
             d.number_or("warmup_fraction", opts.des.warmup_fraction);

@@ -242,13 +242,11 @@ fault_plan_from_json(const io::Json& doc)
             ev.kind = fault_kind_from_string(j.at("kind").as_string());
             ev.target = j.at("target").as_string();
             ev.at = j.number_or("at", 0.0);
-            ev.count =
-                static_cast<std::uint32_t>(j.number_or("count", 1.0));
+            ev.count = io::uint_or<std::uint32_t>(j, "count", 1);
             ev.factor = j.number_or("factor", 1.0);
             ev.duration = j.number_or("duration", 0.0);
             ev.probability = j.number_or("probability", 1.0);
-            ev.capacity =
-                static_cast<std::uint32_t>(j.number_or("capacity", 1.0));
+            ev.capacity = io::uint_or<std::uint32_t>(j, "capacity", 1);
             plan.events.push_back(std::move(ev));
         }
         plan.validate();

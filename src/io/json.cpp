@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "lognic/io/checkpoint.hpp"
+
 namespace lognic::io {
 
 std::string
@@ -479,6 +481,38 @@ Json::parse(const std::string& text)
 {
     Parser p(text);
     return p.parse_document();
+}
+
+std::uint64_t
+to_uint(const Json& v, const std::string& key, std::uint64_t max)
+{
+    // Named only on the error paths: scenario parsing reads several
+    // integer fields per vertex and edge.
+    const auto field = [&key] { return "field \"" + key + "\""; };
+    std::uint64_t value = 0;
+    if (v.is_string()) {
+        value = parse_u64(v.as_string(), field());
+    } else {
+        const double n = v.is_number() ? v.as_number() : -1.0;
+        if (!(n >= 0.0) || n != std::floor(n) || n >= 0x1p64)
+            throw std::runtime_error(field()
+                                     + " must be a non-negative integer, "
+                                       "got " + v.dump(-1));
+        value = static_cast<std::uint64_t>(n);
+    }
+    if (value > max)
+        throw std::runtime_error(field() + " must be at most "
+                                 + std::to_string(max) + ", got "
+                                 + v.dump(-1));
+    return value;
+}
+
+Json
+uint_to_json(std::uint64_t value)
+{
+    if (value <= (std::uint64_t{1} << 53))
+        return Json(static_cast<double>(value));
+    return Json(u64_to_hex(value));
 }
 
 } // namespace lognic::io

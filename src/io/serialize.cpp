@@ -121,10 +121,9 @@ hardware_from_json(const Json& j)
         spec.kind = kind_from_name(jip.at("kind").as_string());
         spec.roofline =
             core::ExtendedRoofline(engine, std::move(ceilings));
-        spec.max_engines = static_cast<std::uint32_t>(
-            jip.at("max_engines").as_number());
-        spec.default_queue_capacity = static_cast<std::uint32_t>(
-            jip.at("default_queue_capacity").as_number());
+        spec.max_engines = uint_at<std::uint32_t>(jip, "max_engines");
+        spec.default_queue_capacity =
+            uint_at<std::uint32_t>(jip, "default_queue_capacity");
         spec.service_scv = jip.number_or("service_scv", 1.0);
         hw.add_ip(std::move(spec));
     }
@@ -199,18 +198,16 @@ graph_from_json(const Json& j)
         const auto kind = vertex_kind_from_name(jv.at("kind").as_string());
         const std::string name = jv.at("name").as_string();
         core::VertexParams params;
-        params.parallelism = static_cast<std::uint32_t>(
-            jv.number_or("parallelism", 0.0));
-        params.queue_capacity = static_cast<std::uint32_t>(
-            jv.number_or("queue_capacity", 0.0));
+        params.parallelism = uint_or<std::uint32_t>(jv, "parallelism", 0);
+        params.queue_capacity =
+            uint_or<std::uint32_t>(jv, "queue_capacity", 0);
         params.partition = jv.number_or("partition", 1.0);
         params.overhead =
             Seconds::from_micros(jv.number_or("overhead_us", 0.0));
         params.acceleration = jv.number_or("acceleration", 1.0);
         params.per_input_queues = jv.contains("per_input_queues")
             && jv.at("per_input_queues").as_bool();
-        params.credits =
-            static_cast<std::uint32_t>(jv.number_or("credits", 0.0));
+        params.credits = uint_or<std::uint32_t>(jv, "credits", 0);
 
         core::VertexId id = 0;
         switch (kind) {
@@ -221,9 +218,8 @@ graph_from_json(const Json& j)
             id = graph.add_egress(name);
             break;
           case core::VertexKind::kIp:
-            id = graph.add_ip_vertex(
-                name,
-                static_cast<core::IpId>(jv.at("ip").as_number()), params);
+            id = graph.add_ip_vertex(name, uint_at<core::IpId>(jv, "ip"),
+                                     params);
             break;
           case core::VertexKind::kRateLimiter:
             id = graph.add_rate_limiter(
@@ -246,9 +242,8 @@ graph_from_json(const Json& j)
             params.dedicated_bw = Bandwidth::from_gbps(
                 je.at("dedicated_gbps").as_number());
         }
-        graph.add_edge(
-            static_cast<core::VertexId>(je.at("from").as_number()),
-            static_cast<core::VertexId>(je.at("to").as_number()), params);
+        graph.add_edge(uint_at<core::VertexId>(je, "from"),
+                       uint_at<core::VertexId>(je, "to"), params);
     }
     return graph;
 }

@@ -234,24 +234,22 @@ sweep_spec_from_json(const io::Json& doc)
         for (const auto& v : sw.at("packet_sizes").as_array())
             spec.packet_sizes_bytes.push_back(v.as_number());
     }
-    spec.options.replications = static_cast<std::size_t>(
-        sw.number_or("replications", 1.0));
-    spec.options.threads = static_cast<std::size_t>(
-        sw.number_or("threads", 1.0));
-    spec.options.root_seed = static_cast<std::uint64_t>(
-        sw.number_or("root_seed", 42.0));
+    spec.options.replications =
+        io::uint_or<std::size_t>(sw, "replications", 1);
+    spec.options.threads = io::uint_or<std::size_t>(sw, "threads", 1);
+    spec.options.root_seed =
+        io::uint_or<std::uint64_t>(sw, "root_seed", 42);
     spec.sim.duration = sw.number_or("duration", spec.sim.duration);
     spec.sim.warmup_fraction =
         sw.number_or("warmup_fraction", spec.sim.warmup_fraction);
-    const double retries = sw.number_or("max_retries", 0.0);
-    const double max_events = sw.number_or("max_sim_events", 0.0);
     const double deadline = sw.number_or("deadline_seconds", 0.0);
-    if (retries < 0.0 || max_events < 0.0 || deadline < 0.0)
+    if (deadline < 0.0)
         throw std::runtime_error(
-            "sweep spec: max_retries/max_sim_events/deadline_seconds "
-            "must be >= 0");
-    spec.options.max_retries = static_cast<std::size_t>(retries);
-    spec.sim.watchdog.max_events = static_cast<std::uint64_t>(max_events);
+            "sweep spec: deadline_seconds must be >= 0");
+    spec.options.max_retries =
+        io::uint_or<std::size_t>(sw, "max_retries", 0);
+    spec.sim.watchdog.max_events =
+        io::uint_or<std::uint64_t>(sw, "max_sim_events", 0);
     spec.sim.watchdog.wall_clock_seconds = deadline;
     if (sw.contains("faults"))
         spec.sim.faults = fault::fault_plan_from_json(sw.at("faults"));

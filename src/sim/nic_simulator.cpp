@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "lognic/io/checkpoint.hpp"
+#include "lognic/io/serialize.hpp"
 #include "lognic/sim/packet_slab.hpp"
 
 namespace lognic::sim {
@@ -289,6 +290,9 @@ struct NicSimulator::Impl {
     bool ckpt_track{false};
     bool started{false};
     bool finalized{false};
+    /// config_fingerprint()'s digest of the scenario and fault plan,
+    /// computed on first use (only segmented runs ever need it).
+    mutable std::string config_digest;
     /// Outcome of the last advance() segment; kEventBudget until a segment
     /// actually finishes the run.
     RunOutcome last_outcome{RunOutcome::kEventBudget};
@@ -1286,11 +1290,23 @@ struct NicSimulator::Impl {
 
     /// The configuration facts a snapshot is only valid against. Loading
     /// into a simulator whose fingerprint differs is rejected outright —
-    /// resuming "almost the same" run would silently produce garbage.
+    /// resuming "almost the same" run would silently produce garbage. The
+    /// digest covers what the counts cannot: the hardware, graph, traffic
+    /// and fault plan encodings and the burst parameters, so a scenario
+    /// edited to another rate (or a plan of the same length) is refused.
     io::Json
     config_fingerprint() const
     {
+        if (config_digest.empty())
+            config_digest = io::u64_to_hex(io::fnv1a64(
+                io::to_json(hw).dump(-1) + io::to_json(graph).dump(-1)
+                + io::to_json(traffic).dump(-1)
+                + fault::to_json(options.faults).dump(-1)
+                + io::double_to_hex(options.burst.on.seconds())
+                + io::double_to_hex(options.burst.off.seconds())
+                + io::double_to_hex(options.burst.intensity)));
         io::JsonObject fp;
+        fp["digest"] = io::Json(config_digest);
         fp["seed"] = io::Json(io::u64_to_hex(options.seed));
         fp["duration"] = io::Json(io::double_to_hex(options.duration));
         fp["warmup_fraction"] =

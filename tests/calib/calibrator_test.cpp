@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "lognic/calib/calibrator.hpp"
+#include "lognic/calib/spec.hpp"
+#include "lognic/io/serialize.hpp"
+#include "../test_helpers.hpp"
 
 namespace lognic::calib {
 namespace {
@@ -214,6 +217,43 @@ TEST(CalibReport, RejectsInconsistentDocuments)
     io::Json j = to_json(r);
     j.set("fitted", io::Json{io::JsonArray{}}); // size mismatch vs names
     EXPECT_THROW(report_from_json(j), std::runtime_error);
+}
+
+TEST(CalibReport, RejectsFractionalAndNegativeCounts)
+{
+    CalibrationReport r;
+    r.device = "unit-nic";
+    r.parameter_names = {"a"};
+    r.initial = {1.0};
+    r.fitted = {1.0};
+    io::Json j = to_json(r);
+    j.set("starts", 1.5);
+    EXPECT_THROW(report_from_json(j), std::runtime_error);
+    j = to_json(r);
+    j.set("seed", -5.0);
+    EXPECT_THROW(report_from_json(j), std::runtime_error);
+}
+
+TEST(CalibSpec, RejectsFractionalAndNegativeCounts)
+{
+    // Parsing fails before any DES data synthesis runs.
+    const io::Scenario base{test::small_nic(),
+                            test::single_stage_graph(test::small_nic()),
+                            test::mtu_traffic(5.0)};
+    const io::Json doc = io::Json::parse(sample_calib_spec(base));
+    const auto with = [&doc](const std::string& key, double value) {
+        io::JsonObject c = doc.at("calib").as_object();
+        c[key] = io::Json(value);
+        io::JsonObject root = doc.as_object();
+        root["calib"] = io::Json(std::move(c));
+        return io::Json(std::move(root));
+    };
+    EXPECT_THROW(calib_spec_from_json(with("threads", 2.7)),
+                 std::runtime_error);
+    EXPECT_THROW(calib_spec_from_json(with("seed", -5.0)),
+                 std::runtime_error);
+    EXPECT_THROW(calib_spec_from_json(with("starts", -1.0)),
+                 std::runtime_error);
 }
 
 TEST(CalibReport, RenderMentionsTheEssentials)

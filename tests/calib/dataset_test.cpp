@@ -57,6 +57,15 @@ TEST(CalibDataset, ObservationRejectsNonPositiveWeight)
     EXPECT_THROW(observation_from_json(j), std::runtime_error);
 }
 
+TEST(CalibDataset, ObservationRejectsNonIndexGraphIndex)
+{
+    io::Json j = to_json(sample_observation("bad", 1.0));
+    j.set("graph_index", 1.5);
+    EXPECT_THROW(observation_from_json(j), std::runtime_error);
+    j.set("graph_index", -1.0);
+    EXPECT_THROW(observation_from_json(j), std::runtime_error);
+}
+
 TEST(CalibDataset, DatasetRoundTripsThroughJson)
 {
     const Dataset data = sample_dataset(5);

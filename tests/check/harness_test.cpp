@@ -14,6 +14,7 @@
 
 #include "check_test_helpers.hpp"
 #include "lognic/check/harness.hpp"
+#include "lognic/runner/seed.hpp"
 
 namespace lognic::check {
 namespace {
@@ -86,6 +87,18 @@ TEST(RunTrials, FailureCarriesMinimalReproducingSpec)
     EXPECT_FALSE(check_scenario(entry.scenario, entry.options, copts,
                                 entry.monotonicity)
                      .empty());
+    // Both seeds survive a dump and parse exactly, even above 2^53 where
+    // a double would round them, so the repro replays the same sample
+    // path as the trial that failed.
+    const std::uint64_t sim_seed = runner::derive_seed(f.generator_seed, 1);
+    ASSERT_GT(sim_seed, std::uint64_t{1} << 53);
+    const CorpusEntry reparsed =
+        corpus_entry_from_json(io::Json::parse(f.minimal_spec.dump(2)));
+    EXPECT_EQ(reparsed.options.seed, sim_seed);
+    const io::Json dumped = io::Json::parse(to_json(report).dump(2));
+    EXPECT_EQ(io::uint_at<std::uint64_t>(
+                  dumped.at("failures").as_array()[0], "generator_seed"),
+              f.generator_seed);
 }
 
 TEST(Corpus, EntriesLoadAndRoundTrip)

@@ -274,5 +274,46 @@ TEST(SimSnapshotGuards, SnapshotConfigFingerprintIsEnforced)
     matched.load_state(snap);
 }
 
+/// A snapshot of @p s after a few hundred events.
+io::Json
+snapshot_of(const SimCase& s)
+{
+    sim::NicSimulator source(s.hw, s.graph, s.traffic, s.options);
+    source.begin();
+    source.advance(500);
+    return source.save_state();
+}
+
+TEST(SimSnapshotGuards, RefusesASnapshotTakenAtAnotherRate)
+{
+    // Same topology, seed, and options: only the offered rate differs,
+    // which no vertex, edge, or class count can tell apart.
+    const SimCase s = make_case("rate", 8.0);
+    const io::Json snap = snapshot_of(s);
+    const core::TrafficProfile slower = test::mtu_traffic(3.0);
+    sim::NicSimulator mismatched(s.hw, s.graph, slower, s.options);
+    EXPECT_THROW(mismatched.load_state(snap), std::runtime_error);
+}
+
+TEST(SimSnapshotGuards, RefusesOneTakenWithAnotherPlanOfTheSameLength)
+{
+    SimCase s = make_case("plan", 8.0);
+    fault::FaultEvent fail;
+    fail.kind = fault::FaultKind::kEngineFail;
+    fail.at = 0.0005;
+    fail.target = "cores";
+    fail.count = 2;
+    s.options.faults.events.push_back(fail);
+    const io::Json snap = snapshot_of(s);
+
+    sim::SimOptions other = s.options;
+    other.faults.events[0].count = 3;
+    sim::NicSimulator mismatched(s.hw, s.graph, s.traffic, other);
+    EXPECT_THROW(mismatched.load_state(snap), std::runtime_error);
+
+    sim::NicSimulator matched(s.hw, s.graph, s.traffic, s.options);
+    matched.load_state(snap);
+}
+
 } // namespace
 } // namespace lognic::ckpt

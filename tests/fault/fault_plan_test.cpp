@@ -203,6 +203,16 @@ TEST(FaultPlanJson, RejectsMalformedDocuments)
     EXPECT_THROW(fault_plan_from_json(io::Json::parse(
                      R"([{"at": 0.1, "kind": "warp", "target": "x"}])")),
                  std::runtime_error);
+    // Engine counts and queue capacities are integers: 1.5 engines are
+    // not one, and -1 is not 4294967295.
+    EXPECT_THROW(fault_plan_from_json(io::Json::parse(
+                     R"([{"kind": "engine_fail", "target": "cores",
+                          "count": 1.5}])")),
+                 std::runtime_error);
+    EXPECT_THROW(fault_plan_from_json(io::Json::parse(
+                     R"([{"kind": "queue_capacity", "target": "cores",
+                          "capacity": -1}])")),
+                 std::runtime_error);
 }
 
 } // namespace

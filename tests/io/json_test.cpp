@@ -156,6 +156,51 @@ TEST(Json, NonFiniteNumbersSerializeAsNullAndRoundTrip)
     EXPECT_DOUBLE_EQ(back.at("list").as_array()[1].as_number(), 2.0);
 }
 
+TEST(JsonUint, AcceptsIntegralNumbersAndHexOrDecimalStrings)
+{
+    const Json j = Json::parse(
+        R"({"n": 4, "zero": 0, "hex": "0xa6531e5b0f3ddcfe", "dec": "12"})");
+    EXPECT_EQ(uint_at<std::uint32_t>(j, "n"), 4u);
+    EXPECT_EQ(uint_at<std::uint32_t>(j, "zero"), 0u);
+    EXPECT_EQ(uint_at<std::uint64_t>(j, "hex"), 0xa6531e5b0f3ddcfeULL);
+    EXPECT_EQ(uint_or<std::size_t>(j, "dec", 3), 12u);
+    EXPECT_EQ(uint_or<std::size_t>(j, "absent", 3), 3u);
+    EXPECT_THROW(uint_at<std::size_t>(j, "absent"), std::runtime_error);
+}
+
+TEST(JsonUint, RejectsFractionsSignsRangeAndOtherTypesNamingTheField)
+{
+    const Json j = Json::parse(
+        R"({"frac": 2.5, "neg": -1, "big": 4294967296, "huge": 1e20,
+            "text": "abc", "flag": true, "null": null})");
+    for (const char* key : {"frac", "neg", "big", "text", "flag", "null"}) {
+        try {
+            uint_at<std::uint32_t>(j, key);
+            ADD_FAILURE() << key << " accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(uint_at<std::uint64_t>(j, "big"), 4294967296u);
+    EXPECT_THROW(uint_at<std::uint64_t>(j, "huge"), std::runtime_error);
+}
+
+TEST(JsonUint, WriterRoundTripsEverySeedExactly)
+{
+    const std::uint64_t two53 = std::uint64_t{1} << 53;
+    for (const std::uint64_t v :
+         {std::uint64_t{0}, std::uint64_t{31337}, two53, two53 + 1,
+          std::uint64_t{11984929618412882174ULL},
+          std::numeric_limits<std::uint64_t>::max()}) {
+        Json doc;
+        doc.set("seed", uint_to_json(v));
+        EXPECT_EQ(uint_at<std::uint64_t>(Json::parse(doc.dump()), "seed"), v);
+        // Numbers while a double holds them exactly (byte-stable corpora).
+        EXPECT_EQ(doc.at("seed").is_number(), v <= two53) << v;
+    }
+}
+
 TEST(Json, CopyOnWriteIsolation)
 {
     Json a;

@@ -188,5 +188,35 @@ TEST(Serialize, MalformedDocumentsThrow)
         std::runtime_error);
 }
 
+TEST(Serialize, IntegerFieldsAreReadStrictly)
+{
+    // A fractional parallelism is not truncated, a negative one is not
+    // wrapped to 4294967295, and an edge endpoint must be an index.
+    const auto graph_with = [](const std::string& vertex_field,
+                               const std::string& edge_to) {
+        return Json::parse(
+            R"({"name":"x","vertices":[{"name":"in","kind":"ingress"},)"
+            R"({"name":"out","kind":"egress")" + vertex_field + "}],"
+            R"("edges":[{"from":0,"to":)" + edge_to + "}]}");
+    };
+    EXPECT_NO_THROW(graph_from_json(graph_with(R"(,"parallelism":2)", "1")));
+    for (const std::string bad :
+         {R"(,"parallelism":2.5)", R"(,"parallelism":-1)",
+          R"(,"queue_capacity":4294967296)", R"(,"credits":"two")"})
+        EXPECT_THROW(graph_from_json(graph_with(bad, "1")),
+                     std::runtime_error)
+            << bad;
+    EXPECT_THROW(graph_from_json(graph_with("", "0.5")), std::runtime_error);
+    EXPECT_THROW(graph_from_json(graph_with("", "-1")), std::runtime_error);
+
+    Json hw = to_json(test::small_nic());
+    JsonArray ips = hw.at("ips").as_array();
+    Json ip = ips[0];
+    ip.set("max_engines", 1.5);
+    ips[0] = ip;
+    hw.set("ips", Json(std::move(ips)));
+    EXPECT_THROW(hardware_from_json(hw), std::runtime_error);
+}
+
 } // namespace
 } // namespace lognic::io

@@ -2,7 +2,7 @@
  * @file
  * Schema validation of the Chrome trace-event export, on real simulator
  * output for a paper scenario — the contract that ui.perfetto.dev and
- * chrome://tracing can open what `lognic trace` writes.
+ * chrome://tracing can open what `lognic simulate --trace` writes.
  */
 #include "lognic/obs/trace.hpp"
 

@@ -38,6 +38,32 @@ TEST(SweepSpec, RejectsMalformedDocuments)
                  std::runtime_error);
 }
 
+TEST(SweepSpec, RejectsFractionalAndNegativeCounts)
+{
+    const io::Json doc =
+        io::Json::parse(sample_sweep_spec(tiny_scenario()));
+    const auto with = [&doc](const std::string& key, io::Json value) {
+        io::JsonObject sw = doc.at("sweep").as_object();
+        sw[key] = std::move(value);
+        io::JsonObject root = doc.as_object();
+        root["sweep"] = io::Json(std::move(sw));
+        return io::Json(std::move(root));
+    };
+    // -1 replications used to reach std::vector as 2^64 - 1; a fractional
+    // thread count and a negative seed were accepted silently.
+    EXPECT_THROW(sweep_spec_from_json(with("replications", -1.0)),
+                 std::runtime_error);
+    EXPECT_THROW(sweep_spec_from_json(with("threads", 2.7)),
+                 std::runtime_error);
+    EXPECT_THROW(sweep_spec_from_json(with("root_seed", -5.0)),
+                 std::runtime_error);
+    EXPECT_THROW(sweep_spec_from_json(with("max_sim_events", 0.5)),
+                 std::runtime_error);
+    EXPECT_EQ(sweep_spec_from_json(with("root_seed", "0xa6531e5b0f3ddcfe"))
+                  .options.root_seed,
+              0xa6531e5b0f3ddcfeULL);
+}
+
 TEST(SweepSpec, GridIsCartesianProduct)
 {
     auto spec = sweep_spec_from_json(

@@ -2,75 +2,14 @@
  * @file
  * lognic — command-line front end for the model (Figure 4a's workflow as
  * a tool). Scenarios (hardware + execution graph + traffic) travel as
- * JSON documents; see `lognic example` for a starting point.
+ * JSON documents; see `lognic example` for a starting point. `estimate`
+ * runs the model on one; `simulate` runs the DES that stands in for the
+ * paper's testbeds, optionally fault-injected, traced, or kill-tolerant.
+ * Running `lognic` without arguments prints the command summary.
  *
- *   lognic example                      print a sample scenario JSON
- *   lognic example sweep                print a sample sweep-spec JSON
- *   lognic example faults               print a sample fault-plan JSON
- *   lognic example calib                print a sample calibration-spec JSON
- *   lognic example explore              print a sample exploration-spec JSON
- *                                       (the fig13/14 placement study)
- *   lognic example placement            print the fig13/14 NF-placement
- *                                       scenario (LogNIC-opt at MTU)
- *   lognic estimate <scenario.json>     model throughput/latency report
- *   lognic simulate <scenario.json> [seconds] [seed]
- *                                       packet-level simulation
- *   lognic sweep <spec.json>            parallel replicated sweep (the
- *                                       document carries a "sweep" object;
- *                                       emits per-point JSON results)
- *   lognic sweep <scenario.json> <gbps> [gbps...]
- *                                       analytic rate sweep
- *   lognic trace <scenario.json> [--out trace.json] [--seconds s]
- *                [--seed n] [--sample n]
- *                                       traced simulation: Chrome
- *                                       trace-event JSON (open in
- *                                       ui.perfetto.dev) + bottleneck
- *                                       attribution report
- *   lognic faults <scenario.json> <plan.json> [--seconds s] [--seed n]
- *                 [--curve vertex]
- *                                       fault-injected simulation: replay a
- *                                       fault plan mid-run, report delivery
- *                                       and cause-labeled drops; --curve
- *                                       prints the analytical graceful-
- *                                       degradation curve for a vertex
- *   lognic calibrate <spec.json> [--out report.json] [--threads n]
- *                                       fit catalog parameters to a
- *                                       measured or DES-generated dataset;
- *                                       emits a CalibrationReport JSON
- *   lognic check [--trials n] [--seed n] [--duration s]
- *                [--corpus dir] [--out report.json]
- *                [--no-monotonicity] [--no-minimize]
- *                                       differential conformance harness:
- *                                       randomized model/DES/closed-form
- *                                       cross-validation plus golden-
- *                                       corpus replay; emits a JSON
- *                                       violation report, exit 1 on any
- *                                       violation
- *   lognic explore <spec.json> [--out report.json] [--threads n]
- *                  [--prune=on|off|explain]
- *                                       design-space exploration: Pareto
- *                                       search over placements/provisioning
- *                                       knobs with DES validation of the
- *                                       frontier; emits a FrontierReport
- *                                       JSON, byte-identical at any
- *                                       --threads value and any --prune
- *                                       mode (pruning only skips solves)
- *   lognic run <scenario.json> --checkpoint <dir> [--seconds s] [--seed n]
- *              [--segment-events n] [--every n] [--no-resume]
- *              [--retention n]
- *                                       kill-tolerant simulation: run the
- *                                       DES in event-budget segments with
- *                                       crash-safe state snapshots; an
- *                                       interrupted run resumes from the
- *                                       newest valid snapshot and produces
- *                                       bit-identical results
- *   lognic dot <scenario.json>          Graphviz export of the graph
- *
- * `sweep` (spec form), `check`, `calibrate`, and `explore` accept the same
- * checkpoint flags: --checkpoint <dir> enables supervision, --no-resume
- * starts fresh, --every n sets the completions-per-checkpoint cadence,
- * --retention n the generations kept; `sweep` adds --retries n for
- * failed-point retry rounds with exponential backoff.
+ * Every command's flags go through one table-driven parser
+ * (parse_flags()): a command declares its flags and what each sets, and
+ * anything outside the table is a usage error (exit status 2).
  */
 #include <algorithm>
 #include <cmath>
@@ -78,6 +17,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -106,28 +47,52 @@ using namespace lognic;
 
 namespace {
 
+io::Scenario sample_scenario();
+io::Scenario placement_scenario();
+
+/// The sample documents `lognic example [name]` prints; the first is
+/// the default. Drives both the dispatch and the usage line.
+struct Example {
+    const char* name;
+    std::string (*make)();
+};
+
+const Example kExamples[] = {
+    {"scenario", [] { return io::save_scenario(sample_scenario()); }},
+    {"sweep", [] { return runner::sample_sweep_spec(sample_scenario()); }},
+    {"faults", fault::sample_fault_plan},
+    {"calib", [] { return calib::sample_calib_spec(sample_scenario()); }},
+    {"explore", dse::sample_explore_spec},
+    {"placement", [] { return io::save_scenario(placement_scenario()); }},
+};
+
 int
 usage()
 {
+    std::string names;
+    for (const Example& e : kExamples)
+        names += (names.empty() ? "" : "|") + std::string(e.name);
     std::fprintf(stderr,
                  "usage: lognic <command> [args]\n"
-                 "  example [sweep|placement]     print a sample scenario "
-                 "(or sweep spec, or the\n"
-                 "                                fig13/14 NF-placement "
-                 "scenario)\n"
+                 "  example [%s]\n"
+                 "                                print a sample document "
+                 "(placement: fig13/14)\n"
                  "  estimate <scenario.json>      analytical report\n"
-                 "  simulate <scenario.json> [seconds] [seed]\n"
+                 "  simulate <scenario.json> [--seconds s] [--seed n] "
+                 "[--faults plan.json]\n"
+                 "           [--curve vertex] [--trace out.json] "
+                 "[--sample n]\n"
+                 "           [--checkpoint dir [--segment-events n] "
+                 "[--every n] [--retention n]\n"
+                 "           [--no-resume]]\n"
+                 "                                packet-level simulation: "
+                 "fault-injected, traced\n"
+                 "                                (Chrome trace-event JSON), "
+                 "or kill-tolerant\n"
                  "  sweep    <spec.json>          replicated parallel sweep "
                  "(JSON out)\n"
                  "  sweep    <scenario.json> <gbps> [gbps...]\n"
-                 "  trace    <scenario.json> [--out trace.json] "
-                 "[--seconds s] [--seed n] [--sample n]\n"
-                 "                                traced simulation "
-                 "(Chrome trace-event JSON)\n"
-                 "  faults   <scenario.json> <plan.json> [--seconds s] "
-                 "[--seed n] [--curve vertex]\n"
-                 "                                fault-injected simulation "
-                 "(cause-labeled drops)\n"
+                 "                                analytic rate sweep\n"
                  "  sensitivity <scenario.json>   parameter elasticities\n"
                  "  check    [--trials n] [--seed n] [--duration s] "
                  "[--corpus dir]\n"
@@ -148,21 +113,15 @@ usage()
                  "                                validation of the frontier "
                  "(see `lognic example\n"
                  "                                explore`)\n"
-                 "  run      <scenario.json> --checkpoint <dir> "
-                 "[--seconds s] [--seed n]\n"
-                 "           [--segment-events n] [--every n] [--no-resume] "
-                 "[--retention n]\n"
-                 "                                kill-tolerant simulation "
-                 "with crash-safe\n"
-                 "                                snapshots; resumes from "
-                 "the newest valid one\n"
                  "  dot      <scenario.json>      Graphviz export\n"
                  "\n"
-                 "sweep (spec form), check, and calibrate also accept\n"
+                 "sweep (spec form), check, calibrate, and explore also "
+                 "accept\n"
                  "  --checkpoint <dir> [--no-resume] [--every n] "
                  "[--retention n]\n"
                  "(and sweep: --retries n) for kill-tolerant supervised "
-                 "runs; explore too\n");
+                 "runs\n",
+                 names.c_str());
     return 2;
 }
 
@@ -226,73 +185,112 @@ count_arg(const std::string& flag, const char* text, std::uint64_t min)
 }
 
 /**
- * Strict parse of @p flag's simulated duration: anything but a finite
- * number of seconds > 0, with nothing after it, is a usage error naming
- * the flag (`--seconds abc` must not run a zero-length simulation).
+ * Strict parse of a positive quantity named @p what (a flag or "rate"):
+ * anything but a finite number of @p unit > 0, with nothing after it, is
+ * a usage error naming it (`--seconds abc` must not run a zero-length
+ * simulation, nor `sweep sc.json 5x` a 5 Gbps point).
  */
 double
-seconds_arg(const std::string& flag, const char* text)
+positive_arg(const std::string& what, const char* text, const char* unit)
 {
     char* end = nullptr;
     const double value = std::strtod(text, &end);
     if (end == text || *end != '\0' || !std::isfinite(value) || value <= 0.0)
-        throw UsageError(flag + " must be a finite number of seconds > 0, "
-                         "got '" + text + "'");
+        throw UsageError(what + " must be a finite number of " + unit
+                         + " > 0, got '" + text + "'");
     return value;
 }
 
-/// Shared checkpoint-flag state for sweep/check/calibrate/run.
+/**
+ * One row of a command's flag table: `--name value` (or `--name=value`)
+ * when the flag takes a value, a bare `--name` when it is a switch.
+ * @c set receives the value text (nullptr for a switch) and throws
+ * UsageError when it is malformed.
+ */
+struct Flag {
+    std::string name;
+    bool takes_value;
+    std::function<void(const char*)> set;
+};
+
+Flag
+text_flag(const std::string& name, std::string& out)
+{
+    return {name, true, [&out](const char* v) { out = v; }};
+}
+
+template <class T>
+Flag
+count_flag(const std::string& name, T& out, std::uint64_t min)
+{
+    return {name, true, [name, &out, min](const char* v) {
+                out = static_cast<T>(count_arg(name, v, min));
+            }};
+}
+
+Flag
+seconds_flag(const std::string& name, double& out)
+{
+    return {name, true, [name, &out](const char* v) {
+                out = positive_arg(name, v, "seconds");
+            }};
+}
+
+Flag
+switch_flag(const std::string& name, bool& out, bool value)
+{
+    return {name, false, [&out, value](const char*) { out = value; }};
+}
+
+/**
+ * The one argv walk: apply every word of argv[0, argc) through @p flags.
+ * A word outside the table, a switch given a value, or a value flag
+ * without one is a usage error naming @p command and the word.
+ */
+void
+parse_flags(const std::string& command, int argc, char** argv,
+            const std::vector<Flag>& flags)
+{
+    for (int i = 0; i < argc; ++i) {
+        const std::string word = argv[i];
+        const std::size_t eq = word.find('=');
+        const bool inline_value = eq != std::string::npos;
+        const auto flag = std::find_if(
+            flags.begin(), flags.end(),
+            [&](const Flag& f) { return f.name == word.substr(0, eq); });
+        if (flag == flags.end()
+            || (flag->takes_value ? !inline_value && i + 1 == argc
+                                  : inline_value))
+            throw UsageError(command + ": bad argument '" + word + "'");
+        if (!flag->takes_value)
+            flag->set(nullptr);
+        else
+            flag->set(inline_value ? argv[i] + eq + 1 : argv[++i]);
+    }
+}
+
+/// Checkpoint state shared by every supervised command.
 struct CkptArgs {
     bool enabled{false};
     ckpt::SupervisorOptions sup;
 };
 
-/**
- * Try to consume one checkpoint flag at argv[i] (advancing i over its
- * value). Returns true when consumed. @p allow_retries gates the
- * sweep-only --retries flag. @throws UsageError on a malformed count.
- */
-bool
-parse_ckpt_arg(CkptArgs& ck, int argc, char** argv, int& i,
-               bool allow_retries)
+/// @p flags plus the checkpoint flags every supervised command accepts;
+/// --checkpoint also routes the supervisor's diagnostics to stderr.
+std::vector<Flag>
+with_ckpt_flags(CkptArgs& ck, std::vector<Flag> flags)
 {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--checkpoint" && has_value) {
-        ck.enabled = true;
-        ck.sup.dir = argv[++i];
-        return true;
-    }
-    if (arg == "--resume") {
-        ck.sup.resume = true; // the default; accepted for explicitness
-        return true;
-    }
-    if (arg == "--no-resume") {
-        ck.sup.resume = false;
-        return true;
-    }
-    if (arg == "--every" && has_value) {
-        ck.sup.checkpoint_every = count_arg(arg, argv[++i], 1);
-        return true;
-    }
-    if (arg == "--retention" && has_value) {
-        ck.sup.retention = count_arg(arg, argv[++i], 1);
-        return true;
-    }
-    if (allow_retries && arg == "--retries" && has_value) {
-        ck.sup.retry_rounds = count_arg(arg, argv[++i], 0);
-        return true;
-    }
-    return false;
-}
-
-/// Stderr diagnostics sink for supervised runs.
-void
-attach_logger(ckpt::SupervisorOptions& sup)
-{
-    sup.log = [](const std::string& m) {
-        std::fprintf(stderr, "lognic: %s\n", m.c_str());
-    };
+    flags.push_back({"--checkpoint", true, [&ck](const char* dir) {
+                         ck.enabled = true;
+                         ck.sup.dir = dir;
+                         ck.sup.log = [](const std::string& m) {
+                             std::fprintf(stderr, "lognic: %s\n", m.c_str());
+                         };
+                     }});
+    flags.push_back(switch_flag("--no-resume", ck.sup.resume, false));
+    flags.push_back(count_flag("--every", ck.sup.checkpoint_every, 1));
+    flags.push_back(count_flag("--retention", ck.sup.retention, 1));
+    return flags;
 }
 
 io::Scenario
@@ -364,8 +362,24 @@ placement_scenario()
 }
 
 int
-cmd_estimate(const io::Scenario& sc)
+cmd_example(int argc, char** argv)
 {
+    const std::string name = argc > 0 ? argv[0] : kExamples[0].name;
+    const auto example =
+        std::find_if(std::begin(kExamples), std::end(kExamples),
+                     [&](const Example& e) { return name == e.name; });
+    if (argc > 1 || example == std::end(kExamples))
+        return usage();
+    std::fputs(example->make().c_str(), stdout);
+    std::printf("\n");
+    return 0;
+}
+
+int
+cmd_estimate(const std::string& path, int argc, char** argv)
+{
+    parse_flags("estimate", argc, argv, {});
+    const io::Scenario sc = load(path);
     const core::Model model(sc.hw);
     const core::Report rep = model.estimate(sc.graph, sc.traffic);
     std::fputs(core::render_report(rep, sc.traffic).c_str(), stdout);
@@ -374,6 +388,7 @@ cmd_estimate(const io::Scenario& sc)
     return 0;
 }
 
+/// Every result line of a simulation, whichever flags ran it.
 void
 print_sim_result(const sim::SimResult& res)
 {
@@ -386,6 +401,24 @@ print_sim_result(const sim::SimResult& res)
                 static_cast<unsigned long long>(res.dropped),
                 static_cast<unsigned long long>(res.generated),
                 res.drop_rate);
+    std::printf("  conservation : generated %llu = completed %llu + "
+                "dropped %llu + in-flight %llu\n",
+                static_cast<unsigned long long>(res.generated),
+                static_cast<unsigned long long>(res.completed_total),
+                static_cast<unsigned long long>(res.dropped_total),
+                static_cast<unsigned long long>(res.in_flight));
+    const auto& counters = res.metrics.counters;
+    for (const char* key : {"sim.dropped_by_cause.overflow",
+                            "sim.dropped_by_cause.burst",
+                            "sim.dropped_by_cause.engine_fail"}) {
+        const auto it = counters.find(key);
+        if (it != counters.end())
+            std::printf("  %-28s %llu\n", key,
+                        static_cast<unsigned long long>(it->second));
+    }
+    if (res.truncated)
+        std::printf("  TRUNCATED (%s) at t=%.6fs\n",
+                    res.truncation_reason.c_str(), res.sim_time_reached);
     for (const auto& vs : res.vertex_stats) {
         std::printf("  %-12s util %.3f, occupancy %.2f, served %llu, "
                     "dropped %llu\n",
@@ -395,130 +428,100 @@ print_sim_result(const sim::SimResult& res)
     }
 }
 
-int
-cmd_simulate(const io::Scenario& sc, double seconds, std::uint64_t seed)
-{
-    sim::SimOptions opts;
-    opts.duration = seconds;
-    opts.seed = seed;
-    const auto res = sim::simulate(sc.hw, sc.graph, sc.traffic, opts);
-    std::printf("simulated %.3fs (seed %llu)\n", seconds,
-                static_cast<unsigned long long>(seed));
-    print_sim_result(res);
-    return 0;
-}
-
 /**
- * Kill-tolerant simulation: the same run `simulate` does, cut into
- * event-budget segments with a crash-safe snapshot published every
- * --every segments. Killing the process at any point loses at most one
- * checkpoint interval; rerunning the identical command resumes from the
- * newest valid snapshot and finishes with results bit-identical to an
- * uninterrupted run.
+ * The one simulation command. --faults replays a fault plan mid-run;
+ * --curve adds the analytical graceful-degradation curve of one vertex
+ * (the model-side counterpart of killing engines); --trace attaches a
+ * ChromeTraceWriter (ui.perfetto.dev opens the file directly) and prints
+ * the bottleneck-attribution report comparing measured utilizations with
+ * the model's ρ; --checkpoint cuts the run into event-budget segments
+ * with a crash-safe snapshot every --every segments, so killing the
+ * process loses at most one interval and rerunning the identical command
+ * resumes, finishing bit-identical to an uninterrupted run.
  */
 int
-cmd_run(const io::Scenario& sc, int argc, char** argv)
+cmd_simulate(const std::string& path, int argc, char** argv)
 {
     sim::SimOptions opts;
+    std::string faults_path;
+    std::string curve_vertex;
+    std::string trace_path;
     std::uint64_t segment_events = 100000;
     CkptArgs ck;
     ck.sup.checkpoint_every = 1; // snapshots are cheap at this granularity
-    for (int i = 0; i < argc; ++i) {
-        if (parse_ckpt_arg(ck, argc, argv, i, /*allow_retries=*/false))
-            continue;
-        const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (arg == "--seconds" && has_value) {
-            opts.duration = seconds_arg(arg, argv[++i]);
-        } else if (arg == "--seed" && has_value) {
-            opts.seed = count_arg(arg, argv[++i], 0);
-        } else if (arg == "--segment-events" && has_value) {
-            segment_events = count_arg(arg, argv[++i], 1);
-        } else {
-            std::fprintf(stderr, "run: bad argument '%s'\n", arg.c_str());
-            return 2;
-        }
-    }
-    if (!ck.enabled) {
-        std::fprintf(stderr, "run: --checkpoint <dir> is required\n");
-        return 2;
-    }
+    parse_flags(
+        "simulate", argc, argv,
+        with_ckpt_flags(
+            ck, {seconds_flag("--seconds", opts.duration),
+                 count_flag("--seed", opts.seed, 0),
+                 text_flag("--faults", faults_path),
+                 text_flag("--curve", curve_vertex),
+                 text_flag("--trace", trace_path),
+                 count_flag("--sample", opts.trace.sample_every, 0),
+                 count_flag("--segment-events", segment_events, 1)}));
+    // NicSimulator::check_segmentable: a segmented run cannot trace.
+    if (ck.enabled && !trace_path.empty())
+        throw UsageError("simulate: --trace cannot be combined with "
+                         "--checkpoint");
 
-    attach_logger(ck.sup);
-    sim::NicSimulator simulator(sc.hw, sc.graph, sc.traffic, opts);
-    const auto supervised =
-        ckpt::supervise_simulation(simulator, segment_events, ck.sup);
-    std::printf("simulated %.3fs (seed %llu) in %llu segment(s), "
-                "%llu checkpoint(s)%s\n",
-                opts.duration,
-                static_cast<unsigned long long>(opts.seed),
-                static_cast<unsigned long long>(supervised.segments),
-                static_cast<unsigned long long>(supervised.checkpoints),
-                supervised.resume.resumed ? " [resumed]" : "");
-    print_sim_result(supervised.result);
-    return 0;
-}
-
-/**
- * Traced simulation: run the scenario with a ChromeTraceWriter attached,
- * write the trace-event document (ui.perfetto.dev opens it directly), and
- * print the bottleneck-attribution report comparing the measured per-vertex
- * utilizations against the model's ρ.
- */
-int
-cmd_trace(const io::Scenario& sc, int argc, char** argv)
-{
-    std::string out_path;
-    sim::SimOptions opts;
-    opts.duration = 0.005; // short horizon: traces grow with event count
-    std::uint64_t sample_every = 1;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (arg == "--out" && has_value) {
-            out_path = argv[++i];
-        } else if (arg == "--seconds" && has_value) {
-            opts.duration = seconds_arg(arg, argv[++i]);
-        } else if (arg == "--seed" && has_value) {
-            opts.seed = count_arg(arg, argv[++i], 0);
-        } else if (arg == "--sample" && has_value) {
-            sample_every = count_arg(arg, argv[++i], 0);
-        } else {
-            std::fprintf(stderr, "trace: bad argument '%s'\n", arg.c_str());
-            return 2;
-        }
-    }
-
+    const io::Scenario sc = load(path);
+    if (!faults_path.empty())
+        opts.faults = fault::fault_plan_from_json(
+            io::Json::parse(read_file(faults_path)));
     obs::ChromeTraceWriter writer;
-    opts.trace.sink = &writer;
-    opts.trace.sample_every = sample_every;
-    const auto res = sim::simulate(sc.hw, sc.graph, sc.traffic, opts);
+    if (!trace_path.empty())
+        opts.trace.sink = &writer;
 
-    if (out_path.empty()) {
-        std::fputs(writer.dump().c_str(), stdout);
-        std::printf("\n");
-    } else {
-        std::ofstream out(out_path);
-        if (out) {
-            writer.write(out);
-            out.flush();
+    std::optional<ckpt::SupervisedSimulation> supervised;
+    if (ck.enabled) {
+        sim::NicSimulator simulator(sc.hw, sc.graph, sc.traffic, opts);
+        supervised =
+            ckpt::supervise_simulation(simulator, segment_events, ck.sup);
+    }
+    const sim::SimResult res =
+        supervised ? std::move(supervised->result)
+                   : sim::simulate(sc.hw, sc.graph, sc.traffic, opts);
+    std::printf("simulated %.3fs (seed %llu)", opts.duration,
+                static_cast<unsigned long long>(opts.seed));
+    if (!faults_path.empty())
+        std::printf(", %zu fault event(s)", opts.faults.events.size());
+    if (supervised)
+        std::printf(" in %llu segment(s), %llu checkpoint(s)%s",
+                    static_cast<unsigned long long>(supervised->segments),
+                    static_cast<unsigned long long>(supervised->checkpoints),
+                    supervised->resume.resumed ? " [resumed]" : "");
+    std::printf("\n");
+    print_sim_result(res);
+
+    if (!curve_vertex.empty()) {
+        const auto curve = fault::degradation_curve(sc.hw, sc.graph,
+                                                    sc.traffic,
+                                                    curve_vertex);
+        std::printf("\ngraceful degradation of '%s' (analytical):\n",
+                    curve.vertex.c_str());
+        std::printf("%8s %10s %12s %12s %12s\n", "failed", "fraction",
+                    "capacity", "achieved", "mean(us)");
+        for (const auto& pt : curve.points) {
+            std::printf("%8u %9.0f%% %11.2fG %11.2fG %12.3f\n",
+                        pt.engines_failed, 100.0 * pt.fraction_failed,
+                        pt.capacity.gbps(), pt.achieved.gbps(),
+                        pt.mean_latency.micros());
         }
-        if (!out) {
-            std::fprintf(stderr, "lognic: cannot write '%s'\n",
-                         out_path.c_str());
+    }
+
+    if (!trace_path.empty()) {
+        if (!write_file(trace_path, writer.dump()))
             return 1;
-        }
         std::fprintf(stderr,
                      "wrote %zu trace events on %zu tracks to %s "
                      "(open in https://ui.perfetto.dev)\n",
                      writer.event_count(), writer.track_count(),
-                     out_path.c_str());
+                     trace_path.c_str());
+        const auto model =
+            obs::model_vertex_utilization(sc.graph, sc.hw, sc.traffic);
+        const auto report = obs::attribute(sim::observations(res), model);
+        std::fputs(obs::render(report).c_str(), stderr);
     }
-
-    const auto model =
-        obs::model_vertex_utilization(sc.graph, sc.hw, sc.traffic);
-    const auto report = obs::attribute(sim::observations(res), model);
-    std::fputs(obs::render(report).c_str(), stderr);
     return 0;
 }
 
@@ -535,31 +538,16 @@ cmd_check(int argc, char** argv)
     CkptArgs ck;
     std::string corpus_dir;
     std::string out_path;
-    for (int i = 0; i < argc; ++i) {
-        if (parse_ckpt_arg(ck, argc, argv, i, /*allow_retries=*/false))
-            continue;
-        const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (arg == "--trials" && has_value) {
-            copts.trials = count_arg(arg, argv[++i], 0);
-        } else if (arg == "--seed" && has_value) {
-            copts.seed = count_arg(arg, argv[++i], 0);
-        } else if (arg == "--duration" && has_value) {
-            copts.duration = seconds_arg(arg, argv[++i]);
-        } else if (arg == "--corpus" && has_value) {
-            corpus_dir = argv[++i];
-        } else if (arg == "--out" && has_value) {
-            out_path = argv[++i];
-        } else if (arg == "--no-monotonicity") {
-            copts.monotonicity = false;
-        } else if (arg == "--no-minimize") {
-            copts.minimize = false;
-        } else {
-            std::fprintf(stderr, "check: bad argument '%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
+    parse_flags(
+        "check", argc, argv,
+        with_ckpt_flags(
+            ck, {count_flag("--trials", copts.trials, 0),
+                 count_flag("--seed", copts.seed, 0),
+                 seconds_flag("--duration", copts.duration),
+                 text_flag("--corpus", corpus_dir),
+                 text_flag("--out", out_path),
+                 switch_flag("--no-monotonicity", copts.monotonicity, false),
+                 switch_flag("--no-minimize", copts.minimize, false)}));
 
     std::vector<check::CorpusEntry> entries;
     if (!corpus_dir.empty()) {
@@ -579,7 +567,6 @@ cmd_check(int argc, char** argv)
 
     check::CheckReport report;
     if (ck.enabled) {
-        attach_logger(ck.sup);
         auto supervised =
             ckpt::supervise_check(copts, entries, ck.sup);
         report = std::move(supervised.report);
@@ -617,18 +604,14 @@ int
 cmd_sweep_spec(const io::Json& doc, int argc, char** argv)
 {
     CkptArgs ck;
-    for (int i = 0; i < argc; ++i) {
-        if (parse_ckpt_arg(ck, argc, argv, i, /*allow_retries=*/true))
-            continue;
-        std::fprintf(stderr, "sweep: bad argument '%s'\n", argv[i]);
-        return 2;
-    }
+    parse_flags("sweep", argc, argv,
+                with_ckpt_flags(ck, {count_flag("--retries",
+                                                ck.sup.retry_rounds, 0)}));
 
     const auto spec = runner::sweep_spec_from_json(doc);
     const auto sweep = runner::build_sweep(spec);
     runner::SweepReport report;
     if (ck.enabled) {
-        attach_logger(ck.sup);
         auto supervised =
             ckpt::supervise_sweep(sweep, spec.options, ck.sup);
         report = std::move(supervised.report);
@@ -654,82 +637,6 @@ cmd_sweep_spec(const io::Json& doc, int argc, char** argv)
 }
 
 /**
- * Fault-injected simulation: replay a fault plan against a scenario and
- * report delivery plus cause-labeled drop accounting; with --curve, also
- * print the analytical graceful-degradation curve for one vertex
- * (model-side counterpart of killing engines mid-run).
- */
-int
-cmd_faults(const io::Scenario& sc, const std::string& plan_path, int argc,
-           char** argv)
-{
-    sim::SimOptions opts;
-    opts.duration = 0.02;
-    std::string curve_vertex;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (arg == "--seconds" && has_value) {
-            opts.duration = seconds_arg(arg, argv[++i]);
-        } else if (arg == "--seed" && has_value) {
-            opts.seed = count_arg(arg, argv[++i], 0);
-        } else if (arg == "--curve" && has_value) {
-            curve_vertex = argv[++i];
-        } else {
-            std::fprintf(stderr, "faults: bad argument '%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
-    opts.faults =
-        fault::fault_plan_from_json(io::Json::parse(read_file(plan_path)));
-
-    const auto res = sim::simulate(sc.hw, sc.graph, sc.traffic, opts);
-    std::printf("faulted simulation: %.3fs, %zu fault event(s)\n",
-                opts.duration, opts.faults.events.size());
-    std::printf("  delivered    : %.3f Gbps (%.3f Mops)\n",
-                res.delivered.gbps(), res.delivered_ops.mops());
-    std::printf("  latency      : mean %.3f us, p50 %.3f, p99 %.3f\n",
-                res.mean_latency.micros(), res.p50_latency.micros(),
-                res.p99_latency.micros());
-    std::printf("  conservation : generated %llu = completed %llu + "
-                "dropped %llu + in-flight %llu\n",
-                static_cast<unsigned long long>(res.generated),
-                static_cast<unsigned long long>(res.completed_total),
-                static_cast<unsigned long long>(res.dropped_total),
-                static_cast<unsigned long long>(res.in_flight));
-    const auto& counters = res.metrics.counters;
-    for (const char* key : {"sim.dropped_by_cause.overflow",
-                            "sim.dropped_by_cause.burst",
-                            "sim.dropped_by_cause.engine_fail"}) {
-        const auto it = counters.find(key);
-        if (it != counters.end())
-            std::printf("  %-28s %llu\n", key,
-                        static_cast<unsigned long long>(it->second));
-    }
-    if (res.truncated)
-        std::printf("  TRUNCATED (%s) at t=%.6fs\n",
-                    res.truncation_reason.c_str(), res.sim_time_reached);
-
-    if (!curve_vertex.empty()) {
-        const auto curve = fault::degradation_curve(sc.hw, sc.graph,
-                                                    sc.traffic,
-                                                    curve_vertex);
-        std::printf("\ngraceful degradation of '%s' (analytical):\n",
-                    curve.vertex.c_str());
-        std::printf("%8s %10s %12s %12s %12s\n", "failed", "fraction",
-                    "capacity", "achieved", "mean(us)");
-        for (const auto& pt : curve.points) {
-            std::printf("%8u %9.0f%% %11.2fG %11.2fG %12.3f\n",
-                        pt.engines_failed, 100.0 * pt.fraction_failed,
-                        pt.capacity.gbps(), pt.achieved.gbps(),
-                        pt.mean_latency.micros());
-        }
-    }
-    return 0;
-}
-
-/**
  * Spec-driven calibration: parse the document (running the DES data
  * synthesis when the spec carries "generate"), fit, print the
  * human-readable summary to stderr, and emit the CalibrationReport JSON
@@ -739,34 +646,23 @@ cmd_faults(const io::Scenario& sc, const std::string& plan_path, int argc,
  * report's "converged"/"message" fields carry that verdict.
  */
 int
-cmd_calibrate(const io::Json& doc, int argc, char** argv)
+cmd_calibrate(const std::string& path, int argc, char** argv)
 {
     std::string out_path;
     std::size_t threads_override = 0;
     CkptArgs ck;
-    for (int i = 0; i < argc; ++i) {
-        if (parse_ckpt_arg(ck, argc, argv, i, /*allow_retries=*/false))
-            continue;
-        const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (arg == "--out" && has_value) {
-            out_path = argv[++i];
-        } else if (arg == "--threads" && has_value) {
-            threads_override = count_arg(arg, argv[++i], 0);
-        } else {
-            std::fprintf(stderr, "calibrate: bad argument '%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
+    parse_flags("calibrate", argc, argv,
+                with_ckpt_flags(
+                    ck, {text_flag("--out", out_path),
+                         count_flag("--threads", threads_override, 0)}));
 
-    calib::CalibSpec spec = calib::calib_spec_from_json(doc);
+    calib::CalibSpec spec =
+        calib::calib_spec_from_json(io::Json::parse(read_file(path)));
     if (threads_override > 0)
         spec.options.fit.threads = threads_override;
 
     calib::CalibrationReport report;
     if (ck.enabled) {
-        attach_logger(ck.sup);
         auto supervised = ckpt::supervise_calibration(
             std::move(spec.space), std::move(spec.data), spec.options,
             ck.sup);
@@ -799,33 +695,20 @@ cmd_calibrate(const io::Json& doc, int argc, char** argv)
  * --out or stdout. --threads only changes wall-clock, never the report.
  */
 int
-cmd_explore(const io::Json& doc, int argc, char** argv)
+cmd_explore(const std::string& path, int argc, char** argv)
 {
     std::string out_path;
     std::size_t threads_override = 0;
     std::string prune_override;
     CkptArgs ck;
-    for (int i = 0; i < argc; ++i) {
-        if (parse_ckpt_arg(ck, argc, argv, i, /*allow_retries=*/false))
-            continue;
-        const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (arg == "--out" && has_value) {
-            out_path = argv[++i];
-        } else if (arg == "--threads" && has_value) {
-            threads_override = count_arg(arg, argv[++i], 0);
-        } else if (arg.rfind("--prune=", 0) == 0) {
-            prune_override = arg.substr(8);
-        } else if (arg == "--prune" && has_value) {
-            prune_override = argv[++i];
-        } else {
-            std::fprintf(stderr, "explore: bad argument '%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
+    parse_flags("explore", argc, argv,
+                with_ckpt_flags(
+                    ck, {text_flag("--out", out_path),
+                         count_flag("--threads", threads_override, 0),
+                         text_flag("--prune", prune_override)}));
 
-    dse::ExploreSpec spec = dse::explore_spec_from_json(doc);
+    dse::ExploreSpec spec =
+        dse::explore_spec_from_json(io::Json::parse(read_file(path)));
     if (threads_override > 0)
         spec.options.threads = threads_override;
     if (!prune_override.empty())
@@ -838,7 +721,6 @@ cmd_explore(const io::Json& doc, int argc, char** argv)
 
     dse::FrontierReport report;
     if (ck.enabled) {
-        attach_logger(ck.sup);
         auto supervised = dse::supervise_exploration(
             spec.space, spec.objectives, spec.constraints, spec.options,
             ck.sup);
@@ -862,18 +744,25 @@ cmd_explore(const io::Json& doc, int argc, char** argv)
     return 0;
 }
 
+/// A document carrying a "sweep" object is a spec for the parallel
+/// runner; a bare scenario takes the rates of an analytic sweep.
 int
-cmd_sweep(const io::Scenario& sc, int argc, char** argv)
+cmd_sweep(const std::string& path, int argc, char** argv)
 {
+    const io::Json doc = io::Json::parse(read_file(path));
+    if (doc.is_object() && doc.contains("sweep"))
+        return cmd_sweep_spec(doc, argc, argv);
+    if (argc == 0)
+        return usage();
+    std::vector<double> rates;
+    for (int i = 0; i < argc; ++i)
+        rates.push_back(positive_arg("rate", argv[i], "Gbps"));
+
+    const io::Scenario sc = io::scenario_from_json(doc);
     const core::Model model(sc.hw);
     std::printf("%10s %12s %12s %12s %12s\n", "offered", "capacity",
                 "goodput", "mean(us)", "p99(us)");
-    for (int i = 0; i < argc; ++i) {
-        const double gbps = std::atof(argv[i]);
-        if (gbps <= 0.0) {
-            std::fprintf(stderr, "bad rate '%s'\n", argv[i]);
-            return 2;
-        }
+    for (const double gbps : rates) {
         auto traffic = sc.traffic;
         traffic.set_ingress_bandwidth(Bandwidth::from_gbps(gbps));
         const auto rep = model.estimate(sc.graph, traffic);
@@ -886,6 +775,44 @@ cmd_sweep(const io::Scenario& sc, int argc, char** argv)
     return 0;
 }
 
+int
+cmd_sensitivity(const std::string& path, int argc, char** argv)
+{
+    parse_flags("sensitivity", argc, argv, {});
+    const io::Scenario sc = load(path);
+    const auto results =
+        core::analyze_sensitivity(sc.graph, sc.hw, sc.traffic);
+    std::printf("%-36s %12s %12s\n", "parameter", "d(cap)", "d(latency)");
+    for (const auto& s : results) {
+        std::printf("%-36s %12.3f %12.3f\n", s.parameter.c_str(),
+                    s.capacity_elasticity, s.latency_elasticity);
+    }
+    std::printf("\n(log-log elasticities: +1 = output scales "
+                "proportionally with the knob)\n");
+    return 0;
+}
+
+int
+cmd_dot(const std::string& path, int argc, char** argv)
+{
+    parse_flags("dot", argc, argv, {});
+    const io::Scenario sc = load(path);
+    std::fputs(core::to_dot(sc.graph, sc.hw).c_str(), stdout);
+    return 0;
+}
+
+/// The commands that take one input document, then flags (or, for the
+/// analytic sweep, rates).
+const struct {
+    const char* name;
+    int (*run)(const std::string& path, int argc, char** argv);
+} kDocumentCommands[] = {
+    {"estimate", cmd_estimate},   {"simulate", cmd_simulate},
+    {"sweep", cmd_sweep},         {"sensitivity", cmd_sensitivity},
+    {"calibrate", cmd_calibrate}, {"explore", cmd_explore},
+    {"dot", cmd_dot},
+};
+
 } // namespace
 
 int
@@ -895,89 +822,13 @@ main(int argc, char** argv)
         return usage();
     const std::string command = argv[1];
     try {
-        if (command == "example") {
-            if (argc > 2 && std::string(argv[2]) == "sweep") {
-                std::fputs(
-                    runner::sample_sweep_spec(sample_scenario()).c_str(),
-                    stdout);
-            } else if (argc > 2 && std::string(argv[2]) == "faults") {
-                std::fputs(fault::sample_fault_plan().c_str(), stdout);
-            } else if (argc > 2 && std::string(argv[2]) == "calib") {
-                std::fputs(
-                    calib::sample_calib_spec(sample_scenario()).c_str(),
-                    stdout);
-            } else if (argc > 2 && std::string(argv[2]) == "explore") {
-                std::fputs(dse::sample_explore_spec().c_str(), stdout);
-            } else if (argc > 2 && std::string(argv[2]) == "placement") {
-                std::fputs(io::save_scenario(placement_scenario()).c_str(),
-                           stdout);
-            } else {
-                std::fputs(io::save_scenario(sample_scenario()).c_str(),
-                           stdout);
-            }
-            std::printf("\n");
-            return 0;
-        }
+        if (command == "example")
+            return cmd_example(argc - 2, argv + 2);
         if (command == "check")
             return cmd_check(argc - 2, argv + 2);
-        if (argc < 3)
-            return usage();
-        if (command == "sweep") {
-            // A document carrying a "sweep" object is a spec for the
-            // parallel runner; a bare scenario keeps the legacy analytic
-            // rate sweep.
-            const io::Json doc = io::Json::parse(read_file(argv[2]));
-            if (doc.is_object() && doc.contains("sweep"))
-                return cmd_sweep_spec(doc, argc - 3, argv + 3);
-            if (argc < 4)
-                return usage();
-            return cmd_sweep(io::scenario_from_json(doc), argc - 3,
-                             argv + 3);
-        }
-        if (command == "faults") {
-            if (argc < 4)
-                return usage();
-            return cmd_faults(load(argv[2]), argv[3], argc - 4, argv + 4);
-        }
-        if (command == "calibrate") {
-            return cmd_calibrate(io::Json::parse(read_file(argv[2])),
-                                 argc - 3, argv + 3);
-        }
-        if (command == "explore") {
-            return cmd_explore(io::Json::parse(read_file(argv[2])),
-                               argc - 3, argv + 3);
-        }
-        const io::Scenario sc = load(argv[2]);
-        if (command == "estimate")
-            return cmd_estimate(sc);
-        if (command == "run")
-            return cmd_run(sc, argc - 3, argv + 3);
-        if (command == "trace")
-            return cmd_trace(sc, argc - 3, argv + 3);
-        if (command == "simulate") {
-            const double seconds =
-                argc > 3 ? seconds_arg("simulate seconds", argv[3]) : 0.05;
-            const std::uint64_t seed =
-                argc > 4 ? count_arg("simulate seed", argv[4], 0) : 42;
-            return cmd_simulate(sc, seconds, seed);
-        }
-        if (command == "sensitivity") {
-            const auto results =
-                core::analyze_sensitivity(sc.graph, sc.hw, sc.traffic);
-            std::printf("%-36s %12s %12s\n", "parameter", "d(cap)",
-                        "d(latency)");
-            for (const auto& s : results) {
-                std::printf("%-36s %12.3f %12.3f\n", s.parameter.c_str(),
-                            s.capacity_elasticity, s.latency_elasticity);
-            }
-            std::printf("\n(log-log elasticities: +1 = output scales "
-                        "proportionally with the knob)\n");
-            return 0;
-        }
-        if (command == "dot") {
-            std::fputs(core::to_dot(sc.graph, sc.hw).c_str(), stdout);
-            return 0;
-        }
+        for (const auto& c : kDocumentCommands)
+            if (command == c.name)
+                return argc < 3 ? usage() : c.run(argv[2], argc - 3, argv + 3);
         return usage();
     } catch (const UsageError& e) {
         std::fprintf(stderr, "lognic: %s\n", e.what());
