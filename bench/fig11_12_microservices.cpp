@@ -3,7 +3,7 @@
  * Figures 11 & 12: throughput and average latency of five E3 microservice
  * applications on the LiquidIO CN2360 under three core-allocation schemes:
  * round-robin (E3's default run-to-completion), equal partition, and
- * LogNIC-opt (per-stage D_vi from the optimizer).
+ * LogNIC-opt (per-stage D_vi from dse::lognic_opt_alloc).
  *
  * Paper result at 80% load: LogNIC-opt averages +34.8%/+36.4% throughput
  * and -22.4%/-22.8% latency over the two heuristics.
@@ -11,6 +11,7 @@
 #include "bench_util.hpp"
 #include "lognic/apps/microservices.hpp"
 #include "lognic/core/model.hpp"
+#include "lognic/dse/case_studies.hpp"
 #include "lognic/sim/nic_simulator.hpp"
 
 using namespace lognic;
@@ -55,7 +56,7 @@ main()
         // all schemes see the same traffic).
         const auto probe_traffic = core::TrafficProfile::fixed(
             apps::e3_request_size(), Bandwidth::from_gbps(5.0));
-        const auto opt_alloc = apps::lognic_opt_alloc(w, probe_traffic);
+        const auto opt_alloc = dse::lognic_opt_alloc(w, probe_traffic);
         const auto opt_sc = apps::make_e3_pipeline(w, opt_alloc);
         const double opt_capacity =
             core::Model(opt_sc.hw)

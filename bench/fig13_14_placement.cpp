@@ -3,7 +3,7 @@
  * Figures 13 & 14: NF-chain (FW->LB->DPI->NAT->PE) throughput and average
  * latency vs. packet size on the BlueField-2 under three placements:
  * ARM-only, Accelerator-only (offload-first), and LogNIC-opt (the
- * placement the optimizer picks per packet size).
+ * placement dse::lognic_opt_placement picks per packet size).
  *
  * Paper result: LogNIC-opt saves 37.9%/27.3% latency and gains 81.9%/21.7%
  * throughput on average over ARM-only/Accelerator-only, because it
@@ -13,6 +13,7 @@
 #include "bench_util.hpp"
 #include "lognic/apps/nf_chain.hpp"
 #include "lognic/core/model.hpp"
+#include "lognic/dse/case_studies.hpp"
 #include "lognic/sim/nic_simulator.hpp"
 #include "lognic/traffic/profiles.hpp"
 
@@ -58,7 +59,7 @@ main()
         // Offer 80% of the optimal placement's capacity for this size.
         const auto probe = core::TrafficProfile::fixed(
             size, Bandwidth::from_gbps(50.0));
-        const auto opt_placement = apps::lognic_opt_placement(probe);
+        const auto opt_placement = dse::lognic_opt_placement(probe);
         const auto opt_sc = apps::make_nf_chain(opt_placement);
         const double capacity = core::Model(opt_sc.hw)
                                     .throughput(opt_sc.graph, probe)

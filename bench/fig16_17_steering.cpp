@@ -12,6 +12,7 @@
 #include "bench_util.hpp"
 #include "lognic/apps/panic_models.hpp"
 #include "lognic/core/model.hpp"
+#include "lognic/dse/case_studies.hpp"
 #include "lognic/sim/nic_simulator.hpp"
 
 using namespace lognic;
@@ -59,7 +60,7 @@ main()
 
     for (const auto& p : profiles) {
         const auto traffic = core::TrafficProfile::fixed(p.size, p.offered);
-        const double x_opt = apps::lognic_opt_split(traffic);
+        const double x_opt = dse::lognic_opt_split(traffic);
 
         std::vector<double> lat;
         std::vector<double> thr;

@@ -14,6 +14,7 @@
 #include "bench_util.hpp"
 #include "lognic/apps/panic_models.hpp"
 #include "lognic/core/model.hpp"
+#include "lognic/dse/case_studies.hpp"
 #include "lognic/runner/sweep.hpp"
 #include "lognic/sim/nic_simulator.hpp"
 
@@ -60,7 +61,7 @@ main(int argc, char** argv)
     for (std::size_t s = 0; s < splits.size(); ++s) {
         const double split = splits[s];
         const std::uint32_t d_opt =
-            apps::lognic_opt_parallelism(split, traffic);
+            dse::lognic_opt_parallelism(split, traffic);
 
         std::vector<double> sim_thr;
         std::vector<double> sim_lat;

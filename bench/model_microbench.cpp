@@ -1,10 +1,11 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the model itself: how fast are
- * throughput estimation, latency estimation, path enumeration, the
- * discrete optimizer, and a simulator step. These quantify the paper's
- * "without actually deploying the program" value proposition — a model
- * evaluation must be orders of magnitude cheaper than an experiment.
+ * throughput estimation, latency estimation, path enumeration, an
+ * exhaustive dse case study (the E3 allocation search), and a simulator
+ * step. These quantify the paper's "without actually deploying the
+ * program" value proposition — a model evaluation must be orders of
+ * magnitude cheaper than an experiment.
  */
 #include <benchmark/benchmark.h>
 
@@ -12,7 +13,7 @@
 #include "lognic/apps/microservices.hpp"
 #include "lognic/apps/panic_models.hpp"
 #include "lognic/core/model.hpp"
-#include "lognic/core/optimizer.hpp"
+#include "lognic/dse/case_studies.hpp"
 #include "lognic/io/serialize.hpp"
 #include "lognic/obs/trace.hpp"
 #include "lognic/runner/replicator.hpp"
@@ -86,7 +87,7 @@ BM_MicroserviceOptimizer(benchmark::State& state)
         apps::e3_request_size(), Bandwidth::from_gbps(5.0));
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            apps::lognic_opt_alloc(apps::E3Workload::kRtaShm, traffic));
+            dse::lognic_opt_alloc(apps::E3Workload::kRtaShm, traffic));
     }
 }
 BENCHMARK(BM_MicroserviceOptimizer);

@@ -1,15 +1,15 @@
 /**
  * @file
  * Bottleneck hunting end to end: start from a slow offloaded program, let
- * the sensitivity analysis rank the knobs, then hand the top knob to the
- * satisficing optimizer with an explicit performance goal (Figure 4b) and
- * verify the fix in the simulator.
+ * the sensitivity analysis rank the knobs, then search the top knob under
+ * explicit performance goals (Figure 4b's satisficing mode, as dse
+ * constraints) and verify the fix in the simulator.
  */
 #include <cstdio>
 
 #include "lognic/core/model.hpp"
-#include "lognic/core/optimizer.hpp"
 #include "lognic/core/sensitivity.hpp"
+#include "lognic/dse/case_studies.hpp"
 #include "lognic/sim/nic_simulator.hpp"
 
 using namespace lognic;
@@ -86,44 +86,33 @@ main()
                     s.capacity_elasticity, s.latency_elasticity);
     }
 
-    // Step 3: the top knob is the workers' parallelism. Ask the
-    // satisficing optimizer for a worker count meeting throughput
-    // >= 20 Gbps and mean latency <= 5 us (latency-optimal tie-break).
-    core::SatisficeProblem problem;
-    problem.graph = initial;
-    problem.traffic = traffic;
-    problem.apply = [](core::ExecutionGraph& g, core::TrafficProfile&,
-                       const solver::IntVector& x) {
-        g.vertex(*g.find_vertex("workers")).params.parallelism =
-            static_cast<std::uint32_t>(x[0]);
-    };
-    problem.ranges = {{1, 12, 1}};
-    problem.objective = core::Objective::kMinimizeLatency;
-    problem.goals.push_back(core::PerformanceGoal{
-        "throughput>=20G",
-        [](const core::Report& r) {
-            return 20.0 - r.throughput.capacity.gbps();
-        }});
-    problem.goals.push_back(core::PerformanceGoal{
-        "latency<=5us",
-        [](const core::Report& r) {
-            return r.latency.mean.micros() - 5.0;
-        }});
-    const core::Optimizer opt(hw);
-    const auto res = opt.satisfice(problem);
-    if (!res.satisfied) {
+    // Step 3: the top knob is the workers' parallelism. Search every
+    // worker count for those meeting throughput >= 20 Gbps and mean
+    // latency <= 5 us, and take the lowest latency among them.
+    dse::DesignSpace space(io::Scenario{hw, initial, traffic});
+    space.add("vertex.workers.parallelism",
+              {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
+    dse::ExploreOptions search;
+    search.des.enabled = false;
+    const auto report = dse::explore(
+        space, {dse::objective_from_name("mean_latency_us")},
+        {{.metric = "capacity_gbps", .lower = 20.0},
+         {.metric = "mean_latency_us", .upper = 5.0}},
+        search);
+    if (report.frontier.empty()) {
         std::printf("\nno configuration met the goals\n");
         return 1;
     }
-    std::printf("\nsatisficed with %lld workers: capacity %.2f Gbps, "
+    const auto workers = static_cast<std::uint32_t>(
+        space.knob(0).values[dse::suggest(report).config[0]]);
+    const auto fixed = make_graph(hw, workers);
+    const auto after = model.estimate(fixed, traffic);
+    std::printf("\nsatisficed with %u workers: capacity %.2f Gbps, "
                 "latency %.2f us\n",
-                static_cast<long long>(res.xi[0]),
-                res.report.throughput.capacity.gbps(),
-                res.report.latency.mean.micros());
+                workers, after.throughput.capacity.gbps(),
+                after.latency.mean.micros());
 
     // Step 4: confirm in the simulator.
-    const auto fixed =
-        make_graph(hw, static_cast<std::uint32_t>(res.xi[0]));
     sim::SimOptions opts;
     opts.duration = 0.05;
     const auto measured = sim::simulate(hw, fixed, traffic, opts);

@@ -12,6 +12,7 @@
 
 #include "lognic/apps/microservices.hpp"
 #include "lognic/core/model.hpp"
+#include "lognic/dse/case_studies.hpp"
 #include "lognic/sim/nic_simulator.hpp"
 
 using namespace lognic;
@@ -30,7 +31,7 @@ main()
     const auto traffic = core::TrafficProfile::fixed(
         apps::e3_request_size(), Bandwidth::from_gbps(4.0));
 
-    const auto opt_alloc = apps::lognic_opt_alloc(workload, traffic);
+    const auto opt_alloc = dse::lognic_opt_alloc(workload, traffic);
     std::printf("\nLogNIC-opt core allocation over 16 cnMIPS cores:");
     for (auto c : opt_alloc)
         std::printf(" %u", c);

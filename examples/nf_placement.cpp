@@ -5,13 +5,14 @@
  * matching accelerator?
  *
  * Enumerates all 16 placements, prints the modelled capacity for small and
- * large packets, and shows which placement the LogNIC optimizer picks per
- * packet size (and why naive heuristics lose).
+ * large packets, and shows which placement LogNIC-opt (an exhaustive dse
+ * search) picks per packet size (and why naive heuristics lose).
  */
 #include <cstdio>
 
 #include "lognic/apps/nf_chain.hpp"
 #include "lognic/core/model.hpp"
+#include "lognic/dse/case_studies.hpp"
 #include "lognic/traffic/profiles.hpp"
 
 using namespace lognic;
@@ -45,7 +46,7 @@ main()
     for (Bytes size : traffic::standard_packet_sizes()) {
         const auto traffic =
             core::TrafficProfile::fixed(size, Bandwidth::from_gbps(50.0));
-        const auto opt = apps::lognic_opt_placement(traffic);
+        const auto opt = dse::lognic_opt_placement(traffic);
         const auto sc = apps::make_nf_chain(opt);
         const auto rep = core::Model(sc.hw).estimate(sc.graph, traffic);
         std::printf("  %5.0fB -> %-34s %.2f Gbps, %.2f us "
@@ -56,9 +57,10 @@ main()
                     rep.throughput.bottleneck().name.c_str());
     }
 
-    std::printf("\nTakeaway: at 64B every offload's preparation overhead "
-                "exceeds the NF's own cost, so everything stays on ARM; at "
-                "MTU the ARM streaming cost dominates and all but the "
-                "hash-backed LB move to accelerators.\n");
+    std::printf("\nTakeaway: up to 256B the offload preparation overhead "
+                "outweighs what FW, LB and NAT cost on ARM, so only PE moves "
+                "to its accelerator; from 512B the ARM streaming cost "
+                "dominates and all four accelerable NFs, the hash-backed LB "
+                "included, move to accelerators.\n");
     return 0;
 }

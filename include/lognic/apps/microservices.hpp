@@ -11,8 +11,8 @@
  *    thrash each core (modelled as a monolithic execution penalty).
  *  - equal partition: cores are split evenly across stages regardless of
  *    per-stage cost, so the heaviest stage bottlenecks the pipeline.
- *  - LogNIC-opt: the optimizer assigns per-stage core counts (D_vi) that
- *    maximize the modelled throughput under the core budget.
+ *  - LogNIC-opt: per-stage core counts (D_vi) that maximize the modelled
+ *    throughput under the core budget (dse::lognic_opt_alloc).
  */
 #ifndef LOGNIC_APPS_MICROSERVICES_HPP_
 #define LOGNIC_APPS_MICROSERVICES_HPP_
@@ -80,15 +80,6 @@ MicroserviceScenario make_e3_run_to_completion(E3Workload workload,
 /// The equal-partition allocation (remainder cores go to the front stages).
 std::vector<std::uint32_t> equal_partition_alloc(E3Workload workload,
                                                  std::uint32_t total = 16);
-
-/**
- * LogNIC-opt: enumerate every composition of @p total cores over the
- * stages and return the allocation with the highest modelled throughput
- * (ties broken by lower modelled latency) under @p traffic.
- */
-std::vector<std::uint32_t> lognic_opt_alloc(E3Workload workload,
-                                            const core::TrafficProfile& traffic,
-                                            std::uint32_t total = 16);
 
 } // namespace lognic::apps
 

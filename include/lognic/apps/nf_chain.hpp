@@ -51,12 +51,6 @@ struct NfChainScenario {
 /// Build the hardware model + execution graph for @p placement.
 NfChainScenario make_nf_chain(const NfPlacement& placement);
 
-/**
- * LogNIC-opt: enumerate all placements and return the one with the highest
- * modelled throughput under @p traffic (ties broken by lower latency).
- */
-NfPlacement lognic_opt_placement(const core::TrafficProfile& traffic);
-
 } // namespace lognic::apps
 
 #endif // LOGNIC_APPS_NF_CHAIN_HPP_

@@ -98,12 +98,6 @@ Bytes mean_request_size(const core::TrafficProfile& traffic);
  */
 PanicScenario make_panic_parallel_chain(double a2_percent);
 
-/**
- * LogNIC-suggested steering: the X minimizing modelled average latency
- * under @p traffic (continuous optimizer over the split).
- */
-double lognic_opt_split(const core::TrafficProfile& traffic);
-
 // --- Scenario #3: hardware parallelism ---------------------------------------
 
 /**
@@ -113,15 +107,6 @@ double lognic_opt_split(const core::TrafficProfile& traffic);
  */
 PanicScenario make_panic_hybrid(double ip3_fraction,
                                 std::uint32_t ip4_parallelism);
-
-/**
- * The smallest IP4 parallel degree achieving the configuration's saturated
- * throughput under @p traffic (the optimizer's suggestion: 6 for the
- * 50%/50% split, 4 for 80%/20%).
- */
-std::uint32_t lognic_opt_parallelism(double ip3_fraction,
-                                     const core::TrafficProfile& traffic,
-                                     std::uint32_t max_parallelism = 8);
 
 } // namespace lognic::apps
 

@@ -170,10 +170,11 @@ struct FrontierReport {
 
 /**
  * Run the exploration. @throws std::invalid_argument on an empty space,
- * empty/unknown/duplicate objectives, unknown constraint metrics, or an
- * exhaustive run over a space above exhaustive_limit. When @p metrics is
- * non-null, publishes dse.* counters (cache hits/misses/evictions,
- * evaluations, frontier size, quarantined, infeasible, DES validations).
+ * empty/unknown/duplicate objectives, a constraint on an unknown metric,
+ * with lower > upper, or with neither bound set, or an exhaustive run
+ * over a space above exhaustive_limit. When @p metrics is non-null,
+ * publishes dse.* counters (cache hits/misses/evictions, evaluations,
+ * frontier size, quarantined, infeasible, DES validations).
  */
 FrontierReport explore(const DesignSpace& space,
                        const std::vector<ObjectiveSpec>& objectives,

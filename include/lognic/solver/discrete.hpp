@@ -1,11 +1,11 @@
 /**
  * @file
- * Discrete / integer design-space search.
+ * Integer search spaces and exhaustive search over them.
  *
- * Several LogNIC optimizer knobs are inherently integral — NIC-core counts
- * (D_vi), queue credits (N_vi), placement choices. The paper sweeps these by
- * enumerating model evaluations; this module provides exhaustive search for
- * small spaces and greedy coordinate descent for larger ones.
+ * calib's annealing backend searches a discretized box of IntRanges, and
+ * exhaustive_search is the brute-force reference its tests compare
+ * against. Design-space knobs (core counts, placements) are searched by
+ * lognic::dse, not here.
  */
 #ifndef LOGNIC_SOLVER_DISCRETE_HPP_
 #define LOGNIC_SOLVER_DISCRETE_HPP_
@@ -53,15 +53,6 @@ struct IntSearchResult {
 IntSearchResult exhaustive_search(const IntObjectiveFn& f,
                                   const std::vector<IntRange>& ranges,
                                   std::size_t max_points = 2'000'000);
-
-/**
- * Greedy coordinate descent: repeatedly sweep each dimension over its full
- * range holding the others fixed, until a full pass makes no improvement.
- * Finds local optima only, but evaluates O(passes * sum(range sizes)) points.
- */
-IntSearchResult coordinate_descent(const IntObjectiveFn& f, IntVector x0,
-                                   const std::vector<IntRange>& ranges,
-                                   std::size_t max_passes = 20);
 
 } // namespace lognic::solver
 

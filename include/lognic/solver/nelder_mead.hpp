@@ -2,10 +2,10 @@
  * @file
  * Nelder-Mead downhill simplex minimizer.
  *
- * The paper's optimizer offers Nelder-Mead as the local-search fallback
- * (S3.8); it is also the workhorse here for the non-smooth objectives that
- * LogNIC produces (min() of several terms is only piecewise differentiable).
- * Box bounds are honored by clamping trial points into the feasible box.
+ * One of calib's fitting backends, suited to the non-smooth objectives
+ * that LogNIC produces (min() of several terms is only piecewise
+ * differentiable). Box bounds are honored by clamping trial points into
+ * the feasible box.
  */
 #ifndef LOGNIC_SOLVER_NELDER_MEAD_HPP_
 #define LOGNIC_SOLVER_NELDER_MEAD_HPP_

@@ -41,16 +41,6 @@ struct SolveResult {
     std::string message;
 };
 
-/**
- * Central-difference numerical gradient.
- *
- * @param f Objective.
- * @param x Evaluation point.
- * @param step Relative step (scaled by max(1, |x_i|)).
- */
-Vector numerical_gradient(const ObjectiveFn& f, const Vector& x,
-                          double step = 1e-6);
-
 /// Forward-difference Jacobian of a vector function (rows = outputs).
 Matrix numerical_jacobian(const VectorFn& f, const Vector& x,
                           double step = 1e-6);

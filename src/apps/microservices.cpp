@@ -1,10 +1,7 @@
 #include "lognic/apps/microservices.hpp"
 
-#include <functional>
 #include <numeric>
 #include <stdexcept>
-
-#include "lognic/core/model.hpp"
 
 namespace lognic::apps {
 
@@ -214,48 +211,6 @@ equal_partition_alloc(E3Workload workload, std::uint32_t total)
     for (std::uint32_t i = 0; i < total % k; ++i)
         ++alloc[i];
     return alloc;
-}
-
-std::vector<std::uint32_t>
-lognic_opt_alloc(E3Workload workload, const core::TrafficProfile& traffic,
-                 std::uint32_t total)
-{
-    const auto stages = e3_stages(workload);
-    const auto k = stages.size();
-    if (total < k)
-        throw std::invalid_argument("lognic_opt_alloc: need >= 1 core/stage");
-
-    std::vector<std::uint32_t> best;
-    double best_tput = -1.0;
-    double best_lat = 0.0;
-
-    std::vector<std::uint32_t> current(k, 1);
-    // Enumerate compositions of `total` into k positive parts.
-    std::function<void(std::size_t, std::uint32_t)> recurse =
-        [&](std::size_t stage, std::uint32_t remaining) {
-            if (stage == k - 1) {
-                current[stage] = remaining;
-                MicroserviceScenario sc = make_e3_pipeline(workload, current);
-                const core::Model model(sc.hw);
-                const core::Report rep = model.estimate(sc.graph, traffic);
-                const double tput = rep.throughput.capacity.bits_per_sec();
-                const double lat = rep.latency.mean.seconds();
-                if (tput > best_tput
-                    || (tput == best_tput && lat < best_lat)) {
-                    best_tput = tput;
-                    best_lat = lat;
-                    best = current;
-                }
-                return;
-            }
-            const auto tail = static_cast<std::uint32_t>(k - stage - 1);
-            for (std::uint32_t c = 1; c + tail <= remaining; ++c) {
-                current[stage] = c;
-                recurse(stage + 1, remaining - c);
-            }
-        };
-    recurse(0, total);
-    return best;
 }
 
 } // namespace lognic::apps

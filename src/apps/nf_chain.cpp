@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "lognic/core/model.hpp"
-
 namespace lognic::apps {
 
 using devices::NetworkFunction;
@@ -110,27 +108,6 @@ make_nf_chain(const NfPlacement& placement)
     g.add_edge(prev, egress, out);
 
     return NfChainScenario{std::move(hw), std::move(g)};
-}
-
-NfPlacement
-lognic_opt_placement(const core::TrafficProfile& traffic)
-{
-    NfPlacement best;
-    double best_tput = -1.0;
-    double best_lat = 0.0;
-    for (const NfPlacement& p : all_placements()) {
-        NfChainScenario sc = make_nf_chain(p);
-        const core::Model model(sc.hw);
-        const core::Report rep = model.estimate(sc.graph, traffic);
-        const double tput = rep.throughput.capacity.bits_per_sec();
-        const double lat = rep.latency.mean.seconds();
-        if (tput > best_tput || (tput == best_tput && lat < best_lat)) {
-            best_tput = tput;
-            best_lat = lat;
-            best = p;
-        }
-    }
-    return best;
 }
 
 } // namespace lognic::apps

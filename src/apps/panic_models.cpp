@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "lognic/core/model.hpp"
-#include "lognic/core/optimizer.hpp"
 #include "lognic/devices/panic_proto.hpp"
 
 namespace lognic::apps {
@@ -165,38 +163,6 @@ make_panic_parallel_chain(double a2_percent)
     return sc;
 }
 
-double
-lognic_opt_split(const core::TrafficProfile& traffic)
-{
-    // One continuous knob: X, the percentage steered to A2.
-    PanicScenario seed = make_panic_parallel_chain(40.0);
-    core::ContinuousProblem problem;
-    problem.graph = seed.graph;
-    problem.traffic = traffic;
-    problem.apply = [](core::ExecutionGraph& g, core::TrafficProfile&,
-                       const solver::Vector& x) {
-        const double share = x[0] / 100.0;
-        // Edges 1/2 (ingress->a2/a3) and 4/5 (a2/a3->egress) carry the split.
-        g.edge(1).params.delta = share;
-        g.edge(2).params.delta = 0.80 - share;
-        g.edge(4).params.delta = share;
-        g.edge(5).params.delta = 0.80 - share;
-    };
-    // Minimize latency, but a lossy configuration must never look good:
-    // penalize the worst per-IP drop probability heavily so the optimizer
-    // cannot "save" latency by overloading one accelerator's finite queue.
-    problem.custom_objective = [](const core::Report& r) {
-        return r.latency.mean.micros()
-            + 1e4 * r.latency.max_drop_probability;
-    };
-    problem.bounds.lower = {5.0};
-    problem.bounds.upper = {75.0};
-    problem.x0 = {40.0};
-
-    const core::Optimizer opt(devices::panic_parallel_chain_hw());
-    return opt.optimize(problem).x[0];
-}
-
 PanicScenario
 make_panic_hybrid(double ip3_fraction, std::uint32_t ip4_parallelism)
 {
@@ -232,29 +198,6 @@ make_panic_hybrid(double ip3_fraction, std::uint32_t ip4_parallelism)
     sc.graph.add_edge(ip4, egress,
                       core::EdgeParams{d14 + to_ip2, 0, 0, {}});
     return sc;
-}
-
-std::uint32_t
-lognic_opt_parallelism(double ip3_fraction,
-                       const core::TrafficProfile& traffic,
-                       std::uint32_t max_parallelism)
-{
-    double saturated = 0.0;
-    {
-        PanicScenario sc = make_panic_hybrid(ip3_fraction, max_parallelism);
-        const core::Model model(sc.hw);
-        saturated =
-            model.throughput(sc.graph, traffic).capacity.bits_per_sec();
-    }
-    for (std::uint32_t d = 1; d < max_parallelism; ++d) {
-        PanicScenario sc = make_panic_hybrid(ip3_fraction, d);
-        const core::Model model(sc.hw);
-        const double cap =
-            model.throughput(sc.graph, traffic).capacity.bits_per_sec();
-        if (cap >= 0.999 * saturated)
-            return d;
-    }
-    return max_parallelism;
 }
 
 } // namespace lognic::apps

@@ -26,6 +26,7 @@ namespace lognic::dse {
 namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Counter-mode deterministic RNG over runner::derive_seed — platform
 /// stable, and (being serial) independent of thread count.
@@ -154,8 +155,15 @@ validate_inputs(const DesignSpace& space,
                 throw std::invalid_argument("dse: duplicate objective '"
                                             + objectives[i].name + "'");
     }
-    for (const Constraint& c : constraints)
+    for (const Constraint& c : constraints) {
         objective_from_name(c.metric); // known-name check
+        if (c.lower > c.upper)
+            throw std::invalid_argument("dse: constraint on '" + c.metric
+                                        + "' has lower > upper");
+        if (c.lower == -kInf && c.upper == kInf)
+            throw std::invalid_argument("dse: constraint on '" + c.metric
+                                        + "' sets neither lower nor upper");
+    }
     if (opts.population == 0)
         throw std::invalid_argument("dse: population must be >= 1");
     if (opts.generations == 0)
@@ -198,16 +206,6 @@ run_exhaustive(const DesignSpace& space, const ExploreOptions& opts,
         }
     }
     ev.run_batch(batch);
-}
-
-std::vector<std::uint64_t>
-frontier_ids(const std::vector<ScoredConfig>& archive,
-             const std::vector<Sense>& senses)
-{
-    std::vector<std::uint64_t> ids;
-    for (std::size_t idx : pareto_frontier(archive, senses))
-        ids.push_back(archive[idx].id);
-    return ids;
 }
 
 void

@@ -64,46 +64,4 @@ exhaustive_search(const IntObjectiveFn& f, const std::vector<IntRange>& ranges,
     return best;
 }
 
-IntSearchResult
-coordinate_descent(const IntObjectiveFn& f, IntVector x0,
-                   const std::vector<IntRange>& ranges,
-                   std::size_t max_passes)
-{
-    if (x0.size() != ranges.size())
-        throw std::invalid_argument("coordinate_descent: dimension mismatch");
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-        if (ranges[i].step <= 0)
-            throw std::invalid_argument("coordinate_descent: step must be > 0");
-        x0[i] = std::max(ranges[i].lo, std::min(ranges[i].hi, x0[i]));
-    }
-
-    IntSearchResult best;
-    best.x = std::move(x0);
-    best.value = f(best.x);
-    best.evaluations = 1;
-
-    for (std::size_t pass = 0; pass < max_passes; ++pass) {
-        bool improved = false;
-        for (std::size_t d = 0; d < ranges.size(); ++d) {
-            IntVector probe = best.x;
-            for (std::int64_t v = ranges[d].lo; v <= ranges[d].hi;
-                 v += ranges[d].step) {
-                if (v == best.x[d])
-                    continue;
-                probe[d] = v;
-                const double fv = f(probe);
-                ++best.evaluations;
-                if (fv < best.value) {
-                    best.value = fv;
-                    best.x = probe;
-                    improved = true;
-                }
-            }
-        }
-        if (!improved)
-            break;
-    }
-    return best;
-}
-
 } // namespace lognic::solver

@@ -29,23 +29,6 @@ Bounds::contains(const Vector& x) const
     return true;
 }
 
-Vector
-numerical_gradient(const ObjectiveFn& f, const Vector& x, double step)
-{
-    Vector g(x.size());
-    Vector probe = x;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        const double h = step * std::max(1.0, std::abs(x[i]));
-        probe[i] = x[i] + h;
-        const double fp = f(probe);
-        probe[i] = x[i] - h;
-        const double fm = f(probe);
-        probe[i] = x[i];
-        g[i] = (fp - fm) / (2.0 * h);
-    }
-    return g;
-}
-
 Matrix
 numerical_jacobian(const VectorFn& f, const Vector& x, double step)
 {

@@ -189,44 +189,6 @@ TEST(Microservices, EqualPartitionDistributesRemainder)
     EXPECT_EQ(alloc[1], 5u);
 }
 
-TEST(Microservices, OptBeatsRoundRobinAndEqualPartition)
-{
-    // The case-study headline: LogNIC-opt outperforms both heuristics on
-    // throughput for every workload.
-    for (auto w : e3_workloads()) {
-        const auto traffic = core::TrafficProfile::fixed(
-            e3_request_size(), Bandwidth::from_gbps(5.0));
-        const auto opt_alloc = lognic_opt_alloc(w, traffic);
-        const auto opt = make_e3_pipeline(w, opt_alloc);
-        const auto rr = make_e3_run_to_completion(w);
-        const auto eq = make_e3_pipeline(w, equal_partition_alloc(w));
-        const double opt_cap = core::Model(opt.hw)
-                                   .throughput(opt.graph, traffic)
-                                   .capacity.bits_per_sec();
-        const double rr_cap = core::Model(rr.hw)
-                                  .throughput(rr.graph, traffic)
-                                  .capacity.bits_per_sec();
-        const double eq_cap = core::Model(eq.hw)
-                                  .throughput(eq.graph, traffic)
-                                  .capacity.bits_per_sec();
-        EXPECT_GT(opt_cap, rr_cap * 1.05) << to_string(w);
-        EXPECT_GT(opt_cap, eq_cap * 1.05) << to_string(w);
-    }
-}
-
-TEST(Microservices, OptAllocRespectsBudget)
-{
-    const auto traffic = core::TrafficProfile::fixed(
-        e3_request_size(), Bandwidth::from_gbps(5.0));
-    const auto alloc = lognic_opt_alloc(E3Workload::kNfvDin, traffic, 16);
-    std::uint32_t total = 0;
-    for (auto c : alloc) {
-        EXPECT_GE(c, 1u);
-        total += c;
-    }
-    EXPECT_EQ(total, 16u);
-}
-
 // --- Case study #4: NF placement ---------------------------------------------
 
 TEST(NfChain, PlacementEnumerationComplete)
@@ -266,26 +228,6 @@ TEST(NfChain, ArmWins64BytesAcceleratorWinsMtu)
               capacity(arm_only_placement(), large));
 }
 
-TEST(NfChain, OptDominatesBothBaselines)
-{
-    for (double size : {64.0, 256.0, 512.0, 1500.0}) {
-        const auto t = core::TrafficProfile::fixed(
-            Bytes{size}, Bandwidth::from_gbps(50.0));
-        const auto opt = lognic_opt_placement(t);
-        auto capacity = [&](const NfPlacement& p) {
-            const auto sc = make_nf_chain(p);
-            return core::Model(sc.hw)
-                .throughput(sc.graph, t)
-                .capacity.bits_per_sec();
-        };
-        EXPECT_GE(capacity(opt) * 1.0001, capacity(arm_only_placement()))
-            << size;
-        EXPECT_GE(capacity(opt) * 1.0001,
-                  capacity(accelerator_only_placement()))
-            << size;
-    }
-}
-
 // --- Case study #5: PANIC ----------------------------------------------------
 
 TEST(PanicModels, Figure15OptimalCredits)
@@ -308,24 +250,6 @@ TEST(PanicModels, ChainCapacityMonotoneInCredits)
         EXPECT_GE(cap, prev);
         prev = cap;
     }
-}
-
-TEST(PanicModels, Figure16OptimalSplitIsProportional)
-{
-    // A2:A3 capacity is 7:3, so the latency-optimal split of the 80% is
-    // X = 56 ("steers traffic in proportion to computing capability").
-    for (double size : {64.0, 512.0, 1500.0}) {
-        const auto tp = core::TrafficProfile::fixed(
-            Bytes{size}, Bandwidth::from_gbps(size < 100.0 ? 18.0 : 70.0));
-        EXPECT_NEAR(lognic_opt_split(tp), 56.0, 2.0) << size;
-    }
-}
-
-TEST(PanicModels, Figure18OptimalParallelism)
-{
-    const auto tp = mtu(100.0);
-    EXPECT_EQ(lognic_opt_parallelism(0.5, tp), 6u);
-    EXPECT_EQ(lognic_opt_parallelism(0.8, tp), 4u);
 }
 
 TEST(PanicModels, BuildersValidate)

@@ -136,18 +136,14 @@ TEST(Explore, ExhaustiveFindsOptPlacementOnFrontier)
     EXPECT_EQ(report.requests, 16u);
     ASSERT_FALSE(report.frontier.empty());
 
-    // The optimizer's placement must be on the frontier (it has the best
-    // modelled throughput, so nothing can dominate it).
-    const auto opt = apps::lognic_opt_placement(space.base().traffic);
-    const auto placements = apps::all_placements();
-    std::uint32_t opt_index = 0;
-    for (std::uint32_t i = 0; i < placements.size(); ++i)
-        if (placements[i].fw == opt.fw && placements[i].lb == opt.lb
-            && placements[i].nat == opt.nat && placements[i].pe == opt.pe)
-            opt_index = i;
+    // The paper's MTU conclusion must be on the frontier: the
+    // accelerator-only placement, level 15, has the best modelled
+    // throughput, so nothing can dominate it.
+    EXPECT_EQ(apps::all_placements()[15].to_string(),
+              apps::accelerator_only_placement().to_string());
     bool found = false;
     for (const auto& e : report.frontier)
-        found = found || e.config[0] == opt_index;
+        found = found || e.config[0] == 15u;
     EXPECT_TRUE(found);
 
     // Frontier members carry DES validation with disagreement data.
@@ -276,6 +272,43 @@ TEST(Explore, InputValidation)
     DesignSpace empty(nf_base());
     EXPECT_THROW(dse::explore(empty, tput_p99(), {}, opts),
                  std::invalid_argument);
+}
+
+TEST(Explore, RejectsConstraintWithLowerAboveUpper)
+{
+    const auto space = placement_space();
+    auto opts = fast_opts();
+    opts.des.enabled = false;
+    const dse::Constraint empty_band{
+        .metric = "throughput_gbps", .lower = 15.0, .upper = 5.0};
+    try {
+        dse::explore(space, tput_p99(), {empty_band}, opts);
+        FAIL() << "a constraint no value can meet was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("throughput_gbps"),
+                  std::string::npos);
+    }
+}
+
+TEST(Explore, RejectsConstraintWithoutBounds)
+{
+    // A misspelled bound ("lowr") in a spec leaves both bounds unset.
+    auto doc = io::Json::parse(dse::sample_explore_spec());
+    io::Json section = doc.at("dse");
+    section.set("constraints",
+                io::Json::parse(
+                    R"([{"metric": "throughput_gbps", "lowr": 15}])"));
+    doc.set("dse", std::move(section));
+    auto spec = dse::explore_spec_from_json(doc);
+    spec.options.des.enabled = false;
+    try {
+        dse::explore(spec.space, spec.objectives, spec.constraints,
+                     spec.options);
+        FAIL() << "a constraint without bounds was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("throughput_gbps"),
+                  std::string::npos);
+    }
 }
 
 TEST(Explore, DesSeedsArePureFunctionsOfTheConfig)

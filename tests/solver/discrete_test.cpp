@@ -49,26 +49,5 @@ TEST(ExhaustiveSearch, RejectsBadRanges)
                  std::invalid_argument);
 }
 
-TEST(CoordinateDescent, FindsOptimumOnSeparableObjective)
-{
-    const std::vector<IntRange> ranges{{0, 20, 1}, {0, 20, 1}, {0, 20, 1}};
-    const auto res = coordinate_descent(int_sphere, {20, 0, 10}, ranges);
-    EXPECT_EQ(res.x, (IntVector{3, 3, 3}));
-    EXPECT_DOUBLE_EQ(res.value, 0.0);
-}
-
-TEST(CoordinateDescent, ClampsStartIntoRange)
-{
-    const std::vector<IntRange> ranges{{0, 5, 1}};
-    const auto res = coordinate_descent(int_sphere, {100}, ranges);
-    EXPECT_EQ(res.x, (IntVector{3}));
-}
-
-TEST(CoordinateDescent, DimensionMismatchThrows)
-{
-    EXPECT_THROW(coordinate_descent(int_sphere, {1, 2}, {{0, 5, 1}}),
-                 std::invalid_argument);
-}
-
 } // namespace
 } // namespace lognic::solver

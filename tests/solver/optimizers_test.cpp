@@ -1,8 +1,6 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
-#include "lognic/solver/bfgs.hpp"
-#include "lognic/solver/constrained.hpp"
 #include "lognic/solver/nelder_mead.hpp"
 
 namespace lognic::solver {
@@ -72,104 +70,6 @@ TEST(NelderMead, ReportsEvaluations)
     const auto res = nelder_mead(sphere, {3.0});
     EXPECT_GT(res.evaluations, 0u);
     EXPECT_TRUE(res.converged);
-}
-
-TEST(Bfgs, MinimizesQuadraticExactly)
-{
-    const auto res = bfgs(sphere, {8.0, -2.0});
-    EXPECT_TRUE(res.converged);
-    EXPECT_NEAR(res.x[0], 1.0, 1e-6);
-    EXPECT_NEAR(res.x[1], 1.0, 1e-6);
-}
-
-TEST(Bfgs, MinimizesRosenbrock)
-{
-    BfgsOptions opts;
-    opts.max_iterations = 2000;
-    const auto res = bfgs(rosenbrock, {-1.2, 1.0}, opts);
-    EXPECT_NEAR(res.x[0], 1.0, 1e-4);
-    EXPECT_NEAR(res.x[1], 1.0, 1e-4);
-}
-
-TEST(Bfgs, UsesAnalyticGradientWhenProvided)
-{
-    const GradientFn grad = [](const Vector& x) {
-        return Vector{2.0 * (x[0] - 1.0), 2.0 * (x[1] - 1.0)};
-    };
-    const auto res = bfgs(sphere, {4.0, 4.0}, {}, grad);
-    EXPECT_TRUE(res.converged);
-    EXPECT_NEAR(res.x[0], 1.0, 1e-6);
-}
-
-TEST(Bfgs, RespectsBounds)
-{
-    BfgsOptions opts;
-    opts.bounds.lower = {3.0};
-    opts.bounds.upper = {100.0};
-    const auto res = bfgs(sphere, {50.0}, opts);
-    EXPECT_NEAR(res.x[0], 3.0, 1e-6);
-}
-
-TEST(Constrained, EqualityConstraintOnCircle)
-{
-    // min x + y  s.t.  x^2 + y^2 = 2  ->  (-1, -1).
-    const ObjectiveFn f = [](const Vector& x) { return x[0] + x[1]; };
-    const std::vector<Constraint> cons{
-        {Constraint::Type::kEquality,
-         [](const Vector& x) { return x[0] * x[0] + x[1] * x[1] - 2.0; }}};
-    ConstrainedOptions opts;
-    opts.inner = InnerSolver::kBfgs;
-    // Start in the minimizer's basin; (1, 1) is a KKT point too (a
-    // constrained maximum), and penalty methods can land there otherwise.
-    const auto res = minimize_constrained(f, {-0.5, -1.5}, cons, opts);
-    EXPECT_TRUE(res.feasible);
-    EXPECT_NEAR(res.x[0], -1.0, 1e-3);
-    EXPECT_NEAR(res.x[1], -1.0, 1e-3);
-}
-
-TEST(Constrained, InequalityBecomesActive)
-{
-    // min (x-3)^2  s.t.  x <= 1  ->  x = 1.
-    const ObjectiveFn f = [](const Vector& x) {
-        return (x[0] - 3.0) * (x[0] - 3.0);
-    };
-    const std::vector<Constraint> cons{
-        {Constraint::Type::kInequality,
-         [](const Vector& x) { return x[0] - 1.0; }}};
-    const auto res = minimize_constrained(f, {0.0}, cons);
-    EXPECT_TRUE(res.feasible);
-    EXPECT_NEAR(res.x[0], 1.0, 1e-3);
-}
-
-TEST(Constrained, InactiveConstraintLeavesOptimumAlone)
-{
-    const ObjectiveFn f = sphere; // optimum (1, 1)
-    const std::vector<Constraint> cons{
-        {Constraint::Type::kInequality,
-         [](const Vector& x) { return x[0] + x[1] - 100.0; }}};
-    const auto res = minimize_constrained(f, {5.0, 5.0}, cons);
-    EXPECT_TRUE(res.feasible);
-    EXPECT_NEAR(res.x[0], 1.0, 1e-3);
-    EXPECT_NEAR(res.x[1], 1.0, 1e-3);
-}
-
-TEST(Constrained, ResourceAllocationProblem)
-{
-    // max min-style smooth stand-in: minimize 1/x + 4/y s.t. x + y <= 10.
-    // KKT: y = 2x, x + y = 10 -> x = 10/3, y = 20/3.
-    const ObjectiveFn f = [](const Vector& v) {
-        return 1.0 / v[0] + 4.0 / v[1];
-    };
-    const std::vector<Constraint> cons{
-        {Constraint::Type::kInequality,
-         [](const Vector& v) { return v[0] + v[1] - 10.0; }}};
-    ConstrainedOptions opts;
-    opts.bounds.lower = {0.1, 0.1};
-    opts.bounds.upper = {10.0, 10.0};
-    const auto res = minimize_constrained(f, {1.0, 1.0}, cons, opts);
-    EXPECT_TRUE(res.feasible);
-    EXPECT_NEAR(res.x[0], 10.0 / 3.0, 0.05);
-    EXPECT_NEAR(res.x[1], 20.0 / 3.0, 0.05);
 }
 
 } // namespace

@@ -29,6 +29,7 @@
 #include "lognic/check/harness.hpp"
 #include "lognic/ckpt/supervisor.hpp"
 #include "lognic/core/model.hpp"
+#include "lognic/dse/case_studies.hpp"
 #include "lognic/dse/report.hpp"
 #include "lognic/dse/spec.hpp"
 #include "lognic/dse/supervise.hpp"
@@ -351,7 +352,7 @@ placement_scenario()
     const Bytes mtu{1500.0};
     const auto probe =
         core::TrafficProfile::fixed(mtu, Bandwidth::from_gbps(50.0));
-    const auto placement = apps::lognic_opt_placement(probe);
+    const auto placement = dse::lognic_opt_placement(probe);
     auto sc = apps::make_nf_chain(placement);
     const core::Model model(sc.hw);
     const auto capacity = model.throughput(sc.graph, probe).capacity;
