@@ -63,8 +63,10 @@ struct LatencyEstimate {
      * modelled mean and the IP's service variability; each path's total is
      * moment-matched to a shifted gamma distribution (the deterministic
      * overhead/transfer parts are the shift), and the reported value
-     * solves the path-weighted mixture's 1% survival. Exact for a single
-     * M/M/1 stage; validated against the simulator elsewhere.
+     * solves the path-weighted mixture's 1% survival with
+     * solver::shifted_gamma_mixture_quantile (a Markov-bracketed,
+     * safeguarded Newton solve to 1e-13 relative; no upper cap). Exact for
+     * a single M/M/1 stage; validated against the simulator elsewhere.
      */
     Seconds p99{0.0};
 };

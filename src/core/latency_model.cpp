@@ -163,15 +163,10 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
         : graph.enumerate_paths();
     double weight_sum = 0.0;
     double mean = 0.0;
-    // Per-path tail parameters: deterministic shift + gamma moment match
-    // of the stochastic sojourn sum.
-    struct PathTail {
-        double weight;
-        double shift;   ///< deterministic seconds (overheads + transfers)
-        double k;       ///< gamma shape (0 = fully deterministic)
-        double theta;   ///< gamma scale
-    };
-    std::vector<PathTail> tails;
+    // Per-path tails: the deterministic seconds (overheads + transfers)
+    // shift a gamma moment-matched to the stochastic sojourn sum.
+    std::vector<solver::ShiftedGamma> tails;
+    tails.reserve(paths.size());
     for (const auto& path : paths) {
         PathLatency pl;
         pl.weight = path.weight;
@@ -209,11 +204,10 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
             pl.hops.push_back(std::move(hop));
         }
         if (var_var > 0.0 && var_mean > 0.0) {
-            tails.push_back(PathTail{path.weight, det,
-                                     var_mean * var_mean / var_var,
-                                     var_var / var_mean});
+            tails.push_back({path.weight, det, var_mean * var_mean / var_var,
+                             var_var / var_mean});
         } else {
-            tails.push_back(PathTail{path.weight, det + var_mean, 0.0, 0.0});
+            tails.push_back({path.weight, det + var_mean, 0.0, 0.0});
         }
         mean += pl.weight * pl.total.seconds();
         weight_sum += pl.weight;
@@ -223,43 +217,9 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
         mean /= weight_sum;
     est.mean = Seconds{mean};
 
-    // p99: solve the path mixture's 1% survival by bisection.
-    if (!tails.empty() && weight_sum > 0.0) {
-        auto survival = [&](double t) {
-            double s = 0.0;
-            for (const auto& tail : tails) {
-                double sp = 0.0;
-                if (tail.k <= 0.0) {
-                    sp = t < tail.shift ? 1.0 : 0.0;
-                } else if (t <= tail.shift) {
-                    sp = 1.0;
-                } else {
-                    sp = solver::regularized_gamma_q(
-                        tail.k, (t - tail.shift) / tail.theta);
-                }
-                s += tail.weight / weight_sum * sp;
-            }
-            return s;
-        };
-        double hi = 0.0;
-        for (const auto& tail : tails) {
-            hi = std::max(hi, tail.shift + (tail.k > 0.0
-                                                ? 2.0 * tail.k * tail.theta
-                                                : 0.0));
-        }
-        hi = std::max(hi, 1e-9);
-        while (survival(hi) > 0.01 && hi < 1e3)
-            hi *= 2.0;
-        double lo = 0.0;
-        for (int i = 0; i < 100; ++i) {
-            const double mid = 0.5 * (lo + hi);
-            if (survival(mid) > 0.01)
-                lo = mid;
-            else
-                hi = mid;
-        }
-        est.p99 = Seconds{0.5 * (lo + hi)};
-    }
+    // p99: the path mixture's 1% survival.
+    if (weight_sum > 0.0)
+        est.p99 = Seconds{solver::shifted_gamma_mixture_quantile(tails, 0.99)};
 
     // Goodput: the flow that reaches the egress engines.
     double egress_flow = 0.0;

@@ -31,6 +31,32 @@ TEST(TailLatency, SingleMm1StageMatchesClosedForm)
                 0.01 * est.p99.seconds());
 }
 
+TEST(TailLatency, P99NotCappedByBracket)
+{
+    // A deeply overloaded single engine: 0.2 s per request against ~83k
+    // requests/s keeps its 8192-slot queue full, so the mean sojourn is
+    // ~8192 x 0.2 s = 1638 s. Its exponential moment match puts p99 at
+    // mean * ln(100), far beyond any fixed search cap.
+    core::HardwareModel hw("slow-nic", Bandwidth::from_gbps(100.0),
+                           Bandwidth::from_gbps(80.0),
+                           Bandwidth::from_gbps(25.0));
+    core::IpSpec ip;
+    ip.name = "cores";
+    ip.roofline =
+        core::ExtendedRoofline(core::ServiceModel{Seconds{0.2}}, {});
+    ip.max_engines = 1;
+    ip.default_queue_capacity = 8192;
+    hw.add_ip(ip);
+    VertexParams p;
+    p.parallelism = 1;
+    p.queue_capacity = 8192;
+    const auto est =
+        estimate_latency(single_stage_graph(hw, p), hw, mtu_traffic(1.0));
+    ASSERT_GT(est.mean.seconds(), 1e3);
+    EXPECT_NEAR(est.p99.seconds(), est.mean.seconds() * std::log(100.0),
+                0.01 * est.mean.seconds() * std::log(100.0));
+}
+
 TEST(TailLatency, P99AboveMean)
 {
     const auto hw = small_nic();
