@@ -77,7 +77,6 @@ main()
 
     // --- 4. Calibrate and validate on held-out points ------------------
     calib::CalibratorOptions opts;
-    opts.fit.backend = calib::Backend::kLeastSquares;
     opts.fit.starts = 3;
     opts.fit.threads = 4;
     opts.fit.seed = 7;

@@ -1,7 +1,8 @@
 /**
  * @file
- * The calibrator: drive a solver backend over a (parameter space, dataset,
- * loss) problem with multi-start, bounds, per-start LRU memoization, and
+ * The calibrator: fit a (parameter space, dataset, loss) problem with
+ * Levenberg-Marquardt (solver::levenberg_marquardt, the one fitting
+ * engine) under bounds, with multi-start, per-start LRU memoization, and
  * optional k-fold cross-validation, and emit a CalibrationReport.
  *
  * Concurrency contract (inherited from lognic::runner): every start and
@@ -34,17 +35,6 @@
 #include "lognic/obs/metrics.hpp"
 
 namespace lognic::calib {
-
-/// Solver backend driven by the calibrator.
-enum class Backend {
-    kLeastSquares, ///< Levenberg-Marquardt on the residual vector
-    kNelderMead,   ///< downhill simplex on 0.5*||r||^2
-    kAnnealing,    ///< simulated annealing on a discretized box + polish
-};
-
-const char* to_string(Backend backend);
-/// @throws std::invalid_argument on unknown names.
-Backend backend_from_string(const std::string& name);
 
 // --- the generic fit engine ---------------------------------------------------
 
@@ -80,7 +70,6 @@ using StartLookup = std::function<bool(std::size_t k, StartRecord& out)>;
 using StartHook = std::function<void(std::size_t k, const StartRecord&)>;
 
 struct FitOptions {
-    Backend backend{Backend::kLeastSquares};
     std::size_t starts{4};
     std::size_t threads{1};
     std::uint64_t seed{42};
@@ -138,8 +127,9 @@ class Calibrator {
     /**
      * @param space The free parameters over a base candidate.
      * @param data Ground-truth observations.
-     * @throws std::invalid_argument on an empty space or dataset, or when
-     * an observation references a missing graph.
+     * @throws std::invalid_argument on an empty space or dataset, when an
+     * observation references a missing graph, when holdout_fraction is
+     * outside [0, 1), or when k_folds is 1 or exceeds the training split.
      */
     Calibrator(ParameterSpace space, Dataset data, CalibratorOptions opts);
 
@@ -157,6 +147,8 @@ class Calibrator {
     ParameterSpace space_;
     Dataset data_;
     CalibratorOptions opts_;
+    Dataset train_;   ///< data_ minus the holdout split
+    Dataset holdout_; ///< the holdout_fraction split
 };
 
 } // namespace lognic::calib

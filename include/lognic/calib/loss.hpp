@@ -3,9 +3,9 @@
  * Composable calibration losses: how far a candidate catalog's analytical
  * predictions sit from a dataset's measurements.
  *
- * The loss is expressed as a residual vector (one block per observation)
- * so that every solver backend can consume it: Levenberg-Marquardt takes
- * the residuals directly, the scalar backends minimize 0.5*||r||^2.
+ * The loss is expressed as a residual vector (one block per observation),
+ * which Levenberg-Marquardt takes directly; its scalar value is
+ * 0.5*||r||^2.
  * Components (throughput, mean latency, p99 latency) are weighted and may
  * be relative (dimensionless — the default, it balances Gbps against
  * microseconds) or absolute. An optional pseudo-Huber transform caps the
@@ -81,7 +81,7 @@ solver::VectorFn make_residual_fn(const ParameterSpace& space,
                                   const Dataset& data,
                                   const LossOptions& loss);
 
-/// 0.5 * ||r||^2 — the scalar objective every backend minimizes.
+/// 0.5 * ||r||^2 — the scalar loss Levenberg-Marquardt minimizes.
 double total_loss(const solver::Vector& residuals);
 
 } // namespace lognic::calib

@@ -75,9 +75,17 @@ struct FitError {
     double worst_throughput{0.0}; ///< max |(pred - obs) / obs|
 };
 
+/**
+ * The fitting engine's name, as a report's "backend" key, its summary
+ * line, and the calib checkpoint fingerprint spell it. Levenberg-Marquardt
+ * is the only engine; the name is still written so that reports and
+ * checkpoints stay byte-compatible with those written when the engine was
+ * selectable.
+ */
+inline constexpr const char* kFitEngine = "least_squares";
+
 struct CalibrationReport {
-    std::string device;  ///< hardware model name
-    std::string backend; ///< solver backend used
+    std::string device; ///< hardware model name
     std::uint64_t seed{0};
     std::size_t starts{0};
 

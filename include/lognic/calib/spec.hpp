@@ -11,7 +11,7 @@
  *       ],
  *       "loss": {"throughput_weight": 1.0, "latency_weight": 0.25,
  *                "p99_weight": 0, "kind": "relative", "huber_delta": 0},
- *       "backend": "least_squares",        // nelder_mead | annealing
+ *       "backend": "least_squares",        // optional; the only engine
  *       "starts": 4, "threads": 1, "seed": 42,
  *       "max_iterations": 200, "cache_capacity": 4096,
  *       "holdout_fraction": 0.25, "k_folds": 0,

@@ -2,15 +2,13 @@
  * @file
  * Levenberg-Marquardt nonlinear least squares.
  *
- * Used for the paper's SSD calibration methodology (S4.3, S4.7) and as the
- * default backend of the `lognic::calib` subsystem: fit a small parametric
+ * The one fitting engine of the `lognic::calib` subsystem, and so of the
+ * paper's SSD calibration methodology (S4.3, S4.7): fit a small parametric
  * latency/throughput predictor to observed samples and extract LogNIC
  * parameters from the fit.
  */
 #ifndef LOGNIC_SOLVER_LEAST_SQUARES_HPP_
 #define LOGNIC_SOLVER_LEAST_SQUARES_HPP_
-
-#include <stdexcept>
 
 #include "lognic/solver/objective.hpp"
 
@@ -46,12 +44,6 @@ struct LeastSquaresOptions {
      * 1e-8 per dimension.
      */
     Vector scales{};
-    /**
-     * When true, a run that ends without meeting a convergence tolerance
-     * (kStalled or kIterationLimit) throws NonConvergenceError carrying
-     * the full partial result instead of returning it.
-     */
-    bool throw_on_failure{false};
 };
 
 /// Result of a fit; value is the final sum of squared residuals.
@@ -61,26 +53,12 @@ struct LeastSquaresResult : SolveResult {
 };
 
 /**
- * Structured non-convergence report: thrown (when opted into) instead of
- * silently handing back the last iterate. Carries the partial result so
- * callers can still inspect or resume from it.
- */
-class NonConvergenceError : public std::runtime_error {
-  public:
-    explicit NonConvergenceError(LeastSquaresResult partial);
-
-    const LeastSquaresResult& partial() const { return partial_; }
-
-  private:
-    LeastSquaresResult partial_;
-};
-
-/**
- * Minimize 0.5 * ||r(x)||^2 with the Levenberg-Marquardt algorithm.
+ * Minimize 0.5 * ||r(x)||^2 with the Levenberg-Marquardt algorithm. A run
+ * that meets no tolerance still returns its last iterate, with converged
+ * false and termination saying why it stopped.
  *
  * @param residual_fn Residual vector r(x); its length must not vary with x.
  * @param x0 Initial parameter guess.
- * @throws NonConvergenceError per LeastSquaresOptions::throw_on_failure.
  */
 LeastSquaresResult levenberg_marquardt(const VectorFn& residual_fn, Vector x0,
                                        const LeastSquaresOptions& opts = {});

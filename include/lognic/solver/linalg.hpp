@@ -2,10 +2,11 @@
  * @file
  * Minimal dense linear algebra for the solver module.
  *
- * The optimizer and curve-fitting code only ever solve small (dimension
- * <= a few dozen) dense systems, so this is a straightforward row-major
- * matrix with LU and Cholesky factorizations — no BLAS, no expression
- * templates, no allocation tricks.
+ * Levenberg-Marquardt only ever solves small (dimension <= a few dozen)
+ * dense normal equations, so this is a straightforward row-major matrix
+ * with a Cholesky factorization (LU with partial pivoting is kept as its
+ * test reference) — no BLAS, no expression templates, no allocation
+ * tricks.
  */
 #ifndef LOGNIC_SOLVER_LINALG_HPP_
 #define LOGNIC_SOLVER_LINALG_HPP_
@@ -26,8 +27,6 @@ class Matrix {
     /// Build from nested braces; all rows must have equal length.
     Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
-    static Matrix identity(std::size_t n);
-
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
@@ -43,8 +42,6 @@ class Matrix {
     Matrix transposed() const;
     Matrix operator*(const Matrix& rhs) const;
     Vector operator*(const Vector& v) const;
-    Matrix operator+(const Matrix& rhs) const;
-    Matrix& operator*=(double s);
 
   private:
     std::size_t rows_{0};
@@ -69,8 +66,6 @@ Vector solve_cholesky(const Matrix& a, const Vector& b);
 
 // --- Vector helpers ----------------------------------------------------------
 
-double dot(const Vector& a, const Vector& b);
-double norm2(const Vector& a);
 Vector axpy(double alpha, const Vector& x, const Vector& y); ///< alpha*x + y
 Vector scaled(const Vector& x, double alpha);
 

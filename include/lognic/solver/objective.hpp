@@ -1,6 +1,7 @@
 /**
  * @file
- * Common objective-function plumbing shared by every solver.
+ * Problem and result plumbing for levenberg_marquardt: the residual
+ * function type, box bounds, and the result fields every fit reports.
  */
 #ifndef LOGNIC_SOLVER_OBJECTIVE_HPP_
 #define LOGNIC_SOLVER_OBJECTIVE_HPP_
@@ -13,10 +14,7 @@
 
 namespace lognic::solver {
 
-/// Scalar objective f: R^n -> R. Solvers always minimize.
-using ObjectiveFn = std::function<double(const Vector&)>;
-
-/// Vector-valued function (residuals, constraint sets).
+/// Vector-valued function: the residual vector r(x) of a fit.
 using VectorFn = std::function<Vector(const Vector&)>;
 
 /// Simple per-dimension box bounds. Empty vectors mean "unbounded".
@@ -26,9 +24,6 @@ struct Bounds {
 
     /// Clamp @p x into the box (no-op for unbounded dimensions).
     Vector clamp(Vector x) const;
-
-    /// True when @p x satisfies every bound.
-    bool contains(const Vector& x) const;
 };
 
 /// Result of a solver run.
@@ -40,10 +35,6 @@ struct SolveResult {
     bool converged{false};
     std::string message;
 };
-
-/// Forward-difference Jacobian of a vector function (rows = outputs).
-Matrix numerical_jacobian(const VectorFn& f, const Vector& x,
-                          double step = 1e-6);
 
 } // namespace lognic::solver
 

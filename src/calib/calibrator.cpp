@@ -4,42 +4,15 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "lognic/io/serialize.hpp"
 #include "lognic/runner/seed.hpp"
 #include "lognic/runner/thread_pool.hpp"
-#include "lognic/solver/annealing.hpp"
 #include "lognic/solver/least_squares.hpp"
-#include "lognic/solver/nelder_mead.hpp"
 
 namespace lognic::calib {
-
-const char*
-to_string(Backend backend)
-{
-    switch (backend) {
-    case Backend::kLeastSquares:
-        return "least_squares";
-    case Backend::kNelderMead:
-        return "nelder_mead";
-    case Backend::kAnnealing:
-        return "annealing";
-    }
-    return "unknown";
-}
-
-Backend
-backend_from_string(const std::string& name)
-{
-    if (name == "least_squares")
-        return Backend::kLeastSquares;
-    if (name == "nelder_mead")
-        return Backend::kNelderMead;
-    if (name == "annealing")
-        return Backend::kAnnealing;
-    throw std::invalid_argument("calib: unknown backend '" + name + "'");
-}
 
 std::uint64_t
 FitOutcome::cache_hits() const
@@ -143,9 +116,6 @@ run_start(const FitProblem& problem, const FitOptions& options,
     const auto eval = [&cached](const solver::Vector& x) {
         return cached(x);
     };
-    const auto objective = [&cached](const solver::Vector& x) {
-        return total_loss(cached(x));
-    };
 
     try {
         const solver::Vector x0 =
@@ -155,95 +125,21 @@ run_start(const FitProblem& problem, const FitOptions& options,
         // recorded even if the solve later throws.
         out.outcome.initial_loss = total_loss(cached(x0));
 
-        solver::Vector best;
-        switch (options.backend) {
-        case Backend::kLeastSquares: {
-            solver::LeastSquaresOptions ls;
-            ls.max_iterations = options.max_iterations;
-            ls.bounds = problem.bounds;
-            ls.scales = scales;
-            const auto fit = solver::levenberg_marquardt(eval, x0, ls);
-            best = fit.x;
-            out.outcome.converged = fit.converged;
-            out.outcome.message = fit.message;
-            out.outcome.iterations = fit.iterations;
-            break;
-        }
-        case Backend::kNelderMead: {
-            solver::NelderMeadOptions nm;
-            // Simplex iterations are one or two evaluations each, far
-            // cheaper than an LM iteration (n FD probes): give it room.
-            nm.max_iterations = options.max_iterations * 10;
-            nm.bounds = problem.bounds;
-            const auto fit = solver::nelder_mead(objective, x0, nm);
-            best = fit.x;
-            out.outcome.converged = fit.converged;
-            out.outcome.message = fit.message;
-            out.outcome.iterations = fit.iterations;
-            break;
-        }
-        case Backend::kAnnealing: {
-            const std::size_t n = x0.size();
-            if (problem.bounds.lower.size() != n
-                || problem.bounds.upper.size() != n)
-                throw std::invalid_argument(
-                    "annealing backend needs finite bounds on every "
-                    "dimension");
-            // Discretize the box to a 1000-step grid per dimension,
-            // anneal over the grid, then polish the best cell's center
-            // with Nelder-Mead.
-            constexpr std::int64_t kGrid = 1000;
-            const auto to_x = [&](const solver::IntVector& g) {
-                solver::Vector x(n);
-                for (std::size_t i = 0; i < n; ++i) {
-                    const double t =
-                        static_cast<double>(g[i]) / kGrid;
-                    x[i] = problem.bounds.lower[i]
-                        + t
-                            * (problem.bounds.upper[i]
-                               - problem.bounds.lower[i]);
-                }
-                return x;
-            };
-            std::vector<solver::IntRange> ranges(
-                n, solver::IntRange{0, kGrid, 1});
-            solver::IntVector g0(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                const double span = problem.bounds.upper[i]
-                    - problem.bounds.lower[i];
-                const double t = span > 0.0
-                    ? (x0[i] - problem.bounds.lower[i]) / span
-                    : 0.0;
-                g0[i] = std::clamp<std::int64_t>(
-                    std::llround(t * kGrid), 0, kGrid);
-            }
-            solver::AnnealingOptions an;
-            an.iterations = options.max_iterations * 10;
-            an.seed = runner::derive_seed(out.outcome.seed, 1);
-            const auto coarse = solver::simulated_annealing(
-                [&](const solver::IntVector& g) {
-                    return objective(to_x(g));
-                },
-                std::move(g0), ranges, an);
-            solver::NelderMeadOptions nm;
-            nm.max_iterations = options.max_iterations * 10;
-            nm.bounds = problem.bounds;
-            const auto polish =
-                solver::nelder_mead(objective, to_x(coarse.x), nm);
-            best = polish.x;
-            out.outcome.converged = polish.converged;
-            out.outcome.message = "annealed (" + std::to_string(an.iterations)
-                + " moves), then " + polish.message;
-            out.outcome.iterations = polish.iterations;
-            break;
-        }
-        }
+        solver::LeastSquaresOptions ls;
+        ls.max_iterations = options.max_iterations;
+        ls.bounds = problem.bounds;
+        ls.scales = scales;
+        solver::LeastSquaresResult fit =
+            solver::levenberg_marquardt(eval, x0, ls);
+        out.outcome.converged = fit.converged;
+        out.outcome.message = fit.message;
+        out.outcome.iterations = fit.iterations;
 
         // Re-read the incumbent through the cache: a hit (the solver
         // evaluated it), and it pins the reported loss to the reported x.
-        out.residuals = cached(best);
+        out.residuals = cached(fit.x);
         out.outcome.final_loss = total_loss(out.residuals);
-        out.x = std::move(best);
+        out.x = std::move(fit.x);
     } catch (const std::exception& e) {
         out.outcome.failed = true;
         out.outcome.message = e.what();
@@ -268,14 +164,6 @@ fit_residuals(const FitProblem& problem, const FitOptions& options)
         throw std::invalid_argument("fit_residuals: empty x0");
     if (options.starts == 0)
         throw std::invalid_argument("fit_residuals: zero starts");
-    // Fail fast on a structurally unusable problem instead of letting
-    // every start die on the same error inside run_guarded.
-    if (options.backend == Backend::kAnnealing
-        && (problem.bounds.lower.size() != problem.x0.size()
-            || problem.bounds.upper.size() != problem.x0.size()))
-        throw std::invalid_argument(
-            "fit_residuals: the annealing backend needs finite bounds on "
-            "every dimension");
 
     const solver::Vector scales = effective_scales(problem);
 
@@ -502,16 +390,23 @@ Calibrator::Calibrator(ParameterSpace space, Dataset data,
     if (opts_.k_folds == 1)
         throw std::invalid_argument(
             "Calibrator: k_folds must be 0 (off) or >= 2");
+    // Split here, not in fit(): cross-validation deals the training split
+    // into k_folds folds, and a count it cannot hold must fail before any
+    // start runs (or a supervised run publishes a generation).
+    std::tie(train_, holdout_) =
+        data_.split(opts_.holdout_fraction, opts_.fit.seed);
+    if (opts_.k_folds > train_.size())
+        throw std::invalid_argument(
+            "Calibrator: k_folds (" + std::to_string(opts_.k_folds)
+            + ") exceeds the " + std::to_string(train_.size())
+            + " training observations");
 }
 
 CalibrationReport
 Calibrator::fit(obs::MetricsRegistry* metrics) const
 {
-    auto [train, holdout] =
-        data_.split(opts_.holdout_fraction, opts_.fit.seed);
-
     FitProblem problem;
-    problem.residuals = make_residual_fn(space_, train, opts_.loss);
+    problem.residuals = make_residual_fn(space_, train_, opts_.loss);
     problem.x0 = space_.initial();
     problem.bounds = space_.bounds();
     problem.scales = space_.scales();
@@ -521,7 +416,6 @@ Calibrator::fit(obs::MetricsRegistry* metrics) const
 
     CalibrationReport report;
     report.device = space_.base().hw.name();
-    report.backend = to_string(opts_.fit.backend);
     report.seed = opts_.fit.seed;
     report.starts = opts_.fit.starts;
     report.parameter_names.reserve(space_.size());
@@ -541,10 +435,10 @@ Calibrator::fit(obs::MetricsRegistry* metrics) const
     report.model_solves = outcome.model_solves();
     report.convergence = outcome.convergence;
 
-    report.residuals = residual_records(fitted, train, false);
+    report.residuals = residual_records(fitted, train_, false);
     report.train_error = fit_error(report.residuals);
     const auto holdout_records =
-        residual_records(fitted, holdout, true);
+        residual_records(fitted, holdout_, true);
     report.holdout_error = fit_error(holdout_records);
     report.residuals.insert(report.residuals.end(),
                             holdout_records.begin(),
@@ -559,8 +453,8 @@ Calibrator::fit(obs::MetricsRegistry* metrics) const
     // thread-count-independent.
     if (opts_.k_folds >= 2) {
         const auto folds =
-            train.k_folds(opts_.k_folds,
-                          runner::derive_seed(opts_.fit.seed, 7777));
+            train_.k_folds(opts_.k_folds,
+                           runner::derive_seed(opts_.fit.seed, 7777));
         std::vector<FoldOutcome> fold_outcomes(folds.size());
         runner::parallel_for(
             folds.size(), opts_.fit.threads, [&](std::size_t f) {

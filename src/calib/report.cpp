@@ -181,7 +181,7 @@ to_json(const CalibrationReport& report)
 {
     io::Json j;
     j.set("device", report.device);
-    j.set("backend", report.backend);
+    j.set("backend", kFitEngine);
     j.set("seed", hex_seed(report.seed));
     j.set("starts", static_cast<double>(report.starts));
 
@@ -236,7 +236,6 @@ report_from_json(const io::Json& j)
 {
     CalibrationReport report;
     report.device = j.at("device").as_string();
-    report.backend = j.at("backend").as_string();
     report.seed = io::uint_or<std::uint64_t>(j, "seed", 0);
     report.starts = io::uint_or<std::size_t>(j, "starts", 0);
 
@@ -289,8 +288,8 @@ std::string
 render(const CalibrationReport& report)
 {
     std::ostringstream os;
-    os << "calibration of " << report.device << " (" << report.backend
-       << ", " << report.starts << " starts, seed "
+    os << "calibration of " << report.device << " (" << kFitEngine << ", "
+       << report.starts << " starts, seed "
        << hex_seed(report.seed) << ")\n";
     os << "  loss: " << report.initial_loss << " -> " << report.best_loss
        << (report.converged ? "  [converged: " : "  [not converged: ")

@@ -53,9 +53,16 @@ calib_spec_from_json(const io::Json& doc)
     CalibratorOptions options;
     if (c.contains("loss"))
         options.loss = loss_from_json(c.at("loss"));
-    if (c.contains("backend"))
-        options.fit.backend =
-            backend_from_string(c.at("backend").as_string());
+    // Levenberg-Marquardt is the one fitting engine. Specs may still name
+    // it (every spec `lognic example calib` once wrote does); naming any
+    // other engine is an error, not a silent substitution.
+    if (c.contains("backend")
+        && !(c.at("backend").is_string()
+             && c.at("backend").as_string() == kFitEngine))
+        throw std::runtime_error(
+            std::string("calibration spec: \"calib.backend\" must be \"")
+            + kFitEngine + "\" (the only fitting engine) or absent, got "
+            + c.at("backend").dump(-1));
     options.fit.starts = io::uint_or<std::size_t>(c, "starts", 4);
     options.fit.threads = io::uint_or<std::size_t>(c, "threads", 1);
     options.fit.seed = io::uint_or<std::uint64_t>(c, "seed", 42);
@@ -132,7 +139,6 @@ sample_calib_spec(const io::Scenario& base)
     io::Json calib;
     calib.set("parameters", std::move(parameters));
     calib.set("loss", std::move(loss));
-    calib.set("backend", "least_squares");
     calib.set("starts", 2);
     calib.set("threads", 1);
     calib.set("seed", 42);

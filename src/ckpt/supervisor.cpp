@@ -307,7 +307,9 @@ supervise_calibration(calib::ParameterSpace space, calib::Dataset data,
     fp.set("workload", "calib");
     fp.set("starts", io::u64_to_hex(opts.fit.starts));
     fp.set("seed", io::u64_to_hex(opts.fit.seed));
-    fp.set("backend", calib::to_string(opts.fit.backend));
+    // Always LM now; kept so checkpoints written while the engine was
+    // selectable still match (calib::kFitEngine).
+    fp.set("backend", calib::kFitEngine);
     fp.set("max_iterations", io::u64_to_hex(opts.fit.max_iterations));
     fp.set("holdout_fraction", io::double_to_hex(opts.holdout_fraction));
     fp.set("k_folds", io::u64_to_hex(opts.k_folds));

@@ -65,16 +65,6 @@ to_string(LsTermination reason)
     return "unknown";
 }
 
-NonConvergenceError::NonConvergenceError(LeastSquaresResult partial)
-    : std::runtime_error(std::string("levenberg_marquardt did not converge: ")
-                         + to_string(partial.termination) + " after "
-                         + std::to_string(partial.iterations)
-                         + " iteration(s), cost "
-                         + std::to_string(partial.value)),
-      partial_(std::move(partial))
-{
-}
-
 LeastSquaresResult
 levenberg_marquardt(const VectorFn& residual_fn, Vector x0,
                     const LeastSquaresOptions& opts)
@@ -160,8 +150,6 @@ levenberg_marquardt(const VectorFn& residual_fn, Vector x0,
     result.residuals = std::move(r);
     result.evaluations = evals;
     result.message = to_string(result.termination);
-    if (!result.converged && opts.throw_on_failure)
-        throw NonConvergenceError(std::move(result));
     return result;
 }
 

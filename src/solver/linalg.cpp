@@ -22,15 +22,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows)
 }
 
 Matrix
-Matrix::identity(std::size_t n)
-{
-    Matrix m(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        m(i, i) = 1.0;
-    return m;
-}
-
-Matrix
 Matrix::transposed() const
 {
     Matrix t(cols_, rows_);
@@ -68,25 +59,6 @@ Matrix::operator*(const Vector& v) const
         for (std::size_t c = 0; c < cols_; ++c)
             out[r] += (*this)(r, c) * v[c];
     return out;
-}
-
-Matrix
-Matrix::operator+(const Matrix& rhs) const
-{
-    if (rows_ != rhs.rows_ || cols_ != rhs.cols_)
-        throw std::invalid_argument("Matrix add: shape mismatch");
-    Matrix out(rows_, cols_);
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        out.data_[i] = data_[i] + rhs.data_[i];
-    return out;
-}
-
-Matrix&
-Matrix::operator*=(double s)
-{
-    for (double& x : data_)
-        x *= s;
-    return *this;
 }
 
 Vector
@@ -172,21 +144,6 @@ solve_cholesky(const Matrix& a, const Vector& b)
         x[ii] = s / l(ii, ii);
     }
     return x;
-}
-
-double
-dot(const Vector& a, const Vector& b)
-{
-    double s = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        s += a[i] * b[i];
-    return s;
-}
-
-double
-norm2(const Vector& a)
-{
-    return std::sqrt(dot(a, a));
 }
 
 Vector

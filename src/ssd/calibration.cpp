@@ -91,8 +91,8 @@ calibrate(const std::vector<SsdGroundTruth::Sample>& samples, Bytes block)
     const double c0 = 8.0;
     const double s0 = std::max(1e-7, c0 / (max_rate / 0.95));
 
-    // Stage 1 delegates to the generic calib engine: same LM backend as
-    // before, plus bounded multi-start (guards against the occasional bad
+    // Stage 1 delegates to the generic calib engine: Levenberg-Marquardt
+    // with bounded multi-start (guards against the occasional bad
     // knee-derived initial guess) and eval memoization. The channel count
     // is continuous here.
     calib::FitProblem problem;
@@ -115,7 +115,6 @@ calibrate(const std::vector<SsdGroundTruth::Sample>& samples, Bytes block)
     problem.bounds.upper = {1.0, 64.0, 1.0};
 
     calib::FitOptions options;
-    options.backend = calib::Backend::kLeastSquares;
     options.starts = 3;
     const calib::FitOutcome fit = calib::fit_residuals(problem, options);
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * The generic fit engine (fit_residuals): backend coverage, multi-start
- * determinism across thread counts, cache effectiveness, and failure
- * semantics — plus CalibrationReport serialization and rendering.
+ * The generic fit engine (fit_residuals): recovery of a known optimum,
+ * multi-start determinism across thread counts, cache effectiveness, and
+ * failure semantics — plus CalibrationReport serialization and rendering
+ * and the spec loader's validation.
  */
 #include <cmath>
 #include <gtest/gtest.h>
@@ -29,29 +30,16 @@ quadratic_problem()
     return p;
 }
 
-TEST(CalibBackend, StringsRoundTrip)
+TEST(CalibFitEngine, RecoversTheQuadraticOptimum)
 {
-    for (Backend b : {Backend::kLeastSquares, Backend::kNelderMead,
-                      Backend::kAnnealing})
-        EXPECT_EQ(backend_from_string(to_string(b)), b);
-    EXPECT_THROW(backend_from_string("gradient_descent"),
-                 std::invalid_argument);
-}
-
-TEST(CalibFitEngine, EveryBackendRecoversTheQuadraticOptimum)
-{
-    for (Backend b : {Backend::kLeastSquares, Backend::kNelderMead,
-                      Backend::kAnnealing}) {
-        FitOptions opts;
-        opts.backend = b;
-        opts.starts = 2;
-        const FitOutcome fit = fit_residuals(quadratic_problem(), opts);
-        EXPECT_NEAR(fit.x[0], 2.0, 1e-2) << to_string(b);
-        EXPECT_NEAR(fit.x[1], 0.5, 1e-2) << to_string(b);
-        EXPECT_LT(fit.loss, 1e-3) << to_string(b);
-        ASSERT_EQ(fit.starts.size(), 2u) << to_string(b);
-        EXPECT_EQ(fit.residuals.size(), 2u) << to_string(b);
-    }
+    FitOptions opts;
+    opts.starts = 2;
+    const FitOutcome fit = fit_residuals(quadratic_problem(), opts);
+    EXPECT_NEAR(fit.x[0], 2.0, 1e-2);
+    EXPECT_NEAR(fit.x[1], 0.5, 1e-2);
+    EXPECT_LT(fit.loss, 1e-3);
+    ASSERT_EQ(fit.starts.size(), 2u);
+    EXPECT_EQ(fit.residuals.size(), 2u);
 }
 
 TEST(CalibFitEngine, CacheServesRepeatEvaluations)
@@ -109,13 +97,6 @@ TEST(CalibFitEngine, ValidatesItsInputs)
     FitProblem ok = quadratic_problem();
     opts.starts = 0;
     EXPECT_THROW(fit_residuals(ok, opts), std::invalid_argument);
-
-    // Annealing needs a finite box to discretize.
-    FitProblem unbounded = quadratic_problem();
-    unbounded.bounds = {};
-    FitOptions anneal;
-    anneal.backend = Backend::kAnnealing;
-    EXPECT_THROW(fit_residuals(unbounded, anneal), std::invalid_argument);
 }
 
 TEST(CalibFitEngine, SurvivesPartialStartFailures)
@@ -158,7 +139,6 @@ TEST(CalibReport, JsonRoundTripPreservesEveryField)
 {
     CalibrationReport r;
     r.device = "unit-nic";
-    r.backend = "least_squares";
     r.seed = 0xdeadbeefULL;
     r.starts = 2;
     r.parameter_names = {"a", "b"};
@@ -256,11 +236,43 @@ TEST(CalibSpec, RejectsFractionalAndNegativeCounts)
                  std::runtime_error);
 }
 
+TEST(CalibSpec, BackendMayOnlyNameLeastSquares)
+{
+    const io::Scenario base{test::small_nic(),
+                            test::single_stage_graph(test::small_nic()),
+                            test::mtu_traffic(5.0)};
+    const io::Json doc = io::Json::parse(sample_calib_spec(base));
+    ASSERT_FALSE(doc.at("calib").contains("backend"));
+    const auto with_backend = [&doc](const std::string& name) {
+        io::JsonObject c = doc.at("calib").as_object();
+        c["backend"] = io::Json(name);
+        io::JsonObject root = doc.as_object();
+        root["calib"] = io::Json(std::move(c));
+        return io::Json(std::move(root));
+    };
+
+    // Loads: no key (what the sample spec writes) and the one engine's
+    // name (what older sample specs carry).
+    EXPECT_NO_THROW(calib_spec_from_json(doc));
+    EXPECT_NO_THROW(calib_spec_from_json(with_backend("least_squares")));
+
+    // Any other name fails, naming the key, instead of running LM anyway.
+    for (const char* name : {"nelder_mead", "annealing", "bogus"}) {
+        try {
+            calib_spec_from_json(with_backend(name));
+            ADD_FAILURE() << "backend '" << name << "' loaded";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("calib.backend"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(CalibReport, RenderMentionsTheEssentials)
 {
     CalibrationReport r;
     r.device = "render-nic";
-    r.backend = "nelder_mead";
     r.starts = 1;
     r.parameter_names = {"memory_gbps"};
     r.initial = {50.0};
@@ -276,7 +288,7 @@ TEST(CalibReport, RenderMentionsTheEssentials)
     const std::string text = render(r);
     EXPECT_NE(text.find("render-nic"), std::string::npos);
     EXPECT_NE(text.find("memory_gbps"), std::string::npos);
-    EXPECT_NE(text.find("nelder_mead"), std::string::npos);
+    EXPECT_NE(text.find("least_squares"), std::string::npos);
     EXPECT_NE(text.find("at_bound"), std::string::npos);
 }
 

@@ -56,7 +56,6 @@ CalibratorOptions
 round_trip_options()
 {
     CalibratorOptions opts;
-    opts.fit.backend = Backend::kLeastSquares;
     opts.fit.starts = 2;
     opts.fit.seed = 11;
     opts.loss.throughput_weight = 1.0;
@@ -154,6 +153,19 @@ TEST(CalibEndToEnd, CalibratorValidatesItsInputs)
     CalibratorOptions one_fold = round_trip_options();
     one_fold.k_folds = 1;
     EXPECT_THROW(Calibrator(rt.space, rt.data, one_fold),
+                 std::invalid_argument);
+
+    // More folds than the training split holds (the dataset as a whole
+    // would hold them): rejected before any start runs, not by the
+    // cross-validation after the full fit.
+    CalibratorOptions too_many_folds = round_trip_options();
+    const std::size_t train =
+        rt.data.split(too_many_folds.holdout_fraction,
+                      too_many_folds.fit.seed)
+            .first.size();
+    ASSERT_LT(train, rt.data.size());
+    too_many_folds.k_folds = train + 1;
+    EXPECT_THROW(Calibrator(rt.space, rt.data, too_many_folds),
                  std::invalid_argument);
 }
 

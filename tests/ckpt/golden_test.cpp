@@ -151,7 +151,6 @@ golden_calibration()
     calib::ParameterSpace space(calib::Candidate{hw, {graph}});
     space.add("ip.cores.fixed_cost_us");
     calib::CalibratorOptions opts;
-    opts.fit.backend = calib::Backend::kLeastSquares;
     opts.fit.starts = 3;
     opts.fit.seed = 5;
     return {std::move(space), std::move(data), opts};

@@ -2,13 +2,12 @@
  * @file
  * Solver edge cases the calibration subsystem leans on: rank-deficient
  * Jacobians, scale-aware finite-difference steps, bound-respecting probes,
- * structured non-convergence, and bound-clipped Nelder-Mead starts.
+ * and non-convergence reported through the termination reason.
  */
 #include <cmath>
 #include <gtest/gtest.h>
 
 #include "lognic/solver/least_squares.hpp"
-#include "lognic/solver/nelder_mead.hpp"
 
 namespace lognic::solver {
 namespace {
@@ -89,55 +88,19 @@ TEST(LevenbergMarquardtEdge, IterationLimitIsNotConverged)
     const VectorFn residuals = [](const Vector& p) {
         return Vector{10.0 * (p[1] - p[0] * p[0]), 1.0 - p[0]};
     };
+    const Vector x0{-1.2, 1.0};
+    const Vector r0 = residuals(x0);
+    const double initial_cost = 0.5 * (r0[0] * r0[0] + r0[1] * r0[1]);
     LeastSquaresOptions opts;
     opts.max_iterations = 2;
-    const auto fit = levenberg_marquardt(residuals, {-1.2, 1.0}, opts);
+    const auto fit = levenberg_marquardt(residuals, x0, opts);
     EXPECT_FALSE(fit.converged);
     EXPECT_EQ(fit.termination, LsTermination::kIterationLimit);
     EXPECT_EQ(fit.iterations, 2u);
-}
-
-TEST(LevenbergMarquardtEdge, ThrowOnFailureCarriesPartialResult)
-{
-    const VectorFn residuals = [](const Vector& p) {
-        return Vector{10.0 * (p[1] - p[0] * p[0]), 1.0 - p[0]};
-    };
-    const Vector x0{-1.2, 1.0};
-    const double initial_cost = [&] {
-        const Vector r = residuals(x0);
-        return 0.5 * (r[0] * r[0] + r[1] * r[1]);
-    }();
-
-    LeastSquaresOptions opts;
-    opts.max_iterations = 2;
-    opts.throw_on_failure = true;
-    try {
-        levenberg_marquardt(residuals, x0, opts);
-        FAIL() << "expected NonConvergenceError";
-    } catch (const NonConvergenceError& e) {
-        // The partial result must be a usable iterate, not a husk: the
-        // caller can inspect it or resume the fit from it.
-        EXPECT_EQ(e.partial().termination, LsTermination::kIterationLimit);
-        EXPECT_EQ(e.partial().iterations, 2u);
-        ASSERT_EQ(e.partial().x.size(), 2u);
-        EXPECT_TRUE(std::isfinite(e.partial().value));
-        EXPECT_LT(e.partial().value, initial_cost);
-        EXPECT_EQ(e.partial().residuals.size(), 2u);
-        EXPECT_NE(std::string(e.what()).find("did not converge"),
-                  std::string::npos);
-    }
-}
-
-TEST(LevenbergMarquardtEdge, ConvergedRunDoesNotThrow)
-{
-    const VectorFn residuals = [](const Vector& p) {
-        return Vector{p[0] - 3.0};
-    };
-    LeastSquaresOptions opts;
-    opts.throw_on_failure = true;
-    const auto fit = levenberg_marquardt(residuals, {0.0}, opts);
-    EXPECT_TRUE(fit.converged);
-    EXPECT_NEAR(fit.x[0], 3.0, 1e-8);
+    // The unconverged result is still a usable iterate, not a husk.
+    ASSERT_EQ(fit.x.size(), 2u);
+    EXPECT_LT(fit.value, initial_cost);
+    EXPECT_EQ(fit.residuals.size(), 2u);
 }
 
 TEST(LevenbergMarquardtEdge, TerminationReasonsHaveDistinctNames)
@@ -180,63 +143,6 @@ TEST(LevenbergMarquardtEdge, RecoversGroundTruthFromNoisyData)
     EXPECT_NEAR(fit.x[0], 5.0, 0.25);
     EXPECT_NEAR(fit.x[1], 0.7, 0.05);
     EXPECT_NEAR(fit.x[2], 1.0, 0.10);
-}
-
-TEST(NelderMeadEdge, OutOfBoxStartIsClampedBeforeEvaluation)
-{
-    // Start far outside the box; every evaluation must stay inside it.
-    bool escaped = false;
-    const Bounds box{{0.0, 0.0}, {1.0, 1.0}};
-    const ObjectiveFn f = [&](const Vector& p) {
-        if (!box.contains(p))
-            escaped = true;
-        const double a = p[0] - 0.3;
-        const double b = p[1] - 0.6;
-        return a * a + b * b;
-    };
-    NelderMeadOptions opts;
-    opts.bounds = box;
-    const auto fit = nelder_mead(f, {25.0, -7.0}, opts);
-    EXPECT_FALSE(escaped);
-    EXPECT_NEAR(fit.x[0], 0.3, 1e-4);
-    EXPECT_NEAR(fit.x[1], 0.6, 1e-4);
-}
-
-TEST(NelderMeadEdge, CornerStartBuildsFeasibleSimplexAndConverges)
-{
-    // Starting exactly on the box corner, the default simplex construction
-    // would step outside; the flipped construction must stay feasible and
-    // still reach an interior optimum.
-    bool escaped = false;
-    const Bounds box{{0.0, 0.0}, {1.0, 1.0}};
-    const ObjectiveFn f = [&](const Vector& p) {
-        if (!box.contains(p))
-            escaped = true;
-        const double a = p[0] - 0.5;
-        const double b = p[1] - 0.25;
-        return a * a + 2.0 * b * b;
-    };
-    NelderMeadOptions opts;
-    opts.bounds = box;
-    const auto fit = nelder_mead(f, {1.0, 1.0}, opts);
-    EXPECT_FALSE(escaped);
-    EXPECT_NEAR(fit.x[0], 0.5, 1e-4);
-    EXPECT_NEAR(fit.x[1], 0.25, 1e-4);
-}
-
-TEST(NelderMeadEdge, BoundaryOptimumIsReached)
-{
-    // The unconstrained minimum sits outside the box; the clipped search
-    // must settle on the box face nearest to it.
-    const Bounds box{{0.0}, {4.0}};
-    const ObjectiveFn f = [](const Vector& p) {
-        const double d = p[0] - 10.0;
-        return d * d;
-    };
-    NelderMeadOptions opts;
-    opts.bounds = box;
-    const auto fit = nelder_mead(f, {1.0}, opts);
-    EXPECT_NEAR(fit.x[0], 4.0, 1e-4);
 }
 
 } // namespace
