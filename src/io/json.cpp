@@ -1,8 +1,7 @@
 #include "lognic/io/json.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -10,23 +9,23 @@
 
 namespace lognic::io {
 
-std::string
-format_double(double value)
-{
-    if (std::isnan(value))
-        return "nan";
-    if (std::isinf(value))
-        return value > 0 ? "inf" : "-inf";
-    char buf[32];
-    if (value == std::floor(value) && std::abs(value) < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%.0f", value);
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", value);
-    }
-    return buf;
-}
-
 namespace {
+
+/// The digits format_double() gives a finite @p value, appended to @p out.
+/// std::to_chars with a precision is specified as printf with that
+/// precision, so these are the bytes "%.0f" and "%.17g" print.
+void
+append_double(std::string& out, double value)
+{
+    char buf[32]; // "%.17g" needs at most 24 bytes, "%.0f" below 1e15 17
+    const std::to_chars_result r =
+        value == std::floor(value) && std::abs(value) < 1e15
+            ? std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::fixed, 0)
+            : std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::general, 17);
+    out.append(buf, r.ptr);
+}
 
 [[noreturn]] void
 type_error(const char* want, Json::Type have)
@@ -37,9 +36,30 @@ type_error(const char* want, Json::Type have)
                              + ", have " + names[static_cast<int>(have)]);
 }
 
-/// Recursive-descent JSON parser over a string view.
+/// The C locale's isspace() bytes: ' ', '\t', '\n', '\v', '\f', '\r'.
+bool
+is_space(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// The bytes a number token runs over; strtod decides what they mean.
+bool
+is_number_char(char c)
+{
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E'
+        || c == '+' || c == '-';
+}
+
+/// Recursive-descent JSON parser over a string.
 class Parser {
   public:
+    /// The deepest array/object nesting accepted. The recursion costs
+    /// stack per level, so without a cap a run of '[' overflows it; the
+    /// deepest documents the repository writes (check journals holding a
+    /// failure's minimal_spec) nest 11 levels.
+    static constexpr int kMaxDepth = 512;
+
     explicit Parser(const std::string& text) : text_(text) {}
 
     Json parse_document()
@@ -60,8 +80,7 @@ class Parser {
 
     void skip_ws()
     {
-        while (pos_ < text_.size()
-               && std::isspace(static_cast<unsigned char>(text_[pos_])))
+        while (pos_ < text_.size() && is_space(text_[pos_]))
             ++pos_;
     }
 
@@ -120,9 +139,14 @@ class Parser {
           case '"':
             return Json{parse_string()};
           case '[':
-            return parse_array();
-          case '{':
-            return parse_object();
+          case '{': {
+            if (depth_ == kMaxDepth)
+                fail("nesting deeper than " + std::to_string(kMaxDepth));
+            ++depth_;
+            Json v = text_[pos_] == '[' ? parse_array() : parse_object();
+            --depth_;
+            return v;
+          }
           default:
             return parse_number();
         }
@@ -133,93 +157,93 @@ class Parser {
         expect('"');
         std::string out;
         for (;;) {
-            const char c = take();
-            if (c == '"')
+            const std::size_t run = pos_;
+            while (pos_ < text_.size() && text_[pos_] != '"'
+                   && text_[pos_] != '\\')
+                ++pos_;
+            out.append(text_, run, pos_ - run);
+            if (take() == '"')
                 return out;
-            if (c == '\\') {
-                const char esc = take();
-                switch (esc) {
-                  case '"':
-                    out.push_back('"');
-                    break;
-                  case '\\':
-                    out.push_back('\\');
-                    break;
-                  case '/':
-                    out.push_back('/');
-                    break;
-                  case 'b':
-                    out.push_back('\b');
-                    break;
-                  case 'f':
-                    out.push_back('\f');
-                    break;
-                  case 'n':
-                    out.push_back('\n');
-                    break;
-                  case 'r':
-                    out.push_back('\r');
-                    break;
-                  case 't':
-                    out.push_back('\t');
-                    break;
-                  case 'u': {
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = take();
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            code |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            code |= static_cast<unsigned>(h - 'A' + 10);
-                        else
-                            fail("bad \\u escape");
-                    }
-                    // Encode the BMP code point as UTF-8 (no surrogates).
-                    if (code < 0x80) {
-                        out.push_back(static_cast<char>(code));
-                    } else if (code < 0x800) {
-                        out.push_back(
-                            static_cast<char>(0xC0 | (code >> 6)));
-                        out.push_back(
-                            static_cast<char>(0x80 | (code & 0x3F)));
-                    } else {
-                        out.push_back(
-                            static_cast<char>(0xE0 | (code >> 12)));
-                        out.push_back(static_cast<char>(
-                            0x80 | ((code >> 6) & 0x3F)));
-                        out.push_back(
-                            static_cast<char>(0x80 | (code & 0x3F)));
-                    }
-                    break;
-                  }
-                  default:
-                    fail("bad escape");
+            switch (take()) {
+              case '"':
+                out.push_back('"');
+                break;
+              case '\\':
+                out.push_back('\\');
+                break;
+              case '/':
+                out.push_back('/');
+                break;
+              case 'b':
+                out.push_back('\b');
+                break;
+              case 'f':
+                out.push_back('\f');
+                break;
+              case 'n':
+                out.push_back('\n');
+                break;
+              case 'r':
+                out.push_back('\r');
+                break;
+              case 't':
+                out.push_back('\t');
+                break;
+              case 'u': {
+                unsigned code = 0;
+                for (int i = 0; i < 4; ++i) {
+                    const char h = take();
+                    code <<= 4;
+                    if (h >= '0' && h <= '9')
+                        code |= static_cast<unsigned>(h - '0');
+                    else if (h >= 'a' && h <= 'f')
+                        code |= static_cast<unsigned>(h - 'a' + 10);
+                    else if (h >= 'A' && h <= 'F')
+                        code |= static_cast<unsigned>(h - 'A' + 10);
+                    else
+                        fail("bad \\u escape");
                 }
-            } else {
-                out.push_back(c);
+                // Encode the BMP code point as UTF-8 (no surrogates).
+                if (code < 0x80) {
+                    out.push_back(static_cast<char>(code));
+                } else if (code < 0x800) {
+                    out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+                    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+                } else {
+                    out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+                    out.push_back(
+                        static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+                    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+                }
+                break;
+              }
+              default:
+                fail("bad escape");
             }
         }
     }
 
+    /// A number is the longest run of number bytes that strtod consumes
+    /// whole to a finite double. std::from_chars reads the same grammar
+    /// minus a leading '+' and, like strtod, rounds correctly, so where it
+    /// takes the whole token the two agree; anything else it rejects (a
+    /// '+', an underflow to zero, a malformed token) gets strtod's rule.
     Json parse_number()
     {
         const std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        while (pos_ < text_.size()
-               && (std::isdigit(static_cast<unsigned char>(text_[pos_]))
-                   || text_[pos_] == '.' || text_[pos_] == 'e'
-                   || text_[pos_] == 'E' || text_[pos_] == '+'
-                   || text_[pos_] == '-'))
+        while (pos_ < text_.size() && is_number_char(text_[pos_]))
             ++pos_;
         if (pos_ == start)
             fail("expected a value");
-        const std::string token = text_.substr(start, pos_ - start);
+        const char* first = text_.data() + start;
+        const char* last = text_.data() + pos_;
+        double v = 0.0;
+        const std::from_chars_result r = std::from_chars(first, last, v);
+        if (r.ec == std::errc{} && r.ptr == last && std::isfinite(v))
+            return Json{v};
+        const std::string token(first, last);
         char* end = nullptr;
-        const double v = std::strtod(token.c_str(), &end);
+        v = std::strtod(token.c_str(), &end);
         if (end == token.c_str() || *end != '\0' || !std::isfinite(v))
             fail("malformed number '" + token + "'");
         return Json{v};
@@ -251,7 +275,9 @@ class Parser {
             std::string key = parse_string();
             skip_ws();
             expect(':');
-            out[std::move(key)] = parse_value();
+            // Hinted at the end: amortized O(1) for the sorted keys the
+            // writer emits. A repeated key still takes the last value.
+            out.insert_or_assign(out.end(), std::move(key), parse_value());
             skip_ws();
             if (try_take('}'))
                 return Json{std::move(out)};
@@ -261,13 +287,21 @@ class Parser {
 
     const std::string& text_;
     std::size_t pos_{0};
+    int depth_{0};
 };
 
 void
 escape_into(std::string& out, const std::string& s)
 {
     out.push_back('"');
-    for (char c : s) {
+    // Bytes that need no escape are copied a run at a time.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
           case '"':
             out += "\\\"";
@@ -284,21 +318,31 @@ escape_into(std::string& out, const std::string& s)
           case '\t':
             out += "\\t";
             break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
+          default: {
+            constexpr char kHex[] = "0123456789abcdef";
+            const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                 kHex[c & 0xF]};
+            out.append(code, sizeof(code));
+          }
         }
     }
+    out.append(s, run, s.size() - run);
     out.push_back('"');
 }
 
 } // namespace
+
+std::string
+format_double(double value)
+{
+    if (std::isnan(value))
+        return "nan";
+    if (std::isinf(value))
+        return value > 0 ? "inf" : "-inf";
+    std::string out;
+    append_double(out, value);
+    return out;
+}
 
 bool
 Json::as_bool() const
@@ -421,7 +465,7 @@ Json::dump_to(std::string& out, int indent, int depth) const
             out += "null";
             break;
         }
-        out += format_double(number_);
+        append_double(out, number_);
         break;
       }
       case Type::kString:

@@ -6,9 +6,12 @@
  */
 #include <gtest/gtest.h>
 #include <random>
+#include <string>
+#include <utility>
 
 #include "../test_helpers.hpp"
 #include "lognic/io/serialize.hpp"
+#include "mutate.hpp"
 
 namespace lognic::io {
 namespace {
@@ -26,16 +29,12 @@ TEST(JsonFuzz, ByteMutationsNeverCrash)
 {
     const std::string base = base_document();
     std::mt19937_64 rng(2024);
-    std::uniform_int_distribution<std::size_t> pos(0, base.size() - 1);
-    std::uniform_int_distribution<int> byte(0, 255);
 
     int parsed_ok = 0;
     int rejected = 0;
     for (int round = 0; round < 500; ++round) {
         std::string doc = base;
-        const int mutations = 1 + round % 8;
-        for (int m = 0; m < mutations; ++m)
-            doc[pos(rng)] = static_cast<char>(byte(rng));
+        test::mutate_bytes(doc, 1 + round % 8, rng);
         try {
             const Json v = Json::parse(doc);
             // Parsed documents must re-serialize without throwing.
@@ -70,16 +69,10 @@ TEST(JsonFuzz, ScenarioDecoderRejectsMutationsGracefully)
     // semantics; both outcomes are fine, crashes are not.
     const std::string base = base_document();
     std::mt19937_64 rng(7);
-    std::uniform_int_distribution<std::size_t> pos(0, base.size() - 1);
     int loaded = 0;
     for (int round = 0; round < 300; ++round) {
         std::string doc = base;
-        // Digit-to-digit mutations keep documents parseable more often.
-        const std::size_t p = pos(rng);
-        if (std::isdigit(static_cast<unsigned char>(doc[p])))
-            doc[p] = static_cast<char>('0' + (rng() % 10));
-        else
-            doc[p] = static_cast<char>('a' + (rng() % 26));
+        test::mutate_digit(doc, rng);
         try {
             (void)load_scenario(doc);
             ++loaded;
@@ -87,6 +80,35 @@ TEST(JsonFuzz, ScenarioDecoderRejectsMutationsGracefully)
         }
     }
     EXPECT_GT(loaded, 0); // benign digit tweaks usually survive
+}
+
+TEST(JsonFuzz, DeepNestingThrows)
+{
+    // Each level recurses once, so without a cap these overflow the stack.
+    std::string objects;
+    for (int i = 0; i < 100000; ++i)
+        objects += "{\"k\":";
+    const std::pair<std::string, std::size_t> cases[] = {
+        {std::string(1000000, '['), 512},
+        {std::string(100000, '[') + std::string(100000, ']'), 512},
+        {objects, 512 * 5}, // the bracket that would open level 513
+    };
+    for (const auto& [doc, offset] : cases) {
+        try {
+            (void)Json::parse(doc);
+            ADD_FAILURE() << "a " << doc.size() << "-byte nest parsed";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(e.what(), "Json parse error at offset "
+                                    + std::to_string(offset)
+                                    + ": nesting deeper than 512");
+        }
+    }
+
+    // 512 levels is the cap itself: accepted, and written back unchanged.
+    const std::string deepest =
+        std::string(512, '[') + "1" + std::string(512, ']');
+    EXPECT_EQ(Json::parse(deepest).dump(-1), deepest);
+    EXPECT_THROW(Json::parse("[" + deepest + "]"), std::runtime_error);
 }
 
 TEST(JsonFuzz, RandomGarbageNeverCrashes)

@@ -1,6 +1,13 @@
 #include "lognic/io/json.hpp"
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <optional>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -42,6 +49,9 @@ TEST(Json, ArraysAndObjects)
     EXPECT_TRUE(v.contains("a"));
     EXPECT_FALSE(v.contains("z"));
     EXPECT_THROW(v.at("z"), std::runtime_error);
+    // A repeated key keeps its last value, wherever it repeats.
+    EXPECT_EQ(Json::parse(R"({"b": 1, "a": 2, "b": 3, "a": 4})").dump(-1),
+              R"({"a":4,"b":3})");
 }
 
 TEST(Json, NumberOrFallback)
@@ -209,6 +219,187 @@ TEST(Json, CopyOnWriteIsolation)
     b.set("k", 2);
     EXPECT_DOUBLE_EQ(a.at("k").as_number(), 1.0);
     EXPECT_DOUBLE_EQ(b.at("k").as_number(), 2.0);
+}
+
+/// The parser's number rule, written out: a token is a number when strtod
+/// consumes all of it and the result is finite.
+std::optional<double>
+strtod_rule(const std::string& token)
+{
+    char* end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    if (end == token.c_str() || *end != '\0' || !std::isfinite(v))
+        return std::nullopt;
+    return v;
+}
+
+/// @p token, parsed bare and as the one element of an array, is accepted
+/// exactly when strtod_rule() accepts it, with strtod's bit pattern.
+void
+expect_strtod_rule(const std::string& token)
+{
+    const std::optional<double> want = strtod_rule(token);
+    for (const bool in_array : {false, true}) {
+        const std::string doc = in_array ? "[" + token + "]" : token;
+        try {
+            const Json v = Json::parse(doc);
+            const double got =
+                in_array ? v.as_array().at(0).as_number() : v.as_number();
+            ASSERT_TRUE(want.has_value()) << doc << " parsed to " << got;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(*want))
+                << doc;
+        } catch (const std::runtime_error& e) {
+            ASSERT_FALSE(want.has_value()) << doc << ": " << e.what();
+            EXPECT_EQ(e.what(), "Json parse error at offset "
+                                    + std::to_string(token.size() + in_array)
+                                    + ": malformed number '" + token + "'");
+        }
+    }
+}
+
+TEST(JsonParse, NumbersMatchStrtod)
+{
+    for (const char* token :
+         {"+5", "1e-400", "4e-320", "1.", ".5", "-", "1e", "01",
+          "1.7976931348623159e308", "1.7976931348623157e308", "-0",
+          "2.2250738585072011e-308", "4.9406564584124654e-324", "1e+2",
+          "1E-2", "--1", "1..2", "1e2e3", "0.1e", "9007199254740993"})
+        expect_strtod_rule(token);
+
+    constexpr char kBytes[] = "0123456789.eE+-";
+    std::mt19937_64 rng(19);
+    std::uniform_int_distribution<std::size_t> length(1, 24);
+    std::uniform_int_distribution<std::size_t> byte(0, sizeof(kBytes) - 2);
+    int accepted = 0;
+    for (int i = 0; i < 200000; ++i) {
+        std::string token(length(rng), '0');
+        for (char& c : token)
+            c = kBytes[byte(rng)];
+        accepted += strtod_rule(token).has_value();
+        expect_strtod_rule(token);
+    }
+    EXPECT_GT(accepted, 10000); // both sides of the rule are exercised
+
+    char buf[40];
+    for (int i = 0; i < 20000; ++i) {
+        const double v = std::bit_cast<double>(rng());
+        if (!std::isfinite(v))
+            continue; // "nan" and "inf" are not number tokens
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+        expect_strtod_rule(buf);
+    }
+}
+
+/// The writer's number rule, written out with printf.
+std::string
+printf_rule(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf),
+                  v == std::floor(v) && std::abs(v) < 1e15 ? "%.0f"
+                                                           : "%.17g",
+                  v);
+    return buf;
+}
+
+void
+expect_printf_rule(double v)
+{
+    if (std::isfinite(v)) {
+        EXPECT_EQ(format_double(v), printf_rule(v));
+        EXPECT_EQ(Json(v).dump(), printf_rule(v));
+    } else {
+        EXPECT_EQ(format_double(v),
+                  std::isnan(v) ? "nan" : v > 0 ? "inf" : "-inf");
+        EXPECT_EQ(Json(v).dump(), "null");
+    }
+}
+
+TEST(FormatDouble, MatchesPrintf)
+{
+    std::mt19937_64 rng(15);
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1e15, -1e15, 1e15 - 1,
+        -(1e15 - 1), 1e15 - 0.5, 1e15 + 2, 999999999999999.9,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    for (int i = 0; i < 200000; ++i)
+        values.push_back(std::bit_cast<double>(rng()));
+    for (int i = -3000; i <= 3000; ++i) {
+        values.push_back(1e15 + i);
+        values.push_back(-1e15 + i);
+        values.push_back(static_cast<double>(i));
+    }
+    for (int i = 0; i < 20000; ++i) {
+        // Subnormals: a zero exponent field under a random mantissa.
+        values.push_back(std::bit_cast<double>(rng() & 0x800fffffffffffffULL));
+        // Three-decimal values, the shape of most measured inputs.
+        values.push_back(static_cast<double>(static_cast<std::int64_t>(
+                             rng() % 20000001) - 10000000)
+                         / 1000.0);
+    }
+    for (const double v : values)
+        expect_printf_rule(v);
+}
+
+/// The writer's string rule, written out: quote, backslash, newline,
+/// carriage return and tab get their short escapes, other bytes below
+/// 0x20 get \u00xx, and every other byte is copied.
+std::string
+escape_rule(const std::string& s)
+{
+    std::string out = "\"";
+    for (const char c : s) {
+        if (c == '"') {
+            out += "\\\"";
+        } else if (c == '\\') {
+            out += "\\\\";
+        } else if (c == '\n') {
+            out += "\\n";
+        } else if (c == '\r') {
+            out += "\\r";
+        } else if (c == '\t') {
+            out += "\\t";
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(c));
+            out += buf;
+        } else {
+            out.push_back(c);
+        }
+    }
+    return out + "\"";
+}
+
+TEST(Json, EscapesEveryByteAsBefore)
+{
+    std::vector<std::string> strings;
+    for (int b = 0; b < 256; ++b)
+        strings.emplace_back(1, static_cast<char>(b));
+    std::mt19937_64 rng(256);
+    std::string mixed;
+    for (int i = 0; i < 20000; ++i) {
+        // Mostly plain runs, with escapes and high bytes between them.
+        const auto r = rng();
+        mixed.push_back(r % 4 == 0 ? static_cast<char>(r >> 8)
+                                   : static_cast<char>('a' + (r >> 8) % 26));
+    }
+    strings.push_back(mixed);
+    for (const std::string& s : strings) {
+        const std::string dumped = Json(s).dump();
+        EXPECT_EQ(dumped, escape_rule(s));
+        EXPECT_EQ(Json::parse(dumped).as_string(), s);
+        Json obj;
+        obj.set(s, 1);
+        EXPECT_EQ(obj.dump(-1), "{" + escape_rule(s) + ":1}");
+    }
 }
 
 } // namespace
