@@ -84,8 +84,9 @@ levels(double first, double step, std::size_t count)
 /**
  * The placement study widened to 102,400 combinations: 16 placements x
  * 10 line rates x 8 interface widths x 4 memory widths x 20 offered
- * rates. The traffic knob is added last so the exhaustive odometer
- * varies it fastest — the incremental Materializer's cheapest patch.
+ * rates. The knob order fixes the exhaustive odometer (traffic varies
+ * fastest) and with it the config stream; keep it so numbers compare
+ * across commits.
  */
 dse::DesignSpace
 make_space()

@@ -21,8 +21,6 @@
 
 namespace lognic::core {
 
-class SolveScratch;
-
 /// Latency contribution of one hop (one edge plus its source vertex).
 struct HopLatency {
     std::string vertex;       ///< source vertex name
@@ -75,15 +73,11 @@ struct LatencyEstimate {
  * Estimate latency for one packet class of @p traffic.
  *
  * Validates the graph; throws std::invalid_argument on malformed input.
- * An optional @p scratch reuses cached topology artifacts and per-vertex
- * analyses across solves over small deltas (bit-identical results; see
- * solve_scratch.hpp for the invalidation contract).
  */
 LatencyEstimate estimate_latency(const ExecutionGraph& graph,
                                  const HardwareModel& hw,
                                  const TrafficProfile& traffic,
-                                 std::size_t class_index = 0,
-                                 SolveScratch* scratch = nullptr);
+                                 std::size_t class_index = 0);
 
 } // namespace lognic::core
 

@@ -45,31 +45,22 @@ struct Report {
     LatencyReport latency;
 };
 
-class SolveScratch;
-
-/// The estimator. Cheap to copy; holds the hardware model by value.
+/**
+ * The estimator. Holds the hardware model by value: callers that are done
+ * with a scenario's HardwareModel move it in rather than copy it.
+ */
 class Model {
   public:
     explicit Model(HardwareModel hw) : hw_(std::move(hw)) {}
 
     const HardwareModel& hardware() const { return hw_; }
 
-    /**
-     * The optional @p scratch caches topology artifacts and per-vertex
-     * analyses across repeated solves over small scenario deltas
-     * (bit-identical results; single-class profiles only — mixed
-     * profiles partition queues per class and ignore the scratch). The
-     * caller owns invalidation; see solve_scratch.hpp.
-     */
     ThroughputReport throughput(const ExecutionGraph& graph,
-                                const TrafficProfile& traffic,
-                                SolveScratch* scratch = nullptr) const;
+                                const TrafficProfile& traffic) const;
     LatencyReport latency(const ExecutionGraph& graph,
-                          const TrafficProfile& traffic,
-                          SolveScratch* scratch = nullptr) const;
+                          const TrafficProfile& traffic) const;
     Report estimate(const ExecutionGraph& graph,
-                    const TrafficProfile& traffic,
-                    SolveScratch* scratch = nullptr) const;
+                    const TrafficProfile& traffic) const;
 
   private:
     HardwareModel hw_;

@@ -24,8 +24,6 @@
 
 namespace lognic::core {
 
-class SolveScratch;
-
 /// What kind of hardware entity a throughput term corresponds to.
 enum class TermKind {
     kIpCompute,  ///< an IP vertex's compute capacity (Eq. 1)
@@ -60,15 +58,12 @@ struct ThroughputEstimate {
  * Estimate throughput for one packet class of @p traffic.
  *
  * Validates the graph first; throws std::invalid_argument on a malformed
- * graph or out-of-range class index. An optional @p scratch reuses cached
- * topology artifacts and per-vertex analyses across solves over small
- * deltas (bit-identical results; see solve_scratch.hpp).
+ * graph or out-of-range class index.
  */
 ThroughputEstimate estimate_throughput(const ExecutionGraph& graph,
                                        const HardwareModel& hw,
                                        const TrafficProfile& traffic,
-                                       std::size_t class_index = 0,
-                                       SolveScratch* scratch = nullptr);
+                                       std::size_t class_index = 0);
 
 } // namespace lognic::core
 

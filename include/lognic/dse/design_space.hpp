@@ -49,19 +49,6 @@
 
 namespace lognic::dse {
 
-/**
- * How the incremental materializer (dse::Materializer) may re-apply one
- * knob onto an already-materialized scenario, and what cached solve state
- * the delta invalidates. kNone forces a full re-materialization — the
- * safe default for custom knobs whose apply() could touch anything.
- */
-enum class PatchScope {
-    kNone,         ///< not patchable; any change re-materializes
-    kVertexParams, ///< writes one vertex's params (invalidates its analysis)
-    kTraffic,      ///< writes the traffic profile (invalidates all analyses)
-    kCatalog,      ///< writes hw catalog / graph overheads (all analyses)
-};
-
 /// One discrete axis of the space.
 struct Knob {
     std::string name;
@@ -76,13 +63,6 @@ struct Knob {
     /// Accessor resolved against base-scenario names (ip.*, vertex.*, ...);
     /// incompatible with rebuilds_scenario knobs.
     bool base_bound{false};
-    /// In-place patch contract; every apply() is a pure assignment of the
-    /// level into its own field(s), so patching a delta yields a scenario
-    /// value-identical to a full materialize.
-    PatchScope patch{PatchScope::kNone};
-    /// For PatchScope::kVertexParams: the vertex whose params apply()
-    /// writes.
-    std::string patch_vertex;
     std::function<void(io::Scenario&, double)> apply;
 };
 
@@ -98,7 +78,9 @@ class DesignSpace {
      * on unknown paths, duplicate names, empty/non-increasing/non-finite
      * level lists, invalid levels for the path (e.g. non-integer
      * parallelism), or an incompatible rebuild/base-bound combination.
-     * For placement.nf_chain an empty @p values means all 16 placements.
+     * For placement.nf_chain an empty @p values means all 16 placements;
+     * each declared placement's chain is built here, once, and every
+     * materialize() copies it.
      */
     std::size_t add(const std::string& path, std::vector<double> values,
                     double cost_weight = 0.0);

@@ -35,10 +35,10 @@
 #include <vector>
 
 #include "lognic/dse/design_space.hpp"
-#include "lognic/dse/memo.hpp"
 #include "lognic/dse/pareto.hpp"
 #include "lognic/dse/prune.hpp"
 #include "lognic/io/json.hpp"
+#include "lognic/io/lru_cache.hpp"
 #include "lognic/obs/metrics.hpp"
 
 namespace lognic::dse {
@@ -69,6 +69,24 @@ ObjectiveSpec objective_from_name(const std::string& name);
 
 // Constraint lives in prune.hpp (the pruner narrows domains against it);
 // it is re-exported here for source compatibility.
+
+/// Model-oracle outcome for one config: the memo-cache value and the
+/// ExploreJournal record.
+struct Evaluation {
+    std::vector<double> objectives; ///< aligned with the objective specs
+    bool feasible{true};
+    bool finite{true};
+    /**
+     * True when the feasibility pruner proved a constraint violation
+     * without a model solve. Pruned evaluations are infeasible-but-finite
+     * (never quarantined) and carry NaN objectives; both are safe because
+     * an infeasible candidate's objectives are never compared or
+     * reported. The flag survives journal round-trips so resumed runs
+     * count pruned work identically.
+     */
+    bool pruned{false};
+    std::string why; ///< violated constraint or evaluation failure
+};
 
 /// DES validation outcome for one frontier candidate.
 struct DesValidation {
@@ -113,8 +131,8 @@ struct ExploreOptions {
     std::size_t generations{8};
     /// kExhaustive refuses spaces with more combinations than this.
     std::uint64_t exhaustive_limit{1u << 16};
+    /// Memo-cache entries kept before the least recent is evicted.
     std::size_t cache_capacity{1u << 16};
-    std::size_t cache_shards{8};
     /**
      * Feasibility pruning (prune.hpp). kOn skips the model solve for
      * configs a Pruner proves infeasible; such configs still flow through
@@ -194,11 +212,10 @@ Evaluation evaluate_config(const DesignSpace& space, const Config& c,
  * journal replay decisions, prune rejections, and cache inserts all
  * happen on the caller thread in batch order, so hit/miss/eviction
  * counters are a pure function of the candidate stream; only the model
- * solves for first-seen configs fan out to the thread pool, in
- * contiguous chunks that each reuse one incremental Materializer (bit-
- * identical to fresh evaluation per config, so chunking cannot perturb
- * results). Public so tests and the benchmark can drive batches — and
- * count solves — directly; explore() remains the normal entry point.
+ * solves for first-seen configs fan out to the thread pool, each one an
+ * evaluate_config call keyed by its index, so the thread count cannot
+ * perturb results. Public so tests and the benchmark can drive batches —
+ * and count solves — directly; explore() remains the normal entry point.
  */
 class BatchEvaluator {
   public:
@@ -228,7 +245,8 @@ class BatchEvaluator {
     const std::vector<Constraint>& constraints_;
     const ExploreOptions& opts_;
     Pruner* pruner_;
-    MemoCache cache_;
+    /// Keyed by canonical config string; touched only by the coordinator.
+    io::LruCache<Evaluation> cache_;
     std::map<std::string, ScoredConfig> archive_; ///< canonical key order
     std::uint64_t solves_{0};
     std::uint64_t pruned_{0};

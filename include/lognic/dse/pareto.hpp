@@ -41,7 +41,7 @@ struct ScoredConfig {
     std::vector<double> objectives; ///< aligned with the objective specs
     bool feasible{true};          ///< all constraints satisfied
     bool finite{true};            ///< no NaN/inf objective (else quarantined)
-    bool pruned{false};           ///< rejected without a solve (see memo.hpp)
+    bool pruned{false};           ///< rejected without a solve (Evaluation::pruned)
     std::string why;              ///< violated constraint / failure reason
 };
 

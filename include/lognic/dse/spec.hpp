@@ -18,7 +18,7 @@
  *       "prune": "on",                 // off | explain (default on)
  *       "seed": 42, "budget": 256, "population": 16, "generations": 8,
  *       "exhaustive_limit": 65536,
- *       "cache_capacity": 65536, "cache_shards": 8,
+ *       "cache_capacity": 65536,
  *       "des": {"enabled": true, "replications": 3, "duration": 0.01,
  *               "warmup_fraction": 0.2}
  *     }

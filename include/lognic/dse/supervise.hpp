@@ -19,7 +19,7 @@
  * A run SIGKILLed at any point and resumed produces a FrontierReport
  * byte-identical to the uninterrupted run, at any thread count — journal
  * replay satisfies the *work* of a memo-cache miss without perturbing the
- * miss count (see memo.hpp).
+ * miss count (see BatchEvaluator in explorer.hpp).
  */
 #ifndef LOGNIC_DSE_SUPERVISE_HPP_
 #define LOGNIC_DSE_SUPERVISE_HPP_

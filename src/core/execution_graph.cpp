@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <queue>
 #include <stdexcept>
 #include <string>
 
@@ -210,28 +209,37 @@ ExecutionGraph::in_delta_sum(VertexId v) const
 std::vector<VertexId>
 ExecutionGraph::topological_order() const
 {
-    std::vector<std::size_t> in_count(vertices_.size(), 0);
-    for (const auto& e : edges_)
+    // Kahn's algorithm over one flat successor array: succ[first[v] ..
+    // first[v + 1]) lists v's out-edge targets in edge-id order, as
+    // out_edges(v) would, so the order is the same without a list per
+    // vertex. `order` doubles as the FIFO of ready vertices.
+    const std::size_t n = vertices_.size();
+    std::vector<std::size_t> in_count(n, 0);
+    std::vector<std::size_t> first(n + 1, 0);
+    for (const auto& e : edges_) {
         ++in_count[e.to];
-
-    std::queue<VertexId> ready;
-    for (std::size_t v = 0; v < vertices_.size(); ++v) {
-        if (in_count[v] == 0)
-            ready.push(static_cast<VertexId>(v));
+        ++first[e.from];
     }
+    for (std::size_t v = 1; v <= n; ++v)
+        first[v] += first[v - 1];
+    std::vector<VertexId> succ(edges_.size());
+    for (std::size_t e = edges_.size(); e-- > 0;)
+        succ[--first[edges_[e].from]] = edges_[e].to;
 
     std::vector<VertexId> order;
-    order.reserve(vertices_.size());
-    while (!ready.empty()) {
-        const VertexId v = ready.front();
-        ready.pop();
-        order.push_back(v);
-        for (EdgeId e : out_edges(v)) {
-            if (--in_count[edges_[e].to] == 0)
-                ready.push(edges_[e].to);
+    order.reserve(n);
+    for (std::size_t v = 0; v < n; ++v) {
+        if (in_count[v] == 0)
+            order.push_back(static_cast<VertexId>(v));
+    }
+    for (std::size_t head = 0; head < order.size(); ++head) {
+        const VertexId v = order[head];
+        for (std::size_t i = first[v]; i < first[v + 1]; ++i) {
+            if (--in_count[succ[i]] == 0)
+                order.push_back(succ[i]);
         }
     }
-    if (order.size() != vertices_.size())
+    if (order.size() != n)
         throw std::invalid_argument(
             "ExecutionGraph '" + name_ + "': graph contains a cycle");
     return order;
@@ -248,6 +256,13 @@ ExecutionGraph::validate(const HardwareModel& hw) const
             "ExecutionGraph '" + name_ + "': no egress vertex");
 
     (void)topological_order(); // throws on cycles
+
+    std::vector<std::size_t> in_degree(vertices_.size(), 0);
+    std::vector<std::size_t> out_degree(vertices_.size(), 0);
+    for (const auto& e : edges_) {
+        ++out_degree[e.from];
+        ++in_degree[e.to];
+    }
 
     for (std::size_t i = 0; i < vertices_.size(); ++i) {
         const auto& v = vertices_[i];
@@ -281,15 +296,13 @@ ExecutionGraph::validate(const HardwareModel& hw) const
         }
         const bool needs_input = v.kind != VertexKind::kIngress;
         const bool needs_output = v.kind != VertexKind::kEgress;
-        if (needs_input && in_edges(static_cast<VertexId>(i)).empty())
+        if (needs_input && in_degree[i] == 0)
             throw std::invalid_argument(where + "unreachable (no in-edges)");
-        if (needs_output && out_edges(static_cast<VertexId>(i)).empty())
+        if (needs_output && out_degree[i] == 0)
             throw std::invalid_argument(where + "dead end (no out-edges)");
-        if (v.kind == VertexKind::kIngress
-            && !in_edges(static_cast<VertexId>(i)).empty())
+        if (v.kind == VertexKind::kIngress && in_degree[i] != 0)
             throw std::invalid_argument(where + "ingress cannot have inputs");
-        if (v.kind == VertexKind::kEgress
-            && !out_edges(static_cast<VertexId>(i)).empty())
+        if (v.kind == VertexKind::kEgress && out_degree[i] != 0)
             throw std::invalid_argument(where + "egress cannot have outputs");
     }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "lognic/core/solve_scratch.hpp"
 #include "lognic/core/vertex_analysis.hpp"
 #include "lognic/queueing/mg1.hpp"
 #include "lognic/solver/special.hpp"
@@ -57,13 +56,9 @@ transfer_time(const Edge& e, const HardwareModel& hw, Bytes g_in)
 
 LatencyEstimate
 estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
-                 const TrafficProfile& traffic, std::size_t class_index,
-                 SolveScratch* scratch)
+                 const TrafficProfile& traffic, std::size_t class_index)
 {
-    // Re-validated even with a warm scratch; see estimate_throughput.
     graph.validate(hw);
-    if (scratch != nullptr)
-        scratch->ensure_topology(graph);
 
     const Bytes g_in = traffic.granularity(class_index);
     const Bandwidth bw_in = traffic.ingress_bandwidth();
@@ -87,9 +82,7 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
     std::vector<Seconds> sojourn_override(graph.vertex_count(),
                                           Seconds{-1.0});
 
-    const std::vector<VertexId> ingresses = scratch != nullptr
-        ? scratch->ingresses()
-        : graph.ingress_vertices();
+    const std::vector<VertexId> ingresses = graph.ingress_vertices();
     {
         double total = 0.0;
         std::vector<double> shares(ingresses.size(), 0.0);
@@ -106,18 +99,12 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
     }
 
     LatencyEstimate est;
-    const std::vector<VertexId> topo_order = scratch != nullptr
-        ? scratch->topological_order()
-        : graph.topological_order();
-    for (VertexId v : topo_order) {
-        analysis[v] = scratch != nullptr
-            ? scratch->vertex_analysis(graph, hw, v, traffic, class_index)
-            : analyze_vertex(graph, hw, v, traffic, class_index);
+    for (VertexId v : graph.topological_order()) {
+        analysis[v] = analyze_vertex(graph, hw, v, traffic, class_index);
         const Vertex& vx = graph.vertex(v);
         const double nominal = vx.kind == VertexKind::kIngress
             ? inflow[v]
-            : (scratch != nullptr ? scratch->in_delta_sum(v)
-                                  : graph.in_delta_sum(v));
+            : graph.in_delta_sum(v);
 
         if (vx.kind == VertexKind::kIp
             && hw.ip(vx.ip).sojourn_curve != nullptr) {
@@ -141,9 +128,7 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
         }
 
         // Propagate the surviving flow downstream by branch shares.
-        const std::vector<EdgeId> outs = scratch != nullptr
-            ? scratch->out_edge_lists()[v]
-            : graph.out_edges(v);
+        const std::vector<EdgeId> outs = graph.out_edges(v);
         double delta_sum = 0.0;
         for (EdgeId e : outs)
             delta_sum += graph.edge(e).params.delta;
@@ -158,9 +143,7 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
     // With explicit egress vertices, every IP on a path is the source of
     // exactly one path edge, so the Eq. 6 edge sum already covers the final
     // IP's Q + C/A term.
-    const std::vector<ExecutionGraph::Path> paths = scratch != nullptr
-        ? scratch->paths()
-        : graph.enumerate_paths();
+    const std::vector<ExecutionGraph::Path> paths = graph.enumerate_paths();
     double weight_sum = 0.0;
     double mean = 0.0;
     // Per-path tails: the deterministic seconds (overheads + transfers)
@@ -223,10 +206,7 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
 
     // Goodput: the flow that reaches the egress engines.
     double egress_flow = 0.0;
-    const std::vector<VertexId> egresses = scratch != nullptr
-        ? scratch->egresses()
-        : graph.egress_vertices();
-    for (VertexId v : egresses)
+    for (VertexId v : graph.egress_vertices())
         egress_flow += inflow[v];
     est.goodput =
         std::min(bw_in, hw.line_rate()) * std::min(1.0, egress_flow);

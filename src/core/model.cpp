@@ -1,7 +1,5 @@
 #include "lognic/core/model.hpp"
 
-#include "lognic/core/solve_scratch.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -97,8 +95,8 @@ ThroughputReport::bottleneck() const
 }
 
 ThroughputReport
-Model::throughput(const ExecutionGraph& graph, const TrafficProfile& traffic,
-                  SolveScratch* scratch) const
+Model::throughput(const ExecutionGraph& graph,
+                  const TrafficProfile& traffic) const
 {
     ThroughputReport report;
     const auto& classes = traffic.classes();
@@ -107,13 +105,11 @@ Model::throughput(const ExecutionGraph& graph, const TrafficProfile& traffic,
         const TrafficProfile cp = mixed
             ? class_operating_profile(traffic, i)
             : traffic;
-        // The scratch is keyed to the caller's graph; the per-class
-        // queue-partitioned copies of a mixed profile must not use it.
         const ThroughputEstimate est = mixed
             ? estimate_throughput(
                   queue_partitioned_copy(graph, hw_, classes[i].weight), hw_,
                   cp)
-            : estimate_throughput(graph, hw_, cp, 0, scratch);
+            : estimate_throughput(graph, hw_, cp);
         report.achieved += mixed
             ? est.achieved // per-class achieved already uses the BW share
             : est.achieved * classes[i].weight;
@@ -132,8 +128,8 @@ Model::throughput(const ExecutionGraph& graph, const TrafficProfile& traffic,
 }
 
 LatencyReport
-Model::latency(const ExecutionGraph& graph, const TrafficProfile& traffic,
-               SolveScratch* scratch) const
+Model::latency(const ExecutionGraph& graph,
+               const TrafficProfile& traffic) const
 {
     LatencyReport report;
     const auto& classes = traffic.classes();
@@ -147,7 +143,7 @@ Model::latency(const ExecutionGraph& graph, const TrafficProfile& traffic,
             ? estimate_latency(
                   queue_partitioned_copy(graph, hw_, classes[i].weight), hw_,
                   cp)
-            : estimate_latency(graph, hw_, cp, 0, scratch);
+            : estimate_latency(graph, hw_, cp);
         mean += classes[i].weight * est.mean.seconds();
         report.max_drop_probability =
             std::max(report.max_drop_probability, est.max_drop_probability);
@@ -158,11 +154,10 @@ Model::latency(const ExecutionGraph& graph, const TrafficProfile& traffic,
 }
 
 Report
-Model::estimate(const ExecutionGraph& graph, const TrafficProfile& traffic,
-                SolveScratch* scratch) const
+Model::estimate(const ExecutionGraph& graph,
+                const TrafficProfile& traffic) const
 {
-    return Report{throughput(graph, traffic, scratch),
-                  latency(graph, traffic, scratch)};
+    return Report{throughput(graph, traffic), latency(graph, traffic)};
 }
 
 } // namespace lognic::core

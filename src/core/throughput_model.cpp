@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "lognic/core/solve_scratch.hpp"
 #include "lognic/core/vertex_analysis.hpp"
 
 namespace lognic::core {
@@ -30,15 +29,9 @@ to_string(TermKind kind)
 
 ThroughputEstimate
 estimate_throughput(const ExecutionGraph& graph, const HardwareModel& hw,
-                    const TrafficProfile& traffic, std::size_t class_index,
-                    SolveScratch* scratch)
+                    const TrafficProfile& traffic, std::size_t class_index)
 {
-    // Always re-validate: a cached scratch must not mask a scenario delta
-    // that the fresh path would reject (identical throw-vs-report
-    // behavior is part of the bit-identity contract).
     graph.validate(hw);
-    if (scratch != nullptr)
-        scratch->ensure_topology(graph);
 
     ThroughputEstimate est;
     std::vector<ThroughputTerm>& terms = est.terms;
@@ -52,14 +45,11 @@ estimate_throughput(const ExecutionGraph& graph, const HardwareModel& hw,
         const Vertex& vx = graph.vertex(v);
         if (vx.kind == VertexKind::kIngress || vx.kind == VertexKind::kEgress)
             continue;
-        const double delta_sum = scratch != nullptr
-            ? scratch->in_delta_sum(v)
-            : graph.in_delta_sum(v);
+        const double delta_sum = graph.in_delta_sum(v);
         if (delta_sum <= 0.0)
             continue; // sees no traffic; never binds
-        const VertexAnalysis va = scratch != nullptr
-            ? scratch->vertex_analysis(graph, hw, v, traffic, class_index)
-            : analyze_vertex(graph, hw, v, traffic, class_index);
+        const VertexAnalysis va =
+            analyze_vertex(graph, hw, v, traffic, class_index);
         const TermKind kind = vx.kind == VertexKind::kRateLimiter
             ? TermKind::kRateLimit
             : TermKind::kIpCompute;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -102,20 +103,29 @@ DesignSpace::add(const std::string& path, std::vector<double> values,
     const std::vector<std::string> parts = split_path(path);
 
     if (path == "placement.nf_chain") {
+        const auto placements = apps::all_placements();
+        const std::size_t count = placements.size();
         if (values.empty())
-            for (std::size_t i = 0; i < apps::all_placements().size(); ++i)
+            for (std::size_t i = 0; i < count; ++i)
                 values.push_back(static_cast<double>(i));
         validate_levels(path, values);
         validate_integer_levels(path, values, 0.0);
-        const std::size_t count = apps::all_placements().size();
         if (values.back() >= static_cast<double>(count))
             bad_knob(path, "placement index out of range (0.."
                                + std::to_string(count - 1) + ")");
+        // Indexed by placement; only the declared levels are built.
+        using Chains = std::vector<std::optional<apps::NfChainScenario>>;
+        auto chains = std::make_shared<Chains>(count);
+        for (double v : values) {
+            const auto p = static_cast<std::size_t>(v);
+            (*chains)[p] = apps::make_nf_chain(placements[p]);
+        }
         k.values = std::move(values);
         k.rebuilds_scenario = true;
-        k.apply = [](io::Scenario& sc, double v) {
-            const auto built = apps::make_nf_chain(
-                apps::all_placements().at(static_cast<std::size_t>(v)));
+        k.apply = [chains = std::shared_ptr<const Chains>(std::move(chains))](
+                      io::Scenario& sc, double v) {
+            const apps::NfChainScenario& built =
+                chains->at(static_cast<std::size_t>(v)).value();
             sc.hw = built.hw;
             sc.graph = built.graph;
         };
@@ -134,8 +144,6 @@ DesignSpace::add(const std::string& path, std::vector<double> values,
             bad_knob(path, "level out of range");
         k.values = std::move(values);
         k.base_bound = true;
-        k.patch = PatchScope::kVertexParams;
-        k.patch_vertex = vertex_name;
         const bool is_parallelism = parts[2] == "parallelism";
         if (!is_parallelism && parts[2] != "queue_capacity")
             bad_knob(path, "unknown vertex field '" + parts[2]
@@ -159,7 +167,6 @@ DesignSpace::add(const std::string& path, std::vector<double> values,
         if (values.front() <= 0.0)
             bad_knob(path, "levels must be > 0");
         k.values = std::move(values);
-        k.patch = PatchScope::kTraffic;
         k.apply = [](io::Scenario& sc, double v) {
             sc.traffic.set_ingress_bandwidth(Bandwidth::from_gbps(v));
         };
@@ -171,7 +178,6 @@ DesignSpace::add(const std::string& path, std::vector<double> values,
     auto set = resolve_catalog_setter(base_, path, values);
     k.values = std::move(values);
     k.base_bound = parts[0] == "ip" || parts[0] == "graph";
-    k.patch = PatchScope::kCatalog;
     k.apply = [set = std::move(set)](io::Scenario& sc, double v) {
         calib::Candidate c{std::move(sc.hw), {}};
         c.graphs.push_back(std::move(sc.graph));

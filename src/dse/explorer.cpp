@@ -1,8 +1,8 @@
 /**
  * @file
- * Design-space exploration engine: model-first scoring with a sharded
- * memo cache, seed-deterministic search strategies, and DES confirmation
- * of the frontier. See explorer.hpp for the determinism contract.
+ * Design-space exploration engine: model-first scoring with a memo
+ * cache, seed-deterministic search strategies, and DES confirmation of
+ * the frontier. See explorer.hpp for the determinism contract.
  */
 #include "lognic/dse/explorer.hpp"
 
@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "lognic/core/model.hpp"
-#include "lognic/dse/materialize.hpp"
 #include "lognic/io/checkpoint.hpp"
 #include "lognic/runner/replicator.hpp"
 #include "lognic/runner/seed.hpp"
@@ -75,10 +74,9 @@ metric_value(const std::string& name, const core::Report& rep, double cost)
 }
 
 /**
- * Shared scoring tail of both the fresh and the incremental oracle:
- * objective extraction, quarantine, constraint checks. One body so the
- * two paths cannot drift (the "constraint violated" why string is pinned
- * by tests to the round-trip double formatter).
+ * Objective extraction, quarantine and constraint checks for one solved
+ * config (the "constraint violated" why string is pinned by tests to the
+ * round-trip double formatter).
  */
 void
 score_report(Evaluation& eval, const DesignSpace& space, const Config& c,
@@ -104,38 +102,6 @@ score_report(Evaluation& eval, const DesignSpace& space, const Config& c,
                    + io::format_double(v);
         break;
     }
-}
-
-/**
- * Incremental oracle: patch the worker's cached scenario to @p c, rebuild
- * the core::Model only when the hardware epoch moved, and solve with the
- * worker's SolveScratch. Bit-identical to evaluate_config for every
- * config regardless of what the Materializer saw before (see
- * materialize.hpp for why).
- */
-Evaluation
-evaluate_with(const DesignSpace& space, Materializer& mat,
-              std::optional<core::Model>& model, std::uint64_t& model_epoch,
-              const Config& c, const std::vector<ObjectiveSpec>& objectives,
-              const std::vector<Constraint>& constraints)
-{
-    Evaluation eval;
-    try {
-        const io::Scenario& sc = mat.scenario(c);
-        if (!model || model_epoch != mat.hw_epoch()) {
-            model.emplace(sc.hw);
-            model_epoch = mat.hw_epoch();
-        }
-        const core::Report rep =
-            model->estimate(sc.graph, sc.traffic, &mat.scratch());
-        score_report(eval, space, c, rep, objectives, constraints);
-    } catch (const std::exception& e) {
-        eval.objectives.assign(objectives.size(), kNan);
-        eval.finite = false;
-        eval.feasible = false;
-        eval.why = std::string("evaluation failed: ") + e.what();
-    }
-    return eval;
 }
 
 void
@@ -453,9 +419,9 @@ evaluate_config(const DesignSpace& space, const Config& c,
 {
     Evaluation eval;
     try {
-        const io::Scenario sc = space.materialize(c);
+        io::Scenario sc = space.materialize(c);
         const core::Report rep =
-            core::Model(sc.hw).estimate(sc.graph, sc.traffic);
+            core::Model(std::move(sc.hw)).estimate(sc.graph, sc.traffic);
         score_report(eval, space, c, rep, objectives, constraints);
     } catch (const std::exception& e) {
         // A config the model rejects outright is quarantined like a
@@ -475,8 +441,7 @@ BatchEvaluator::BatchEvaluator(const DesignSpace& space,
                                const std::vector<Constraint>& constraints,
                                const ExploreOptions& opts, Pruner* pruner)
     : space_(space), objectives_(objectives), constraints_(constraints),
-      opts_(opts), pruner_(pruner),
-      cache_(opts.cache_capacity, opts.cache_shards)
+      opts_(opts), pruner_(pruner), cache_(opts.cache_capacity)
 {
 }
 
@@ -539,26 +504,14 @@ BatchEvaluator::run_batch(const std::vector<Config>& batch)
             to_compute.push_back(i);
     solves_ += to_compute.size();
 
-    // Contiguous chunks, one incremental Materializer (and epoch-keyed
-    // core::Model) per chunk. Per-config results are bit-identical to
-    // fresh evaluation whatever the chunk boundaries, so the split only
-    // affects wall-clock, never bytes.
-    const std::size_t workers = std::max<std::size_t>(1, opts_.threads);
-    const std::size_t chunks = std::min(to_compute.size(), workers);
-    runner::parallel_for(chunks, opts_.threads, [&](std::size_t chunk) {
-        Materializer mat(space_);
-        std::optional<core::Model> model;
-        std::uint64_t model_epoch = 0;
-        const std::size_t lo = chunk * to_compute.size() / chunks;
-        const std::size_t hi = (chunk + 1) * to_compute.size() / chunks;
-        for (std::size_t u = lo; u < hi; ++u) {
+    runner::parallel_for(
+        to_compute.size(), opts_.threads, [&](std::size_t u) {
             Pending& p = pending[to_compute[u]];
-            p.eval = evaluate_with(space_, mat, model, model_epoch, p.config,
-                                   objectives_, constraints_);
+            p.eval = evaluate_config(space_, p.config, objectives_,
+                                     constraints_);
             if (opts_.on_eval)
                 opts_.on_eval(p.key, p.eval);
-        }
-    });
+        });
     for (const Pending& p : pending)
         cache_.insert(p.key, p.eval);
 

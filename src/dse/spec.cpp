@@ -100,7 +100,6 @@ explore_spec_from_json(const io::Json& doc)
         io::uint_or(dse, "exhaustive_limit", opts.exhaustive_limit);
     opts.cache_capacity =
         io::uint_or(dse, "cache_capacity", opts.cache_capacity);
-    opts.cache_shards = io::uint_or(dse, "cache_shards", opts.cache_shards);
     if (dse.contains("des")) {
         const io::Json& d = dse.at("des");
         if (d.contains("enabled"))

@@ -99,6 +99,83 @@ TEST(ExecutionGraph, ValidateDetectsDeadEndAndUnreachable)
     EXPECT_THROW(g.validate(hw), std::invalid_argument);
 }
 
+TEST(ExecutionGraph, StructuralErrorsNameTheFirstBadVertex)
+{
+    const HardwareModel hw = toy_hw();
+    const auto what = [&](const ExecutionGraph& g) {
+        try {
+            g.validate(hw);
+        } catch (const std::invalid_argument& e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    // Vertices are checked in id order, each against the four structural
+    // rules in a fixed order; the first failure is the one reported.
+    {
+        // "orphan" has neither in- nor out-edges: unreachable wins.
+        ExecutionGraph g("g");
+        const auto in = g.add_ingress();
+        const auto out = g.add_egress();
+        const auto a = g.add_ip_vertex("a", 0);
+        g.add_edge(in, a);
+        g.add_edge(a, out);
+        g.add_ip_vertex("orphan", 0);
+        g.add_ip_vertex("orphan2", 0);
+        EXPECT_EQ(what(g),
+                  "ExecutionGraph 'g' vertex 'orphan': unreachable (no "
+                  "in-edges)");
+    }
+    {
+        // "sink" (id 3) dead-ends before "source" (id 4) is reached.
+        ExecutionGraph g("g");
+        const auto in = g.add_ingress();
+        const auto out = g.add_egress();
+        const auto a = g.add_ip_vertex("a", 0);
+        const auto sink = g.add_ip_vertex("sink", 0);
+        const auto source = g.add_ip_vertex("source", 0);
+        g.add_edge(in, a);
+        g.add_edge(a, out);
+        g.add_edge(a, sink);
+        g.add_edge(source, out);
+        EXPECT_EQ(what(g),
+                  "ExecutionGraph 'g' vertex 'sink': dead end (no "
+                  "out-edges)");
+    }
+    {
+        // A second ingress fed by "a" and a dead end after it: the
+        // ingress has the lower id.
+        ExecutionGraph g("g");
+        const auto in = g.add_ingress();
+        const auto out = g.add_egress();
+        const auto a = g.add_ip_vertex("a", 0);
+        const auto in2 = g.add_ingress("in2");
+        const auto sink = g.add_ip_vertex("sink", 0);
+        g.add_edge(in, a);
+        g.add_edge(a, out);
+        g.add_edge(a, in2);
+        g.add_edge(in2, out);
+        g.add_edge(in2, sink);
+        EXPECT_EQ(what(g),
+                  "ExecutionGraph 'g' vertex 'in2': ingress cannot have "
+                  "inputs");
+    }
+    {
+        // An egress feeding a second egress: the first one is named.
+        ExecutionGraph g("g");
+        const auto in = g.add_ingress();
+        const auto out = g.add_egress();
+        const auto a = g.add_ip_vertex("a", 0);
+        const auto out2 = g.add_egress("out2");
+        g.add_edge(in, a);
+        g.add_edge(a, out);
+        g.add_edge(out, out2);
+        EXPECT_EQ(what(g),
+                  "ExecutionGraph 'g' vertex 'egress': egress cannot have "
+                  "outputs");
+    }
+}
+
 TEST(ExecutionGraph, ValidateChecksParameterRanges)
 {
     const HardwareModel hw = toy_hw();

@@ -92,6 +92,44 @@ TEST(DesignSpace, PlacementKnobDefaultsToAllPlacements)
     EXPECT_GT(last.graph.vertex_count(), arm.graph.vertex_count());
 }
 
+TEST(DesignSpace, PlacementLevelsMaterializeTheirNfChainInAnyOrder)
+{
+    // The placement table is built once when the knob is declared; each
+    // level must still materialize to exactly the chain make_nf_chain
+    // builds for it, under the base traffic, whatever came before.
+    const io::Scenario base = nf_base();
+    const auto placements = apps::all_placements();
+    const auto expected = [&](std::size_t p) {
+        auto built = apps::make_nf_chain(placements.at(p));
+        return io::to_json(io::Scenario{std::move(built.hw),
+                                        std::move(built.graph),
+                                        base.traffic})
+            .dump(-1);
+    };
+
+    DesignSpace all(base);
+    all.add("placement.nf_chain", {});
+    const std::uint32_t n = static_cast<std::uint32_t>(placements.size());
+    std::vector<std::uint32_t> order;
+    for (std::uint32_t i = 0; i < n; ++i)
+        order.push_back(i);
+    for (std::uint32_t i = n; i-- > 0;)
+        order.push_back(i);
+    for (std::uint32_t i = 0; i < n; ++i)
+        order.push_back(i * 5 % n);
+    for (std::uint32_t p : order)
+        EXPECT_EQ(io::to_json(all.materialize({p})).dump(-1), expected(p))
+            << "placement " << p;
+
+    // Declared levels are placement indices, not positions.
+    DesignSpace some(base);
+    some.add("placement.nf_chain", {3.0, 7.0, 12.0});
+    for (std::uint32_t level : {2u, 0u, 1u, 2u})
+        EXPECT_EQ(io::to_json(some.materialize({level})).dump(-1),
+                  expected(std::vector<std::size_t>{3, 7, 12}[level]))
+            << "level " << level;
+}
+
 TEST(DesignSpace, PlacementExcludesBaseBoundKnobs)
 {
     // placement.* rebuilds hw+graph, so knobs bound to base-scenario names

@@ -186,7 +186,7 @@ TEST(Explore, ReportByteIdenticalAcrossThreadCounts)
     EXPECT_EQ(serial, parallel);
 }
 
-TEST(Explore, MutationHitsMemoCacheAndIsDeterministic)
+TEST(Explore, MutationHitsTheCacheAndIsDeterministic)
 {
     DesignSpace space(nf_base());
     space.add("traffic.rate_gbps",
@@ -212,6 +212,37 @@ TEST(Explore, MutationHitsMemoCacheAndIsDeterministic)
     const auto b = dse::explore(space, tput_p99(), {}, opts);
     EXPECT_EQ(dse::frontier_report_to_json(a).dump(-1),
               dse::frontier_report_to_json(b).dump(-1));
+}
+
+TEST(Explore, CacheHoldsCacheCapacityEntriesBeforeEvicting)
+{
+    // A mutation run over three knobs that scores exactly cache_capacity
+    // configs: every one of them fits, so nothing is evicted.
+    auto doc = io::Json::parse(dse::sample_explore_spec());
+    io::Json section = doc.at("dse");
+    section.set("knobs", io::Json::parse(R"([
+        "placement.nf_chain",
+        {"path": "line_rate_gbps", "values": [10, 20, 30, 40, 50]},
+        {"path": "traffic.rate_gbps", "values": [5, 10, 15, 20, 25, 30]}
+    ])"));
+    section.set("constraints",
+                io::Json::parse(
+                    R"([{"metric": "throughput_gbps", "lower": 15}])"));
+    io::Json des = section.at("des");
+    des.set("enabled", io::Json(false));
+    section.set("des", std::move(des));
+    section.set("strategy", io::Json("mutation"));
+    section.set("budget", io::Json(64));
+    section.set("cache_capacity", io::Json(64));
+    doc.set("dse", std::move(section));
+    const auto spec = dse::explore_spec_from_json(doc);
+
+    const auto report = dse::explore(spec.space, spec.objectives,
+                                     spec.constraints, spec.options);
+    EXPECT_EQ(report.evaluated, 64u);
+    EXPECT_EQ(report.cache.hits, 45u);
+    EXPECT_EQ(report.cache.misses, 71u);
+    EXPECT_EQ(report.cache.evictions, 0u);
 }
 
 TEST(Explore, Nsga2DeterministicAndBudgeted)

@@ -4,8 +4,7 @@
  * (every pruned config is one the oracle would mark infeasible, with the
  * same constraint-violation value), byte-identical frontier reports with
  * pruning on/off at any thread count, the <= 50% solve budget on a
- * binding constraint, and the incremental-Materializer bit-identity the
- * batch evaluator relies on.
+ * binding constraint, and batched scores equal to evaluate_config's.
  */
 #include "lognic/dse/prune.hpp"
 
@@ -256,11 +255,10 @@ TEST(Pruner, OpaqueSpacesFallBackToCostOnlyPruning)
     EXPECT_EQ(r->metric, "cost");
 }
 
-TEST(BatchEvaluator, IncrementalEvaluationIsBitIdenticalToFresh)
+TEST(BatchEvaluator, ScoresEqualEvaluateConfigAtAnyThreadCount)
 {
-    // The batch evaluator patches one cached scenario per chunk instead
-    // of rebuilding per config; results must be bit-identical to a fresh
-    // evaluate_config at every config, at any thread count.
+    // Every batched score is the oracle's own: bit-identical to
+    // evaluate_config at every config, whatever the thread count.
     const DesignSpace space = constrained_space();
     const auto objectives = tput_p99();
     const std::vector<Constraint> constraints{tput_floor(15.0)};
