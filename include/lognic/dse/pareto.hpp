@@ -74,27 +74,28 @@ bool dominates(const ScoredConfig& a, const ScoredConfig& b,
  * Candidates with identical objective vectors are mutually nondominated
  * and all appear. With a single objective this degenerates to the argmin
  * (or argmax) set.
+ *
+ * One best-first scan finds them: sort the eligible candidates in
+ * descending lexicographic order of their objectives normalized to
+ * "larger is better" (x when maximized, -x when minimized; ties by index),
+ * then let each join the running frontier unless a member dominates it.
+ * A dominator is >= in every normalized coordinate and > in one, so it
+ * sorts ahead of all it dominates; by transitivity a dominated candidate
+ * has a nondominated dominator, already in the frontier. With F members
+ * among N candidates and d objectives this costs O(N log N + N·F·d).
  */
 std::vector<std::size_t> pareto_frontier(const std::vector<ScoredConfig>& all,
                                          const std::vector<Sense>& senses);
 
-/// How many eligible members of @p all the candidate @p who dominates.
-std::uint64_t dominated_count(const ScoredConfig& who,
-                              const std::vector<ScoredConfig>& all,
-                              const std::vector<Sense>& senses);
-
 /**
- * Frontier membership and per-candidate dominated counts from ONE
- * O(N^2) pass over unordered candidate pairs (dominance is asymmetric,
- * so each pair needs at most two vector comparisons). Equivalent to
- * pareto_frontier() plus dominated_count() per member — which the
- * explorer used to recompute per frontier entry, at O(N) a call — and
- * pinned equal to that brute force by a regression test.
+ * The frontier plus, per member, how many eligible candidates it
+ * dominates, counted only over those after it in the scan's order (which
+ * holds all it dominates). When F = N the scan and the counts make the
+ * N(N-1) dominance tests of an all-pairs pass.
  */
 struct DominanceSummary {
-    /// == pareto_frontier(all, senses).
-    std::vector<std::size_t> frontier;
-    /// dominated[i] == dominated_count(all[i], all, senses).
+    std::vector<std::size_t> frontier; ///< == pareto_frontier(all, senses)
+    /// Frontier-aligned: frontier[k] dominates dominated[k] eligible members.
     std::vector<std::uint64_t> dominated;
 };
 
@@ -102,11 +103,13 @@ DominanceSummary dominance_summary(const std::vector<ScoredConfig>& all,
                                    const std::vector<Sense>& senses);
 
 /**
- * NSGA-II fast non-dominated sort over the eligible members of @p all:
+ * NSGA-II non-dominated sort over the eligible members of @p all:
  * fronts[0] is the frontier, fronts[1] the frontier once fronts[0] is
- * removed, and so on. Quarantined/infeasible candidates appear in no
- * front (strategies rank them behind every front). Front-internal order
- * is ascending index — deterministic.
+ * removed, and so on. Each front is peeled by pareto_frontier()'s scan
+ * over the members that remain, which keep their best-first order.
+ * Quarantined/infeasible candidates appear in no front (strategies rank
+ * them behind every front). Front-internal order is ascending index —
+ * deterministic.
  */
 std::vector<std::vector<std::size_t>>
 non_dominated_sort(const std::vector<ScoredConfig>& all,

@@ -598,8 +598,8 @@ explore(const DesignSpace& space,
     }
 
     const std::vector<ScoredConfig> archive = ev.archive_vector();
-    // One O(N^2) dominance pass yields both the frontier and every
-    // member's dominated count (previously recomputed at O(N) per entry).
+    // One best-first scan yields the frontier and each member's dominated
+    // count.
     const DominanceSummary dom = dominance_summary(archive, senses);
     const std::vector<std::size_t>& frontier = dom.frontier;
 
@@ -631,7 +631,7 @@ explore(const DesignSpace& space,
             entry.key = who.key;
             entry.config = who.config;
             entry.objectives = who.objectives;
-            entry.dominated = dom.dominated[frontier[i]];
+            entry.dominated = dom.dominated[i];
             if (opts.des.enabled && opts.des.replications > 0) {
                 entry.des_validated = true;
                 if (!opts.resume_des

@@ -16,6 +16,70 @@ all_finite(const std::vector<double>& objectives)
     return true;
 }
 
+namespace {
+
+/// @p x as a "larger is better" value under @p sense.
+double
+larger_is_better(double x, Sense sense)
+{
+    return sense == Sense::kMaximize ? x : -x;
+}
+
+/// Canonical candidate order: by id, ties broken by the exact key.
+bool
+canonical_less(const ScoredConfig& a, const ScoredConfig& b)
+{
+    if (a.id != b.id)
+        return a.id < b.id;
+    return a.key < b.key;
+}
+
+/// The eligible members of @p all, best first (see pareto_frontier()).
+std::vector<std::size_t>
+best_first(const std::vector<ScoredConfig>& all,
+           const std::vector<Sense>& senses)
+{
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        if (!eligible(all[i]))
+            continue;
+        if (all[i].objectives.size() != senses.size())
+            throw std::invalid_argument(
+                "pareto: objective vector size mismatch");
+        order.push_back(i);
+    }
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        for (std::size_t m = 0; m < senses.size(); ++m) {
+            const double x = larger_is_better(all[a].objectives[m], senses[m]);
+            const double y = larger_is_better(all[b].objectives[m], senses[m]);
+            if (x != y)
+                return x > y;
+        }
+        return a < b;
+    });
+    return order;
+}
+
+/// Positions (ascending) of the nondominated members of the best-first
+/// @p order: each joins unless an earlier joiner dominates it.
+std::vector<std::size_t>
+scan_frontier(const std::vector<ScoredConfig>& all,
+              const std::vector<std::size_t>& order,
+              const std::vector<Sense>& senses)
+{
+    std::vector<std::size_t> front;
+    for (std::size_t p = 0; p < order.size(); ++p) {
+        const std::vector<double>& x = all[order[p]].objectives;
+        if (std::none_of(front.begin(), front.end(), [&](std::size_t q) {
+                return dominates(all[order[q]].objectives, x, senses);
+            }))
+            front.push_back(p);
+    }
+    return front;
+}
+
+} // namespace
+
 bool
 dominates(const std::vector<double>& a, const std::vector<double>& b,
           const std::vector<Sense>& senses)
@@ -25,10 +89,8 @@ dominates(const std::vector<double>& a, const std::vector<double>& b,
             "dominates: objective vector size mismatch");
     bool strictly_better = false;
     for (std::size_t i = 0; i < senses.size(); ++i) {
-        // Normalize to "larger is better" so one comparison serves both
-        // senses.
-        const double x = senses[i] == Sense::kMaximize ? a[i] : -a[i];
-        const double y = senses[i] == Sense::kMaximize ? b[i] : -b[i];
+        const double x = larger_is_better(a[i], senses[i]);
+        const double y = larger_is_better(b[i], senses[i]);
         if (x < y)
             return false;
         if (x > y)
@@ -46,89 +108,41 @@ dominates(const ScoredConfig& a, const ScoredConfig& b,
     return dominates(a.objectives, b.objectives, senses);
 }
 
-namespace {
-
-/// Canonical candidate order: by id, ties broken by the exact key.
-bool
-canonical_less(const ScoredConfig& a, const ScoredConfig& b)
-{
-    if (a.id != b.id)
-        return a.id < b.id;
-    return a.key < b.key;
-}
-
-} // namespace
-
 std::vector<std::size_t>
 pareto_frontier(const std::vector<ScoredConfig>& all,
                 const std::vector<Sense>& senses)
 {
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        if (!eligible(all[i]))
-            continue;
-        bool dominated = false;
-        for (std::size_t j = 0; j < all.size() && !dominated; ++j) {
-            if (j == i || !eligible(all[j]))
-                continue;
-            dominated =
-                dominates(all[j].objectives, all[i].objectives, senses);
-        }
-        if (!dominated)
-            out.push_back(i);
-    }
+    const std::vector<std::size_t> order = best_first(all, senses);
+    std::vector<std::size_t> out = scan_frontier(all, order, senses);
+    for (std::size_t& p : out)
+        p = order[p];
     std::sort(out.begin(), out.end(), [&](std::size_t a, std::size_t b) {
         return canonical_less(all[a], all[b]);
     });
     return out;
 }
 
-std::uint64_t
-dominated_count(const ScoredConfig& who, const std::vector<ScoredConfig>& all,
-                const std::vector<Sense>& senses)
-{
-    if (!eligible(who))
-        return 0;
-    std::uint64_t n = 0;
-    for (const auto& other : all) {
-        if (!eligible(other))
-            continue;
-        if (dominates(who.objectives, other.objectives, senses))
-            ++n;
-    }
-    return n;
-}
-
 DominanceSummary
 dominance_summary(const std::vector<ScoredConfig>& all,
                   const std::vector<Sense>& senses)
 {
+    const std::vector<std::size_t> order = best_first(all, senses);
     DominanceSummary out;
-    out.dominated.assign(all.size(), 0);
-    std::vector<char> is_dominated(all.size(), 0);
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        if (!eligible(all[i]))
-            continue;
-        for (std::size_t j = i + 1; j < all.size(); ++j) {
-            if (!eligible(all[j]))
-                continue;
-            // Strict dominance holds in at most one direction per pair.
-            if (dominates(all[i].objectives, all[j].objectives, senses)) {
-                ++out.dominated[i];
-                is_dominated[j] = 1;
-            } else if (dominates(all[j].objectives, all[i].objectives,
-                                 senses)) {
-                ++out.dominated[j];
-                is_dominated[i] = 1;
-            }
-        }
-        if (!is_dominated[i])
-            out.frontier.push_back(i);
-    }
+    out.frontier = scan_frontier(all, order, senses); // positions in order
     std::sort(out.frontier.begin(), out.frontier.end(),
               [&](std::size_t a, std::size_t b) {
-                  return canonical_less(all[a], all[b]);
+                  return canonical_less(all[order[a]], all[order[b]]);
               });
+    // Whatever a member dominates sorts after it: count only there.
+    for (std::size_t& p : out.frontier) {
+        const std::vector<double>& x = all[order[p]].objectives;
+        out.dominated.push_back(static_cast<std::uint64_t>(std::count_if(
+            order.begin() + static_cast<std::ptrdiff_t>(p) + 1, order.end(),
+            [&](std::size_t j) {
+                return dominates(x, all[j].objectives, senses);
+            })));
+        p = order[p];
+    }
     return out;
 }
 
@@ -136,39 +150,20 @@ std::vector<std::vector<std::size_t>>
 non_dominated_sort(const std::vector<ScoredConfig>& all,
                    const std::vector<Sense>& senses)
 {
-    std::vector<std::size_t> members;
-    for (std::size_t i = 0; i < all.size(); ++i)
-        if (eligible(all[i]))
-            members.push_back(i);
-
-    // dominated_by[i]: how many members dominate i; domins[i]: who i
-    // dominates.
-    std::vector<std::size_t> dominated_by(all.size(), 0);
-    std::vector<std::vector<std::size_t>> domins(all.size());
-    for (std::size_t a : members)
-        for (std::size_t b : members) {
-            if (a == b)
-                continue;
-            if (dominates(all[a].objectives, all[b].objectives, senses)) {
-                domins[a].push_back(b);
-                ++dominated_by[b];
-            }
-        }
-
     std::vector<std::vector<std::size_t>> fronts;
-    std::vector<std::size_t> current;
-    for (std::size_t i : members)
-        if (dominated_by[i] == 0)
-            current.push_back(i);
-    while (!current.empty()) {
-        fronts.push_back(current);
-        std::vector<std::size_t> next;
-        for (std::size_t i : current)
-            for (std::size_t j : domins[i])
-                if (--dominated_by[j] == 0)
-                    next.push_back(j);
-        std::sort(next.begin(), next.end());
-        current = std::move(next);
+    // Peel one front per round; the members that remain stay best-first.
+    std::vector<std::size_t> remaining = best_first(all, senses);
+    while (!remaining.empty()) {
+        std::vector<char> joined(remaining.size(), 0);
+        for (std::size_t p : scan_frontier(all, remaining, senses))
+            joined[p] = 1;
+        std::vector<std::size_t> front;
+        std::vector<std::size_t> rest;
+        for (std::size_t p = 0; p < remaining.size(); ++p)
+            (joined[p] ? front : rest).push_back(remaining[p]);
+        std::sort(front.begin(), front.end());
+        fronts.push_back(std::move(front));
+        remaining = std::move(rest);
     }
     return fronts;
 }

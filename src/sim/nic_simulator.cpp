@@ -574,7 +574,9 @@ struct NicSimulator::Impl {
     {
         VertexState& st = vertices[v];
         touch(st);
-        st.engines_offline = std::min(st.engines, st.engines_offline + count);
+        // Saturate in 64 bits: the uint32 sum wraps for a large count.
+        st.engines_offline = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+            st.engines, std::uint64_t{st.engines_offline} + count));
         while (st.busy > st.available()) {
             const VertexState::InService victim = st.in_service.back();
             st.in_service.pop_back();

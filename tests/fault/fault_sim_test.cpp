@@ -7,9 +7,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "../test_helpers.hpp"
 #include "lognic/apps/panic_models.hpp"
 #include "lognic/devices/panic_proto.hpp"
+#include "lognic/fault/degradation.hpp"
 #include "lognic/fault/fault_plan.hpp"
 #include "lognic/sim/nic_simulator.hpp"
 
@@ -120,6 +123,51 @@ TEST(FaultSim, InServiceDropPolicyCountsEngineFailDrops)
     EXPECT_GT(
         res.metrics.counter_or_zero("sim.dropped_by_cause.engine_fail"), 0u);
     expect_conserved(res);
+}
+
+TEST(FaultSim, HugeEngineFailCountSaturatesAtEveryEngine)
+{
+    // 2 of the 8 engines fail at 1 ms, then 2^32 - 1 more at 2 ms. The
+    // offline count must saturate at 8, not wrap to 1: the vertex goes
+    // down exactly as when the second count is 8.
+    constexpr std::uint32_t kHuge = std::numeric_limits<std::uint32_t>::max();
+    const auto hw = small_nic();
+    const auto g = single_stage_graph(hw);
+    const auto plan = [](std::uint32_t second) {
+        FaultPlan p;
+        auto first = event(FaultKind::kEngineFail, 0.001, "cores");
+        first.count = 2;
+        p.events.push_back(first);
+        auto rest = event(FaultKind::kEngineFail, 0.002, "cores");
+        rest.count = second;
+        p.events.push_back(rest);
+        return p;
+    };
+    const auto run = [&](std::uint32_t second) {
+        sim::SimOptions o = quick();
+        o.duration = 0.02;
+        o.faults = plan(second);
+        return sim::simulate(hw, g, mtu_traffic(5.0), o);
+    };
+    const auto huge = run(kHuge);
+    const auto eight = run(8);
+    EXPECT_EQ(eight.delivered.gbps(), 0.0);
+    EXPECT_GT(eight.dropped, 0u);
+    EXPECT_EQ(huge.delivered.gbps(), eight.delivered.gbps());
+    EXPECT_EQ(huge.dropped, eight.dropped);
+    EXPECT_EQ(huge.dropped_total, eight.dropped_total);
+    expect_conserved(huge);
+
+    // The model's replay sums counts in int64 and agrees: fully failed
+    // (floored at one engine, as apply_faults_at documents).
+    const auto engines_at = [&](std::uint32_t second, double t) {
+        const auto sc = apply_faults_at(plan(second), t, hw, g);
+        return sc.graph.vertex(*sc.graph.find_vertex("cores"))
+            .params.parallelism;
+    };
+    EXPECT_EQ(engines_at(kHuge, 0.0015), 6u);
+    EXPECT_EQ(engines_at(kHuge, 0.003), 1u);
+    EXPECT_EQ(engines_at(8, 0.003), 1u);
 }
 
 TEST(FaultSim, SlowdownInflatesLatency)

@@ -2,9 +2,10 @@
  * @file
  * Deterministic fuzzing of the spec loaders: json_fuzz_test's byte and
  * digit mutations, applied to the documents an operator hands `lognic
- * sweep`, `explore`, `calibrate` and `check --corpus`. Every mutant either
- * loads or throws a std::exception that says why — never crashes, hangs,
- * or corrupts memory (the sanitizer job runs io_tests under ASan/UBSan).
+ * sweep`, `explore`, `calibrate`, `check --corpus` and `simulate
+ * --faults`. Every mutant either loads or throws a std::exception that
+ * says why — never crashes, hangs, or corrupts memory (the sanitizer job
+ * runs io_tests under ASan/UBSan).
  */
 #include <gtest/gtest.h>
 
@@ -16,8 +17,10 @@
 #include "lognic/check/generate.hpp"
 #include "lognic/check/harness.hpp"
 #include "lognic/dse/spec.hpp"
+#include "lognic/fault/fault_plan.hpp"
 #include "lognic/io/serialize.hpp"
 #include "lognic/runner/sweep.hpp"
+#include "lognic/sim/nic_simulator.hpp"
 #include "mutate.hpp"
 
 namespace lognic::io {
@@ -100,6 +103,29 @@ TEST(SpecFuzz, CorpusEntryLoadsOrThrows)
         "fuzz", check::generate_scenario(11).scenario, {}, true};
     fuzz_loader(check::to_json(entry).dump(2), [](const Json& j) {
         (void)check::corpus_entry_from_json(j);
+    });
+}
+
+TEST(SpecFuzz, FaultPlanLoadsOrThrows)
+{
+    // A plan that loads also runs: 30 ms (the sample plan's span) of 1 KiB
+    // packets at 1 Gb/s through cores -> crypto, the vertices it names.
+    const core::HardwareModel hw = test::small_nic();
+    core::ExecutionGraph g("fuzz-offload");
+    const auto in = g.add_ingress();
+    const auto out = g.add_egress();
+    const auto cores = g.add_ip_vertex("cores", *hw.find_ip("cores"));
+    const auto crypto = g.add_ip_vertex("crypto", *hw.find_ip("accel"));
+    g.add_edge(in, cores);
+    g.add_edge(cores, crypto, core::EdgeParams{1.0, 0.0, 1.0, {}});
+    g.add_edge(crypto, out);
+    const auto traffic = core::TrafficProfile::fixed(
+        Bytes{1024.0}, Bandwidth::from_gbps(1.0));
+    fuzz_loader(fault::sample_fault_plan(), [&](const Json& j) {
+        sim::SimOptions o;
+        o.duration = 0.03;
+        o.faults = fault::fault_plan_from_json(j);
+        (void)sim::simulate(hw, g, traffic, o);
     });
 }
 
