@@ -12,8 +12,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "lognic/runner/thread_pool.hpp"
 
 namespace lognic::bench {
 
@@ -35,11 +36,7 @@ threads_arg(int argc, char** argv)
                              argv[i + 1]);
                 std::exit(2);
             }
-            if (n == 0) {
-                const unsigned hw = std::thread::hardware_concurrency();
-                return hw > 0 ? hw : 1;
-            }
-            return static_cast<std::size_t>(n);
+            return runner::resolve_threads(static_cast<std::size_t>(n));
         }
     }
     return 1;

@@ -7,70 +7,100 @@
  * node-partition analysis suggests the minimal provision 5/4/4/4 for
  * profiles 1-4, and fewer credits also cut latency (21.8% for profile 1 at
  * 5 vs 8 credits).
+ *
+ * Accepts `--threads N`: the 40 simulations (4 profiles x 8 bandwidth and
+ * 2 latency runs) fan out over the runner's thread pool. Each has a fixed
+ * seed and writes its own slot, so output is byte-identical for any N.
  */
 #include "bench_util.hpp"
 #include "lognic/apps/panic_models.hpp"
+#include "lognic/runner/thread_pool.hpp"
 #include "lognic/sim/nic_simulator.hpp"
 #include "lognic/traffic/profiles.hpp"
 
 using namespace lognic;
 
+namespace {
+
+constexpr std::uint32_t kMaxCredits = 8;
+/// Per profile: bandwidth at 1..8 credits, then latency at the suggested
+/// provision and at 8 credits.
+constexpr std::size_t kSimsPerProfile = kMaxCredits + 2;
+
+} // namespace
+
 int
-main()
+main(int argc, char** argv)
 {
+    const std::size_t threads = bench::threads_arg(argc, argv);
     bench::banner("Figure 15",
                   "PANIC: measured bandwidth (Gbps) vs credits for four "
                   "mixed traffic profiles (Model 1 chain)");
 
     const Bandwidth offered = Bandwidth::from_gbps(90.0);
     std::vector<std::string> cols{"series"};
-    for (int c = 1; c <= 8; ++c)
+    for (std::uint32_t c = 1; c <= kMaxCredits; ++c)
         cols.push_back(std::to_string(c) + "cr");
     cols.push_back("suggest");
     bench::header(cols);
 
+    // The suggestions come from the model, before any simulation.
+    std::vector<core::TrafficProfile> profiles;
+    std::vector<std::uint32_t> suggested;
     for (int profile = 1; profile <= 4; ++profile) {
-        const auto tp = traffic::panic_profile(profile, offered);
-        const std::uint32_t suggested = apps::lognic_optimal_credits(tp);
+        profiles.push_back(traffic::panic_profile(profile, offered));
+        suggested.push_back(apps::lognic_optimal_credits(profiles.back()));
+    }
 
-        std::vector<double> sim_bw;
-        std::vector<double> model_bw;
-        for (std::uint32_t credits = 1; credits <= 8; ++credits) {
-            const auto sc = apps::make_panic_pipelined_chain(credits);
-            sim::SimOptions opts;
-            opts.duration = 0.02;
-            opts.seed = 17;
-            // PANIC compute units are fixed-function hardware pipelines.
-            opts.exponential_service = false;
-            const auto res = sim::simulate(sc.hw, sc.graph, tp, opts);
-            sim_bw.push_back(res.delivered.gbps());
-            model_bw.push_back(std::min(
-                apps::lognic_panic_chain_capacity(tp, credits).gbps(),
-                offered.gbps()));
-        }
-        // Latency comparison under the same saturating load: past the
+    // Slot p * kSimsPerProfile + k holds profile p's k-th run. Workers
+    // claim the longest runs first — the 0.05 s latency runs, then the
+    // bandwidth runs from 8 credits down — so none starts last and
+    // leaves the others idle.
+    std::vector<double> cells(profiles.size() * kSimsPerProfile);
+    std::vector<std::size_t> longest_first;
+    for (std::size_t k = kSimsPerProfile; k-- > 0;)
+        for (std::size_t p = 0; p < profiles.size(); ++p)
+            longest_first.push_back(p * kSimsPerProfile + k);
+    runner::parallel_for(cells.size(), threads, [&](std::size_t claim) {
+        const std::size_t i = longest_first[claim];
+        const std::size_t p = i / kSimsPerProfile;
+        const std::size_t k = i % kSimsPerProfile;
+        const bool bandwidth_run = k < kMaxCredits;
+        const std::uint32_t credits = bandwidth_run
+            ? static_cast<std::uint32_t>(k + 1)
+            : (k == kMaxCredits ? suggested[p] : kMaxCredits);
+        const auto sc = apps::make_panic_pipelined_chain(credits);
+        sim::SimOptions opts;
+        // Latency runs compare under the same saturating load: past the
         // knee, extra credits only buy buffer occupancy.
-        auto latency_at = [&](std::uint32_t credits) {
-            const auto sc = apps::make_panic_pipelined_chain(credits);
-            sim::SimOptions opts;
-            opts.duration = 0.05;
-            opts.seed = 29;
-            opts.exponential_service = false;
-            return sim::simulate(sc.hw, sc.graph, tp, opts)
-                .mean_latency.micros();
-        };
-        const double lat_at_suggested = latency_at(suggested);
-        const double lat_at_8 = latency_at(8);
-        std::vector<double> sim_row = sim_bw;
-        sim_row.push_back(static_cast<double>(suggested));
-        std::vector<double> model_row = model_bw;
-        model_row.push_back(static_cast<double>(suggested));
-        bench::row("TP" + std::to_string(profile) + "/sim", sim_row);
-        bench::row("TP" + std::to_string(profile) + "/model", model_row);
+        opts.duration = bandwidth_run ? 0.02 : 0.05;
+        opts.seed = bandwidth_run ? 17 : 29;
+        // PANIC compute units are fixed-function hardware pipelines.
+        opts.exponential_service = false;
+        const auto res = sim::simulate(sc.hw, sc.graph, profiles[p], opts);
+        cells[i] = bandwidth_run ? res.delivered.gbps()
+                                 : res.mean_latency.micros();
+    });
+
+    for (std::size_t p = 0; p < profiles.size(); ++p) {
+        const double* row = &cells[p * kSimsPerProfile];
+        std::vector<double> sim_row(row, row + kMaxCredits);
+        std::vector<double> model_row;
+        for (std::uint32_t credits = 1; credits <= kMaxCredits; ++credits)
+            model_row.push_back(std::min(
+                apps::lognic_panic_chain_capacity(profiles[p], credits)
+                    .gbps(),
+                offered.gbps()));
+        sim_row.push_back(static_cast<double>(suggested[p]));
+        model_row.push_back(static_cast<double>(suggested[p]));
+        const double lat_at_suggested = row[kMaxCredits];
+        const double lat_at_8 = row[kMaxCredits + 1];
+        const std::string name = "TP" + std::to_string(p + 1);
+        bench::row(name + "/sim", sim_row);
+        bench::row(name + "/model", model_row);
         std::printf("%14s  latency @suggested %.2fus vs @8cr %.2fus "
                     "(drop %.1f%%)\n",
-                    ("TP" + std::to_string(profile)).c_str(),
-                    lat_at_suggested, lat_at_8,
+                    name.c_str(), lat_at_suggested, lat_at_8,
                     100.0 * (1.0 - lat_at_suggested / lat_at_8));
     }
 

@@ -18,6 +18,7 @@
 #ifndef LOGNIC_CHECK_HARNESS_HPP_
 #define LOGNIC_CHECK_HARNESS_HPP_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -57,10 +58,13 @@ struct TrialOutcome {
 };
 
 /// Resume source: true + filled outcome when @p key is already journaled.
+/// Called from worker threads, concurrently for different keys.
 using TrialLookup =
     std::function<bool(const std::string& key, TrialOutcome& out)>;
 
-/// Completion sink: fired once per freshly-run trial/corpus entry.
+/// Completion sink: fired once per freshly-run trial/corpus entry, from
+/// the worker thread that ran it, concurrently for different keys and in
+/// no fixed order.
 using TrialHook =
     std::function<void(const std::string& key, const TrialOutcome&)>;
 
@@ -77,6 +81,10 @@ struct CheckOptions {
     GeneratorConfig generator{};
     InvariantTolerances invariants{};
     ConformanceTolerances conformance{};
+    /// Worker threads for trials and corpus entries; 0 means one per
+    /// hardware thread. The report is byte-identical at any count: units
+    /// run into indexed slots and fold in index order.
+    std::size_t threads{0};
     /// Checkpoint/resume seams (see lognic::ckpt). Hooks never change
     /// what the harness computes, only whether a unit is re-run.
     TrialLookup resume_lookup{};
@@ -124,10 +132,14 @@ check_scenario(const io::Scenario& sc, const sim::SimOptions& opts,
                const CheckOptions& copts, bool run_monotonicity = true,
                std::uint64_t* sims_run = nullptr);
 
-/// N randomized trials under the root seed.
+/**
+ * N randomized trials under the root seed, fanned over copts.threads
+ * workers. When trials throw, the lowest index's error is rethrown.
+ */
 CheckReport run_trials(const CheckOptions& copts);
 
-/// Replay pinned entries (the golden corpus).
+/// Replay pinned entries (the golden corpus), fanned out and folded like
+/// run_trials.
 CheckReport replay_corpus(const std::vector<CorpusEntry>& entries,
                           const CheckOptions& copts);
 

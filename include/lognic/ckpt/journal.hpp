@@ -236,8 +236,7 @@ struct TaskCodec {
 };
 using TaskJournal = Journal<TaskCodec>;
 
-/// `lognic check` units, keyed "trial:<index>" / "corpus:<name>". (The
-/// harness is currently serial, but the seam does not promise that.)
+/// `lognic check` units, keyed "trial:<index>" / "corpus:<name>".
 struct CheckCodec {
     using Key = std::string;
     using Value = check::TrialOutcome;

@@ -23,9 +23,13 @@
 
 namespace lognic::runner {
 
+/// @p threads, or std::thread::hardware_concurrency() (at least 1) when
+/// @p threads is 0 — what a `--threads 0` flag asks for.
+std::size_t resolve_threads(std::size_t threads);
+
 class ThreadPool {
   public:
-    /// Spawn @p threads workers; 0 means std::thread::hardware_concurrency.
+    /// Spawn resolve_threads(@p threads) workers.
     explicit ThreadPool(std::size_t threads);
     ~ThreadPool();
 

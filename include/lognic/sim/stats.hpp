@@ -13,9 +13,9 @@
 #define LOGNIC_SIM_STATS_HPP_
 
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <optional>
-#include <vector>
 
 #include "lognic/core/units.hpp"
 #include "lognic/sim/event_queue.hpp"
@@ -46,6 +46,11 @@ namespace lognic::sim {
  * when no sample survived the warmup trim. Callers that aggregate across
  * replications (the runner's Replicator) must check for absence rather
  * than averaging in a fake 0.
+ *
+ * Samples live in chunked storage (std::deque) that never reallocates. A
+ * doubling vector briefly holds three times its samples' bytes while it
+ * copies into a buffer twice the size, and simulations growing at once on
+ * worker threads stack those peaks.
  */
 class LatencyRecorder {
   public:
@@ -88,10 +93,10 @@ class LatencyRecorder {
     /// sorted after). Checkpointing captures them pre-seal: mean() is a
     /// float sum over this order, so a restored recorder must replay the
     /// exact insertion order to stay bit-identical.
-    const std::vector<double>& samples() const { return samples_; }
+    const std::deque<double>& samples() const { return samples_; }
 
     /// Replace the recorder's state wholesale (checkpoint restore).
-    void restore(std::vector<double> samples, bool sealed)
+    void restore(std::deque<double> samples, bool sealed)
     {
         samples_ = std::move(samples);
         sorted_ = sealed;
@@ -99,7 +104,7 @@ class LatencyRecorder {
 
   private:
     SimTime warmup_end_;
-    std::vector<double> samples_; ///< seconds; sorted by seal()
+    std::deque<double> samples_; ///< seconds; sorted by seal()
     bool sorted_{false};
 };
 

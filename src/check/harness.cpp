@@ -1,6 +1,10 @@
 #include "lognic/check/harness.hpp"
 
+#include <atomic>
+#include <exception>
 #include <utility>
+
+#include "lognic/runner/thread_pool.hpp"
 
 namespace lognic::check {
 
@@ -110,27 +114,59 @@ run_one_outcome(const CheckOptions& copts, const std::string& name,
 
 /// Fold a unit's outcome — fresh or replayed — into the report.
 void
-apply_outcome(CheckReport& report, const TrialOutcome& out)
+apply_outcome(CheckReport& report, TrialOutcome&& out)
 {
     report.sims_run += out.sims_run;
     report.violations += out.violations;
     if (out.failed)
-        report.failures.push_back(out.failure);
+        report.failures.push_back(std::move(out.failure));
 }
 
-void
-run_one(CheckReport& report, const CheckOptions& copts,
-        const std::string& key, const std::string& name,
-        std::uint64_t generator_seed, bool single_queue,
-        const io::Scenario& sc, const sim::SimOptions& opts,
-        bool monotonicity)
+/**
+ * Run units 0..n-1 on copts.threads workers, each into its own slot: the
+ * resume lookup, then @p run (generation, simulation, minimization) and
+ * the completion hook. An outcome depends only on its index, so the slots
+ * are the same at any thread count. When units throw, the lowest index's
+ * error is rethrown — what a serial run would have thrown. Indices are
+ * claimed in increasing order, so every unit below a failed one runs, and
+ * units above the lowest failure seen so far are skipped.
+ */
+template <class KeyOf, class Run>
+std::vector<TrialOutcome>
+run_units(const CheckOptions& copts, std::size_t n, const KeyOf& key_of,
+          const Run& run)
 {
-    TrialOutcome out = run_one_outcome(copts, name, generator_seed,
-                                       single_queue, sc, opts,
-                                       monotonicity);
-    apply_outcome(report, out);
-    if (copts.on_trial_complete)
-        copts.on_trial_complete(key, out);
+    std::vector<TrialOutcome> outcomes(n);
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<std::size_t> lowest_error{n};
+    const std::size_t threads = runner::resolve_threads(copts.threads);
+    runner::parallel_for(n, threads, [&](std::size_t i) {
+        if (i > lowest_error.load())
+            return;
+        try {
+            const std::string key = key_of(i);
+            TrialOutcome done;
+            if (copts.resume_lookup && copts.resume_lookup(key, done)) {
+                // Journaled outcome: replay without even regenerating the
+                // scenario — the outcome carries everything the report
+                // needs.
+                outcomes[i] = std::move(done);
+                return;
+            }
+            outcomes[i] = run(i);
+            if (copts.on_trial_complete)
+                copts.on_trial_complete(key, outcomes[i]);
+        } catch (...) {
+            errors[i] = std::current_exception();
+            std::size_t seen = lowest_error.load();
+            while (i < seen && !lowest_error.compare_exchange_weak(seen, i))
+                ;
+        }
+    });
+    for (const std::exception_ptr& e : errors)
+        if (e)
+            std::rethrow_exception(e);
+    return outcomes;
 }
 
 } // namespace
@@ -224,38 +260,31 @@ check_scenario(const io::Scenario& sc, const sim::SimOptions& opts,
 CheckReport
 run_trials(const CheckOptions& copts)
 {
+    std::vector<TrialOutcome> outcomes = run_units(
+        copts, copts.trials,
+        [](std::size_t i) { return "trial:" + std::to_string(i); },
+        [&](std::size_t i) {
+            const std::uint64_t trial_seed =
+                runner::derive_seed(copts.seed, i);
+            const GeneratedScenario gen =
+                generate_scenario(trial_seed, copts.generator);
+            sim::SimOptions opts;
+            opts.duration = copts.duration;
+            opts.warmup_fraction = copts.warmup_fraction;
+            // The simulation seed derives from the trial seed on a
+            // separate index so scenario shape and sample path are
+            // independent draws.
+            opts.seed = runner::derive_seed(trial_seed, 1);
+            return run_one_outcome(copts, "trial-" + std::to_string(i),
+                                   trial_seed, gen.single_queue,
+                                   gen.scenario, opts, copts.monotonicity);
+        });
     CheckReport report;
-    for (std::uint64_t i = 0; i < copts.trials; ++i) {
-        const std::string key = "trial:" + std::to_string(i);
-        if (copts.resume_lookup) {
-            TrialOutcome done;
-            if (copts.resume_lookup(key, done)) {
-                // Journaled outcome: replay without even regenerating
-                // the scenario — the outcome carries everything the
-                // report needs.
-                ++report.trials;
-                if (done.single_queue)
-                    ++report.single_queue_trials;
-                apply_outcome(report, done);
-                continue;
-            }
-        }
-        const std::uint64_t trial_seed =
-            runner::derive_seed(copts.seed, i);
-        const GeneratedScenario gen =
-            generate_scenario(trial_seed, copts.generator);
+    for (TrialOutcome& out : outcomes) {
         ++report.trials;
-        if (gen.single_queue)
+        if (out.single_queue)
             ++report.single_queue_trials;
-        sim::SimOptions opts;
-        opts.duration = copts.duration;
-        opts.warmup_fraction = copts.warmup_fraction;
-        // The simulation seed derives from the trial seed on a separate
-        // index so scenario shape and sample path are independent draws.
-        opts.seed = runner::derive_seed(trial_seed, 1);
-        run_one(report, copts, key, "trial-" + std::to_string(i),
-                trial_seed, gen.single_queue, gen.scenario, opts,
-                copts.monotonicity);
+        apply_outcome(report, std::move(out));
     }
     return report;
 }
@@ -264,20 +293,19 @@ CheckReport
 replay_corpus(const std::vector<CorpusEntry>& entries,
               const CheckOptions& copts)
 {
+    std::vector<TrialOutcome> outcomes = run_units(
+        copts, entries.size(),
+        [&](std::size_t i) { return "corpus:" + entries[i].name; },
+        [&](std::size_t i) {
+            const CorpusEntry& entry = entries[i];
+            return run_one_outcome(copts, entry.name, 0, false,
+                                   entry.scenario, entry.options,
+                                   entry.monotonicity);
+        });
     CheckReport report;
-    for (const auto& entry : entries) {
-        ++report.corpus_entries;
-        const std::string key = "corpus:" + entry.name;
-        if (copts.resume_lookup) {
-            TrialOutcome done;
-            if (copts.resume_lookup(key, done)) {
-                apply_outcome(report, done);
-                continue;
-            }
-        }
-        run_one(report, copts, key, entry.name, 0, false, entry.scenario,
-                entry.options, entry.monotonicity);
-    }
+    report.corpus_entries = entries.size();
+    for (TrialOutcome& out : outcomes)
+        apply_outcome(report, std::move(out));
     return report;
 }
 

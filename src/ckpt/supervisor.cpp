@@ -272,6 +272,7 @@ supervise_check(check::CheckOptions copts,
     for (const auto& e : corpus)
         names.push_back(e.name);
     fp.set("corpus", std::move(names));
+    // threads intentionally absent, as for sweeps.
 
     CheckJournal journal;
     Campaign campaign(sup, "check", fp, journal);

@@ -7,13 +7,18 @@
 
 namespace lognic::runner {
 
+std::size_t
+resolve_threads(std::size_t threads)
+{
+    if (threads > 0)
+        return threads;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? hw : 1;
+}
+
 ThreadPool::ThreadPool(std::size_t threads)
 {
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
+    threads = resolve_threads(threads);
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i)
         workers_.emplace_back([this] { worker_loop(); });

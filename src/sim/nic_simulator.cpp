@@ -1765,7 +1765,7 @@ struct NicSimulator::Impl {
 
         {
             const io::Json& r = snap.at("recorders");
-            std::vector<double> samples;
+            std::deque<double> samples;
             for (const io::Json& v : r.at("latency_samples").as_array())
                 samples.push_back(hexd(v, "snapshot latency sample"));
             latencies.restore(std::move(samples),

@@ -1,15 +1,19 @@
 /**
  * @file
- * The randomized-trial harness: deterministic reports, clean runs on
- * honest code, minimal reproducing specs on failure, and a golden corpus
- * that loads, replays, and round-trips.
+ * The randomized-trial harness: deterministic reports (byte-identical at
+ * any thread count), clean runs on honest code, minimal reproducing specs
+ * on failure, and a golden corpus that loads, replays, and round-trips.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "check_test_helpers.hpp"
@@ -101,6 +105,87 @@ TEST(RunTrials, FailureCarriesMinimalReproducingSpec)
               f.generator_seed);
 }
 
+/// Every thread count under test; 1 is the serial reference.
+constexpr std::size_t kThreadCounts[] = {1, 2, 3, 8};
+
+/// The serial report of @p base, after checking that every thread count
+/// in kThreadCounts dumps to the same bytes.
+CheckReport
+expect_identical_at_any_thread_count(const CheckOptions& base)
+{
+    CheckOptions serial = base;
+    serial.threads = 1;
+    const CheckReport reference = run_trials(serial);
+    const std::string expected = to_json(reference).dump(2);
+    for (const std::size_t threads : kThreadCounts) {
+        CheckOptions copts = base;
+        copts.threads = threads;
+        EXPECT_EQ(to_json(run_trials(copts)).dump(2), expected)
+            << "trials=" << base.trials << " threads=" << threads;
+    }
+    return reference;
+}
+
+TEST(RunTrials, ReportIsIdenticalAtAnyThreadCount)
+{
+    CheckOptions copts;
+    copts.trials = 12;
+    copts.seed = 7;
+    copts.duration = 0.005;
+    EXPECT_EQ(expect_identical_at_any_thread_count(copts).trials, 12u);
+
+    // The impossible tolerance of FailureCarriesMinimalReproducingSpec:
+    // every trial fails and is shrunk, so failures and their specs must
+    // come back in index order.
+    copts.trials = 6;
+    copts.conformance.monotonic_slack_rel = -10.0;
+    copts.conformance.monotonic_slack_abs_us = 0.0;
+    const CheckReport failing = expect_identical_at_any_thread_count(copts);
+    ASSERT_EQ(failing.failures.size(), 6u);
+    for (std::size_t i = 0; i < failing.failures.size(); ++i)
+        EXPECT_EQ(failing.failures[i].name, "trial-" + std::to_string(i));
+}
+
+TEST(RunTrials, LowestIndexErrorIsRethrown)
+{
+    // Trial 2's hook holds back until trial 5's has thrown (or a serial
+    // run, which never reaches trial 5, times out), so at several threads
+    // trial 5 fails first in time; trial 2's error must still win.
+    for (const std::size_t threads : kThreadCounts) {
+        std::atomic<bool> five_threw{false};
+        CheckOptions copts;
+        copts.trials = 8;
+        copts.seed = 7;
+        copts.duration = 0.001;
+        copts.monotonicity = false;
+        copts.minimize = false;
+        copts.threads = threads;
+        copts.on_trial_complete = [&](const std::string& key,
+                                      const TrialOutcome&) {
+            if (key == "trial:2") {
+                const auto give_up = std::chrono::steady_clock::now()
+                    + std::chrono::milliseconds(200);
+                while (!five_threw.load()
+                       && std::chrono::steady_clock::now() < give_up)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+                throw std::runtime_error("trial 2 failed");
+            }
+            if (key == "trial:5") {
+                five_threw.store(true);
+                throw std::runtime_error("trial 5 failed");
+            }
+        };
+        try {
+            run_trials(copts);
+            ADD_FAILURE() << "threads=" << threads << ": nothing thrown";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "trial 2 failed")
+                << "threads=" << threads;
+        }
+    }
+}
+
 TEST(Corpus, EntriesLoadAndRoundTrip)
 {
     const auto files = corpus_files();
@@ -125,6 +210,23 @@ TEST(Corpus, GoldenEntriesReplayClean)
     EXPECT_EQ(report.corpus_entries, entries.size());
     EXPECT_EQ(report.violations, 0u)
         << to_json(report).dump(2);
+}
+
+TEST(Corpus, ReplayIsIdenticalAtAnyThreadCount)
+{
+    std::vector<CorpusEntry> entries;
+    for (const auto& path : corpus_files())
+        entries.push_back(load_entry(path));
+    CheckOptions serial;
+    serial.threads = 1;
+    const std::string expected =
+        to_json(replay_corpus(entries, serial)).dump(2);
+    for (const std::size_t threads : kThreadCounts) {
+        CheckOptions copts;
+        copts.threads = threads;
+        EXPECT_EQ(to_json(replay_corpus(entries, copts)).dump(2), expected)
+            << "threads=" << threads;
+    }
 }
 
 TEST(Report, MergeAddsCountsAndConcatenatesFailures)

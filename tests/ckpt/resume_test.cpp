@@ -22,6 +22,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lognic/apps/inline_accel.hpp"
@@ -444,34 +445,51 @@ small_check()
 
 TEST(SuperviseCheck, ResumeIsByteIdenticalAfterAnyKillPoint)
 {
-    const check::CheckOptions copts = small_check();
-    const std::string baseline =
-        check::to_json(check::run_trials(copts)).dump(2);
+    // 4 trials on one worker, and 12 on four.
+    for (const auto& [threads, trials] :
+         {std::pair<std::size_t, std::uint64_t>{1, 4}, {4, 12}}) {
+        check::CheckOptions copts = small_check();
+        copts.trials = trials;
+        copts.threads = 1;
+        const std::string baseline =
+            check::to_json(check::run_trials(copts)).dump(2);
+        copts.threads = threads;
 
-    TempDir full("check_full");
-    SupervisorOptions sup;
-    sup.dir = full.path();
-    sup.checkpoint_every = 1;
-    sup.retention = 100;
-    const SupervisedCheck uninterrupted =
-        supervise_check(copts, {}, sup);
-    EXPECT_EQ(check::to_json(uninterrupted.report).dump(2), baseline);
-    EXPECT_EQ(uninterrupted.checkpoints, 5u); // 4 trials + final flush
-    ASSERT_EQ(publications(full.path(), "check").size(),
-              uninterrupted.checkpoints);
+        TempDir full("check_full_t" + std::to_string(threads));
+        SupervisorOptions sup;
+        sup.dir = full.path();
+        sup.checkpoint_every = 1;
+        sup.retention = 100;
+        const SupervisedCheck uninterrupted =
+            supervise_check(copts, {}, sup);
+        EXPECT_EQ(check::to_json(uninterrupted.report).dump(2), baseline)
+            << "threads=" << threads;
+        EXPECT_EQ(uninterrupted.checkpoints, trials + 1); // + final flush
+        ASSERT_EQ(publications(full.path(), "check").size(),
+                  uninterrupted.checkpoints);
 
-    for (std::uint64_t p = 1; p <= uninterrupted.checkpoints; ++p) {
-        TempDir killed("check_kill_p" + std::to_string(p));
-        const KillPoint at =
-            clone_killed_at(full.path(), killed.path(), "check", p);
-        SupervisorOptions rsup;
-        rsup.dir = killed.path();
-        const SupervisedCheck resumed = supervise_check(copts, {}, rsup);
-        EXPECT_TRUE(resumed.resume.resumed);
-        EXPECT_EQ(resumed.resume.generation, at.generation);
-        EXPECT_EQ(resumed.resume.completed, std::min<std::size_t>(p, 4));
-        EXPECT_EQ(check::to_json(resumed.report).dump(2), baseline)
-            << "killed after publication " << p;
+        for (std::uint64_t p = 1; p <= uninterrupted.checkpoints; ++p) {
+            TempDir killed("check_kill_t" + std::to_string(threads) + "_p"
+                           + std::to_string(p));
+            const KillPoint at =
+                clone_killed_at(full.path(), killed.path(), "check", p);
+            SupervisorOptions rsup;
+            rsup.dir = killed.path();
+            const SupervisedCheck resumed =
+                supervise_check(copts, {}, rsup);
+            EXPECT_TRUE(resumed.resume.resumed);
+            EXPECT_EQ(resumed.resume.generation, at.generation);
+            EXPECT_EQ(resumed.resume.replayed, at.records);
+            // A snapshot serializes the journal, which may already hold
+            // entries other workers recorded but have not yet published.
+            if (threads == 1)
+                EXPECT_EQ(resumed.resume.completed, std::min(p, trials));
+            else
+                EXPECT_GE(resumed.resume.completed, std::min(p, trials));
+            EXPECT_EQ(check::to_json(resumed.report).dump(2), baseline)
+                << "threads=" << threads << " killed after publication "
+                << p;
+        }
     }
 }
 

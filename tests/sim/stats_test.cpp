@@ -4,9 +4,14 @@
 
 #include "lognic/runner/replicator.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
 #include <stdexcept>
+#include <vector>
 
 namespace lognic::sim {
 namespace {
@@ -169,6 +174,78 @@ TEST(LatencyRecorder, SealedReadsAgreeWithReplicationAggregation)
     EXPECT_DOUBLE_EQ(agg.p50_latency_us.mean, r.p50()->micros());
     EXPECT_DOUBLE_EQ(agg.p99_latency_us.mean, r.p99()->micros());
     EXPECT_DOUBLE_EQ(agg.p50_latency_us.mean, agg.p99_latency_us.mean);
+}
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+TEST(LatencyRecorder, MatchesSortedVectorOracleBitForBit)
+{
+    // 1.3M seeded samples, ~1.04M past the warmup cut (some exactly on it),
+    // drawn with heavy ties and a block of signed zeros below every other
+    // value, so which zero a low quantile returns depends on the order
+    // sorting leaves equal keys in.
+    constexpr double kWarmup = 0.2;
+    constexpr std::size_t kSamples = 1'300'000;
+    std::mt19937_64 rng(0x5eed);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    LatencyRecorder r(kWarmup);
+    std::vector<double> kept;
+    for (std::size_t i = 0; i < kSamples; ++i) {
+        const double t = i % 1000 == 0 ? kWarmup : unit(rng);
+        const double kind = unit(rng);
+        double seconds = 0.0;
+        if (kind < 0.05)
+            seconds = -0.0;
+        else if (kind < 0.10)
+            seconds = 0.0;
+        else if (kind < 0.60)
+            seconds = 1e-6 * std::floor(1.0 + 500.0 * unit(rng));
+        else
+            seconds = 1e-3 * unit(rng) + 1e-9;
+        r.record(t, Seconds{seconds});
+        if (t > kWarmup)
+            kept.push_back(seconds);
+    }
+    ASSERT_GE(kept.size(), 1'000'000u);
+    ASSERT_EQ(r.count(), kept.size());
+
+    const auto same_bits = [](double a, double b) {
+        return bits(a) == bits(b);
+    };
+    // Before seal(): insertion order, which snapshots serialize.
+    ASSERT_TRUE(std::equal(r.samples().begin(), r.samples().end(),
+                           kept.begin(), kept.end(), same_bits));
+    double sum = 0.0;
+    for (double x : kept)
+        sum += x;
+    EXPECT_EQ(bits(r.mean()->seconds()),
+              bits(sum / static_cast<double>(kept.size())));
+
+    r.seal();
+    std::vector<double> sorted = kept;
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_TRUE(std::equal(r.samples().begin(), r.samples().end(),
+                           sorted.begin(), sorted.end(), same_bits));
+    // Nearest rank max(1, ceil(percent * n / 100)) in integers.
+    const std::size_t n = sorted.size();
+    for (const std::size_t percent : {0u, 1u, 7u, 50u, 99u, 100u}) {
+        const std::size_t rank =
+            std::max<std::size_t>(1, (percent * n + 99) / 100);
+        EXPECT_EQ(bits(r.quantile(percent / 100.0)->seconds()),
+                  bits(sorted[rank - 1]))
+            << "q=" << percent / 100.0;
+    }
+    EXPECT_EQ(bits(r.max()->seconds()), bits(sorted.back()));
+    // A sealed mean sums in sorted order, as the simulator reads it.
+    double sorted_sum = 0.0;
+    for (double x : sorted)
+        sorted_sum += x;
+    EXPECT_EQ(bits(r.mean()->seconds()),
+              bits(sorted_sum / static_cast<double>(n)));
 }
 
 TEST(WindowedCounter, CountsOnlyInsideMeasurementWindow)

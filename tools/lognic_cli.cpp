@@ -97,8 +97,9 @@ usage()
                  "  sensitivity <scenario.json>   parameter elasticities\n"
                  "  check    [--trials n] [--seed n] [--duration s] "
                  "[--corpus dir]\n"
-                 "           [--out report.json] [--no-monotonicity] "
-                 "[--no-minimize]\n"
+                 "           [--out report.json] [--threads n] "
+                 "[--no-monotonicity]\n"
+                 "           [--no-minimize]\n"
                  "                                differential conformance "
                  "harness (JSON report;\n"
                  "                                exit 1 on violations)\n"
@@ -530,7 +531,8 @@ cmd_simulate(const std::string& path, int argc, char** argv)
  * The conformance harness: N randomized differential trials (optionally
  * plus a golden-corpus replay), a JSON violation report on stdout or
  * --out, exit 1 when any oracle fired. `--trials 0 --corpus dir` replays
- * the corpus alone.
+ * the corpus alone. --threads (default 0: one per hardware thread) only
+ * changes wall-clock, never the report.
  */
 int
 cmd_check(int argc, char** argv)
@@ -547,6 +549,7 @@ cmd_check(int argc, char** argv)
                  seconds_flag("--duration", copts.duration),
                  text_flag("--corpus", corpus_dir),
                  text_flag("--out", out_path),
+                 count_flag("--threads", copts.threads, 0),
                  switch_flag("--no-monotonicity", copts.monotonicity, false),
                  switch_flag("--no-minimize", copts.minimize, false)}));
 
