@@ -12,8 +12,8 @@
  *    `std::function` spills any capture larger than 16 bytes to the heap,
  *    and every simulator closure capturing `this` plus a packet pointer
  *    plus a couple of scalars is larger than that;
- *  - heap sifts move raw bytes — no copy constructors, no destructor
- *    bookkeeping, so the calendar's Event records stay memcpy-friendly;
+ *  - copying an action is a memcpy — no copy constructors, no destructor
+ *    bookkeeping;
  *  - event destruction is free — popping an event runs no destructor.
  *
  * The capacity is a hard compile-time budget: a closure that outgrows
@@ -38,9 +38,9 @@ class InlineAction {
     /**
      * Inline payload budget in bytes. Sized for the largest simulator
      * closure (`this` + packet pointer + a vertex id + four 8-byte
-     * scalars = 56 bytes); together with the invoke pointer and the
-     * (when, seq) key this keeps one Event at 80 bytes. Growing a closure
-     * past the budget is a compile error — prefer slimming the capture.
+     * scalars = 56 bytes); with the invoke pointer one action is 64
+     * bytes. Growing a closure past the budget is a compile error —
+     * prefer slimming the capture.
      */
     static constexpr std::size_t kCapacity = 56;
 
@@ -82,8 +82,8 @@ class InlineAction {
 };
 
 static_assert(std::is_trivially_copyable_v<InlineAction>,
-              "InlineAction must stay memcpy-friendly: heap sifts move "
-              "event records as raw bytes");
+              "InlineAction must stay memcpy-friendly: actions are "
+              "copied and dropped as raw bytes");
 
 } // namespace lognic::sim
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Slab/free-list recycler for in-flight packet state.
+ * Slab/free-list recycler for in-flight packet state (and for the event
+ * calendar's pending actions, which follow the same pattern).
  *
- * Both simulators allocate one record per packet arrival and retire it at
+ * The simulator allocates one record per packet arrival and retires it at
  * delivery or drop — millions of times per run. A general-purpose heap
  * round trip per packet is pure overhead: the records are identical in
  * size, their population is bounded by the in-flight window, and their

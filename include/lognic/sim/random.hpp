@@ -13,9 +13,45 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lognic::sim {
+
+/**
+ * Unnormalized sampling weights, validated and summed once. The simulator
+ * draws from the same weights for every packet, so the checks and the sum
+ * belong to the run, not to each draw.
+ */
+class WeightTable {
+  public:
+    /**
+     * @throws std::invalid_argument on empty, all-zero, negative, or
+     * non-finite weights (std::discrete_distribution makes those UB).
+     */
+    explicit WeightTable(std::vector<double> weights)
+        : weights_(std::move(weights))
+    {
+        for (double w : weights_) {
+            if (!(w >= 0.0) || !std::isfinite(w))
+                throw std::invalid_argument(
+                    "WeightTable: weights must be finite and non-negative");
+            total_ += w;
+        }
+        if (weights_.empty() || total_ <= 0.0)
+            throw std::invalid_argument(
+                "WeightTable: need at least one positive weight");
+    }
+
+    const std::vector<double>& weights() const { return weights_; }
+
+    /// The weights' sum, accumulated in index order.
+    double total() const { return total_; }
+
+  private:
+    std::vector<double> weights_;
+    double total_{0.0};
+};
 
 class Rng {
   public:
@@ -53,27 +89,14 @@ class Rng {
     }
 
     /**
-     * Index sampled from (unnormalized, non-negative, finite) weights via
-     * a manual CDF walk — one uniform draw, no allocation (this sits on
-     * the per-packet steering hot path).
-     *
-     * @throws std::invalid_argument on empty, all-zero, negative, or
-     * non-finite weights (std::discrete_distribution makes those UB).
+     * Index sampled from @p table's weights via a manual CDF walk — one
+     * uniform draw, no allocation, no re-validation (this sits on the
+     * per-packet steering hot path).
      */
-    std::size_t weighted_index(const std::vector<double>& weights)
+    std::size_t weighted_index(const WeightTable& table)
     {
-        double total = 0.0;
-        for (double w : weights) {
-            if (!(w >= 0.0) || !std::isfinite(w))
-                throw std::invalid_argument(
-                    "Rng::weighted_index: weights must be finite and "
-                    "non-negative");
-            total += w;
-        }
-        if (weights.empty() || total <= 0.0)
-            throw std::invalid_argument(
-                "Rng::weighted_index: need at least one positive weight");
-        double u = uniform() * total;
+        const std::vector<double>& weights = table.weights();
+        double u = uniform() * table.total();
         std::size_t last_positive = 0;
         for (std::size_t i = 0; i < weights.size(); ++i) {
             if (weights[i] <= 0.0)

@@ -90,9 +90,12 @@ class LatencyRecorder {
     std::optional<Seconds> max() const;
 
     /// Raw samples in their current order (insertion order before seal(),
-    /// sorted after). Checkpointing captures them pre-seal: mean() is a
-    /// float sum over this order, so a restored recorder must replay the
-    /// exact insertion order to stay bit-identical.
+    /// sorted after). mean() is a float sum over this order, but the
+    /// simulator seals before it reads the mean, so the mean it reports is
+    /// the ascending-order sum whatever the insertion order. Insertion
+    /// order matters only to an unsealed mean() and to snapshot bytes:
+    /// checkpointing captures the samples pre-seal, and a restored
+    /// recorder replays them as saved so its later snapshots match.
     const std::deque<double>& samples() const { return samples_; }
 
     /// Replace the recorder's state wholesale (checkpoint restore).

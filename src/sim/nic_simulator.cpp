@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -205,7 +206,9 @@ struct NicSimulator::Impl {
         double service_scv{1.0};
         std::vector<double> service_mean; ///< per class, seconds
         std::vector<EdgeId> out;
-        std::vector<double> out_weights;
+        /// Delta weights of `out`, when it has several edges and a
+        /// positive delta sum; otherwise departures pick uniformly.
+        std::optional<WeightTable> out_weights;
         bool passthrough{false};
         Seconds overhead{0.0};
         // Queueing structure: one FIFO by default; one FIFO per in-edge
@@ -213,9 +216,7 @@ struct NicSimulator::Impl {
         // per-input queues (Figure 2b). Queued packets are slab handles.
         std::vector<std::deque<Packet*>> queues;
         std::uint32_t per_queue_capacity{1};
-        std::size_t rr_cursor{0};
-        /// Queue index for each in-edge id (all 0 for the shared FIFO).
-        std::vector<std::pair<EdgeId, std::size_t>> queue_of_edge;
+        std::size_t rr_cursor{0}; ///< index of the last queue served
         std::uint32_t busy{0};
         // Dynamic fault state (defaults = healthy; untouched when the
         // plan is empty, so the fault-free fast path is unchanged):
@@ -266,14 +267,31 @@ struct NicSimulator::Impl {
     /// window check entirely.
     bool windows_active{false};
 
+    /// What the handlers read of an edge, copied out of the graph once.
+    struct EdgeInfo {
+        VertexId from{0};
+        VertexId to{0};
+        double alpha{0.0};
+        double beta{0.0};
+        double delta{0.0};
+        bool dedicated{false};
+        /// The queue at `to` that the edge feeds (0 for a shared FIFO).
+        std::size_t queue{0};
+    };
+    std::vector<EdgeInfo> edges;
+
     LinkServer interface_link;
     LinkServer memory_link;
     std::vector<LinkServer> dedicated_links; ///< one per edge (unused if none)
 
-    std::vector<double> class_pps_weight; ///< packet-count weights per class
+    /// Packet-count weights per class; arrivals draw the class from it.
+    std::optional<WeightTable> class_weights;
     double total_pps{0.0};
+    /// Request granularity per class, in bytes.
+    std::vector<double> class_granularity;
     std::vector<VertexId> ingresses;
-    std::vector<double> ingress_weights; ///< delta shares per ingress
+    /// Delta shares per ingress, when there are several.
+    std::optional<WeightTable> ingress_weights;
 
     // Trace replay (optional): recorded sizes arrive in order.
     const traffic::PacketTrace* trace{nullptr};
@@ -335,9 +353,15 @@ struct NicSimulator::Impl {
         interface_link.bw = hw.interface_bandwidth();
         memory_link.bw = hw.memory_bandwidth();
         dedicated_links.resize(graph.edge_count());
+        edges.resize(graph.edge_count());
         for (EdgeId e = 0; e < graph.edge_count(); ++e) {
-            if (graph.edge(e).params.dedicated_bw)
-                dedicated_links[e].bw = *graph.edge(e).params.dedicated_bw;
+            const Edge& edge = graph.edge(e);
+            edges[e] = EdgeInfo{edge.from,         edge.to,
+                                edge.params.alpha, edge.params.beta,
+                                edge.params.delta,
+                                edge.params.dedicated_bw.has_value()};
+            if (edge.params.dedicated_bw)
+                dedicated_links[e].bw = *edge.params.dedicated_bw;
         }
 
         build_vertex_tables();
@@ -348,15 +372,18 @@ struct NicSimulator::Impl {
             register_tracks();
 
         ingresses = graph.ingress_vertices();
-        ingress_weights.assign(ingresses.size(), 0.0);
-        double total = 0.0;
-        for (std::size_t i = 0; i < ingresses.size(); ++i) {
-            for (EdgeId e : graph.out_edges(ingresses[i]))
-                ingress_weights[i] += graph.edge(e).params.delta;
-            total += ingress_weights[i];
+        if (ingresses.size() > 1) {
+            std::vector<double> shares(ingresses.size(), 0.0);
+            double total = 0.0;
+            for (std::size_t i = 0; i < ingresses.size(); ++i) {
+                for (EdgeId e : graph.out_edges(ingresses[i]))
+                    shares[i] += edges[e].delta;
+                total += shares[i];
+            }
+            if (total <= 0.0)
+                shares.assign(ingresses.size(), 1.0);
+            ingress_weights.emplace(std::move(shares));
         }
-        if (total <= 0.0)
-            ingress_weights.assign(ingresses.size(), 1.0);
     }
 
     void
@@ -368,9 +395,18 @@ struct NicSimulator::Impl {
             const Vertex& vx = graph.vertex(v);
             VertexState& st = vertices[v];
             st.out = graph.out_edges(v);
-            st.out_weights.reserve(st.out.size());
-            for (EdgeId e : st.out)
-                st.out_weights.push_back(graph.edge(e).params.delta);
+            if (st.out.size() > 1) {
+                // validate() keeps every delta finite and in [0, 1], so a
+                // positive sum is all the table needs.
+                std::vector<double> deltas;
+                double sum = 0.0;
+                for (EdgeId e : st.out) {
+                    deltas.push_back(edges[e].delta);
+                    sum += edges[e].delta;
+                }
+                if (sum > 0.0)
+                    st.out_weights.emplace(std::move(deltas));
+            }
             st.overhead = vx.params.overhead;
 
             if (vx.kind == VertexKind::kIngress
@@ -383,11 +419,9 @@ struct NicSimulator::Impl {
             if (vx.params.per_input_queues && ins.size() > 1) {
                 st.queues.resize(ins.size());
                 for (std::size_t q = 0; q < ins.size(); ++q)
-                    st.queue_of_edge.emplace_back(ins[q], q);
+                    edges[ins[q]].queue = q;
             } else {
                 st.queues.resize(1);
-                for (EdgeId e : ins)
-                    st.queue_of_edge.emplace_back(e, 0);
             }
 
             st.service_mean.resize(nclasses);
@@ -435,17 +469,20 @@ struct NicSimulator::Impl {
         const double admitted_bytes_per_sec =
             std::min(traffic.ingress_bandwidth().bytes_per_sec(),
                      hw.line_rate().bytes_per_sec());
+        std::vector<double> class_pps_weight;
         class_pps_weight.reserve(classes.size());
         total_pps = 0.0;
-        for (const auto& c : classes) {
+        for (std::size_t c = 0; c < classes.size(); ++c) {
             // Byte weight w at size s contributes w * BW_in / s packets/s.
-            const double pps =
-                c.weight * admitted_bytes_per_sec / c.size.bytes();
+            const double pps = classes[c].weight * admitted_bytes_per_sec
+                / classes[c].size.bytes();
             class_pps_weight.push_back(pps);
             total_pps += pps;
+            class_granularity.push_back(traffic.granularity(c).bytes());
         }
         if (total_pps <= 0.0)
             throw std::invalid_argument("NicSimulator: zero arrival rate");
+        class_weights.emplace(std::move(class_pps_weight));
         // Burst-model invariants are checked by validate(SimOptions) at
         // construction, before any tables are built.
     }
@@ -751,7 +788,7 @@ struct NicSimulator::Impl {
                 trace_class[trace_pos % trace_class.size()];
             ++trace_pos;
         } else {
-            pkt->class_index = rng.weighted_index(class_pps_weight);
+            pkt->class_index = rng.weighted_index(*class_weights);
         }
         pkt->app_size = traffic.classes()[pkt->class_index].size;
         pkt->created = events.now();
@@ -766,9 +803,8 @@ struct NicSimulator::Impl {
         if (pkt->traced)
             trace_opts.sink->async_begin(pkt->id, "pkt",
                                          Seconds{events.now()});
-        const std::size_t which = ingresses.size() > 1
-            ? rng.weighted_index(ingress_weights)
-            : 0;
+        const std::size_t which =
+            ingress_weights ? rng.weighted_index(*ingress_weights) : 0;
         depart(pkt, ingresses[which]);
         schedule_next_arrival();
     }
@@ -798,11 +834,8 @@ struct NicSimulator::Impl {
         // Pick the outgoing edge by delta weights.
         std::size_t pick = 0;
         if (st.out.size() > 1) {
-            double wsum = 0.0;
-            for (double w : st.out_weights)
-                wsum += w;
-            pick = wsum > 0.0
-                ? rng.weighted_index(st.out_weights)
+            pick = st.out_weights
+                ? rng.weighted_index(*st.out_weights)
                 : static_cast<std::size_t>(rng.uniform()
                                            * static_cast<double>(
                                                st.out.size()));
@@ -813,7 +846,7 @@ struct NicSimulator::Impl {
         // A credited target admits the packet only against a free credit;
         // without one the packet waits here, in the target's held FIFO.
         if (windows_active) {
-            const VertexId to = graph.edge(eid).to;
+            const VertexId to = edges[eid].to;
             VertexState& ts = vertices[to];
             if (ts.credits > 0) {
                 if (ts.credits_free == 0) {
@@ -892,7 +925,7 @@ struct NicSimulator::Impl {
             const VertexState::Held h = ws.held.front();
             ws.held.pop_front();
             send(h.pkt, h.edge,
-                 vertices[graph.edge(h.edge).from].overhead.seconds());
+                 vertices[edges[h.edge].from].overhead.seconds());
         }
         trace_counters(w, ws);
     }
@@ -902,20 +935,20 @@ struct NicSimulator::Impl {
     void
     transfer_stage(Packet* pkt, EdgeId eid, int stage)
     {
-        const Edge& e = graph.edge(eid);
-        const Bytes g_in = traffic.granularity(pkt->class_index);
+        const EdgeInfo& e = edges[eid];
+        const double g_in = class_granularity[pkt->class_index];
         for (; stage < 3; ++stage) {
             LinkServer* link = nullptr;
             Bytes payload{0.0};
-            if (stage == 0 && e.params.alpha > 0.0) {
+            if (stage == 0 && e.alpha > 0.0) {
                 link = &interface_link;
-                payload = Bytes{g_in.bytes() * e.params.alpha};
-            } else if (stage == 1 && e.params.beta > 0.0) {
+                payload = Bytes{g_in * e.alpha};
+            } else if (stage == 1 && e.beta > 0.0) {
                 link = &memory_link;
-                payload = Bytes{g_in.bytes() * e.params.beta};
-            } else if (stage == 2 && e.params.dedicated_bw) {
+                payload = Bytes{g_in * e.beta};
+            } else if (stage == 2 && e.dedicated) {
                 link = &dedicated_links[eid];
-                payload = Bytes{g_in.bytes() * e.params.delta};
+                payload = Bytes{g_in * e.delta};
             }
             if (link != nullptr) {
                 const SimTime end = link->occupy(events.now(), payload);
@@ -983,13 +1016,7 @@ struct NicSimulator::Impl {
             lose(pkt, v, st, kDropBurstLoss);
             return;
         }
-        std::size_t qi = 0;
-        for (const auto& [edge, index] : st.queue_of_edge) {
-            if (edge == via) {
-                qi = index;
-                break;
-            }
-        }
+        const std::size_t qi = edges[via].queue;
         // A fault-injected capacity override shrinks the whole vertex
         // budget; per-input queues split the override the same way they
         // split the static capacity.
@@ -1028,9 +1055,10 @@ struct NicSimulator::Impl {
         VertexState& st = vertices[v];
         auto next_queue = [&st]() -> std::deque<Packet*>* {
             // Round-robin scan starting after the last served queue.
+            std::size_t q = st.rr_cursor;
             for (std::size_t i = 0; i < st.queues.size(); ++i) {
-                const std::size_t q =
-                    (st.rr_cursor + 1 + i) % st.queues.size();
+                if (++q == st.queues.size())
+                    q = 0;
                 if (!st.queues[q].empty()) {
                     st.rr_cursor = q;
                     return &st.queues[q];
@@ -1697,6 +1725,10 @@ struct NicSimulator::Impl {
                     vo.at("capacity_override").as_number());
                 st.rr_cursor = static_cast<std::size_t>(
                     vo.at("rr_cursor").as_number());
+                if (st.rr_cursor != 0 && st.rr_cursor >= st.queues.size())
+                    throw std::runtime_error(
+                        "NicSimulator::load_state: round-robin cursor out "
+                        "of range");
                 const io::JsonArray& queues = vo.at("queues").as_array();
                 if (queues.size() != st.queues.size())
                     throw std::runtime_error(

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <random>
 #include <type_traits>
@@ -41,7 +42,11 @@ std::atomic<std::uint64_t> g_heap_allocs{0};
 
 #ifndef LOGNIC_TEST_ASAN
 
-void*
+// Out of line: once GCC inlines a replacement into a caller, it pairs the
+// free() below with the caller's operator new and warns
+// (-Wmismatched-new-delete), although the pair is this file's own.
+
+[[gnu::noinline]] void*
 operator new(std::size_t size)
 {
     g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -50,13 +55,13 @@ operator new(std::size_t size)
     throw std::bad_alloc{};
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void* p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void* p, std::size_t) noexcept
 {
     std::free(p);
@@ -67,12 +72,12 @@ operator delete(void* p, std::size_t) noexcept
 namespace lognic::sim {
 namespace {
 
-// The hot-path contract, checked at compile time: actions and events are
-// trivially copyable so the heap can sift them as raw bytes, and the
+// The hot-path contract, checked at compile time: actions are trivially
+// copyable so the action pool can move them as raw bytes, and the
 // canonical simulator capture shape (this + packet pointer + id + scalars)
 // fits the inline budget.
 static_assert(std::is_trivially_copyable_v<EventQueue::Action>,
-              "calendar actions must sift as raw bytes");
+              "calendar actions must move as raw bytes");
 static_assert(std::is_trivially_destructible_v<EventQueue::Action>,
               "popping an event must not run destructors");
 
@@ -164,6 +169,31 @@ TEST(EventQueue, SchedulingIntoThePastThrows)
     EXPECT_THROW(q.schedule_at(1.0, [] {}), std::invalid_argument);
 }
 
+TEST(EventQueue, NanTimeThrows)
+{
+    // NaN fails every comparison, so a `when < now` test let it in, and a
+    // NaN key broke the heap order: a run stopped with events pending.
+    EventQueue q;
+    int ran = 0;
+    for (int i = 1; i <= 10; ++i)
+        q.schedule_at(static_cast<double>(i), [&ran] { ++ran; });
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(q.schedule_at(nan, [] {}), std::invalid_argument);
+    EXPECT_THROW(q.schedule_in(nan, [] {}), std::invalid_argument);
+    EXPECT_EQ(q.size(), 10u);
+    EXPECT_EQ(q.next_seq(), 10u);
+    EXPECT_EQ(q.run_until(100.0, RunLimits{}), RunOutcome::kDrained);
+    EXPECT_EQ(ran, 10);
+    EXPECT_TRUE(q.empty());
+
+    // restore_event applies the same test.
+    EventQueue r;
+    r.restore_clock(1.0, 5, 0);
+    EXPECT_THROW(r.restore_event(nan, 2, [] {}), std::logic_error);
+    EXPECT_THROW(r.restore_event(0.5, 3, [] {}), std::logic_error);
+    EXPECT_TRUE(r.empty());
+}
+
 TEST(EventQueue, NowAdvancesToEventTime)
 {
     EventQueue q;
@@ -199,6 +229,35 @@ TEST(EventQueue, SteadyStateSchedulingIsAllocationFree)
     EXPECT_EQ(fired, 512u);
     EXPECT_EQ(after, before)
         << "steady-state schedule/dispatch touched the heap";
+
+    // Zero-delay churn: each event at a new instant fans out 64 events for
+    // that same instant, which all wait in the lane. Two warm-up rounds
+    // grow the lane and the action pool; later rounds must reuse them.
+    struct Burst {
+        EventQueue* q;
+        std::uint64_t* fired;
+        void operator()() const
+        {
+            for (int i = 0; i < 64; ++i)
+                q->schedule_in(0.0, [fired = fired] { ++*fired; });
+        }
+    };
+    for (int round = 0; round < 2; ++round) {
+        q.schedule_at(40.0 + round, Burst{&q, &fired});
+        q.run_until(40.5 + round);
+    }
+    ASSERT_EQ(fired, 512u + 128u);
+    const std::uint64_t lane_before =
+        g_heap_allocs.load(std::memory_order_relaxed);
+    for (int round = 2; round < 10; ++round) {
+        q.schedule_at(40.0 + round, Burst{&q, &fired});
+        q.run_until(40.5 + round);
+    }
+    const std::uint64_t lane_after =
+        g_heap_allocs.load(std::memory_order_relaxed);
+    EXPECT_EQ(fired, 512u + 640u);
+    EXPECT_EQ(lane_after, lane_before)
+        << "steady-state zero-delay scheduling touched the heap";
 }
 
 TEST(EventQueue, RunLimitsDrainedAndHorizonOutcomes)

@@ -15,36 +15,32 @@ namespace {
 TEST(WeightedIndex, ThrowsOnEmptyWeights)
 {
     // Regression: std::discrete_distribution on an empty range is UB; the
-    // manual CDF sampler must reject it loudly.
-    Rng rng(1);
-    EXPECT_THROW(rng.weighted_index({}), std::invalid_argument);
+    // weight table must reject it loudly.
+    EXPECT_THROW((void)WeightTable({}), std::invalid_argument);
 }
 
 TEST(WeightedIndex, ThrowsOnAllZeroWeights)
 {
-    Rng rng(1);
-    EXPECT_THROW(rng.weighted_index({0.0, 0.0, 0.0}),
-                 std::invalid_argument);
+    EXPECT_THROW((void)WeightTable({0.0, 0.0, 0.0}), std::invalid_argument);
 }
 
 TEST(WeightedIndex, ThrowsOnNegativeOrNonFiniteWeights)
 {
-    Rng rng(1);
-    EXPECT_THROW(rng.weighted_index({1.0, -0.5}), std::invalid_argument);
-    EXPECT_THROW(rng.weighted_index(
-                     {1.0, std::numeric_limits<double>::infinity()}),
-                 std::invalid_argument);
-    EXPECT_THROW(rng.weighted_index(
-                     {std::numeric_limits<double>::quiet_NaN()}),
-                 std::invalid_argument);
+    EXPECT_THROW((void)WeightTable({1.0, -0.5}), std::invalid_argument);
+    EXPECT_THROW(
+        (void)WeightTable({1.0, std::numeric_limits<double>::infinity()}),
+        std::invalid_argument);
+    EXPECT_THROW(
+        (void)WeightTable({std::numeric_limits<double>::quiet_NaN()}),
+        std::invalid_argument);
 }
 
 TEST(WeightedIndex, NeverReturnsZeroWeightBucket)
 {
     Rng rng(7);
+    const WeightTable w({0.0, 1.0, 0.0, 2.0, 0.0});
     for (int i = 0; i < 2000; ++i) {
-        const std::size_t pick =
-            rng.weighted_index({0.0, 1.0, 0.0, 2.0, 0.0});
+        const std::size_t pick = rng.weighted_index(w);
         EXPECT_TRUE(pick == 1 || pick == 3) << "picked " << pick;
     }
 }
@@ -54,8 +50,9 @@ TEST(WeightedIndex, TrailingZeroWeightsNeverSelected)
     // The FP-sliver fallback must land on the last *positive* bucket, not
     // the last bucket.
     Rng rng(11);
+    const WeightTable w({0.0, 3.0, 0.0});
     for (int i = 0; i < 2000; ++i)
-        EXPECT_EQ(rng.weighted_index({0.0, 3.0, 0.0}), 1u);
+        EXPECT_EQ(rng.weighted_index(w), 1u);
 }
 
 TEST(WeightedIndex, ConsumesExactlyOneUniformDraw)
@@ -64,7 +61,7 @@ TEST(WeightedIndex, ConsumesExactlyOneUniformDraw)
     // same-seeded Rng stays stream-aligned with hand-rolled inversion.
     Rng a(123);
     Rng b(123);
-    const std::vector<double> w{2.0, 1.0, 1.0};
+    const WeightTable w({2.0, 1.0, 1.0});
     for (int i = 0; i < 100; ++i) {
         const double u = b.uniform() * 4.0;
         const std::size_t expect = u < 2.0 ? 0 : (u < 3.0 ? 1 : 2);
@@ -74,10 +71,21 @@ TEST(WeightedIndex, ConsumesExactlyOneUniformDraw)
     EXPECT_DOUBLE_EQ(a.uniform(), b.uniform());
 }
 
+TEST(WeightedIndex, TotalIsTheIndexOrderSum)
+{
+    // The walk scales its one uniform by the table's total, so the total
+    // must be the sum a per-draw loop would form, bit for bit.
+    const std::vector<double> v{0.1, 0.7, 0.2, 1e-17, 0.3};
+    double sum = 0.0;
+    for (double x : v)
+        sum += x;
+    EXPECT_EQ(WeightTable(v).total(), sum);
+}
+
 TEST(WeightedIndex, FrequenciesMatchWeights)
 {
     Rng rng(42);
-    const std::vector<double> w{1.0, 3.0};
+    const WeightTable w({1.0, 3.0});
     int ones = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i)
