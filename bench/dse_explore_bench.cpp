@@ -123,7 +123,6 @@ run_explore(const dse::DesignSpace& space, dse::PruneMode mode)
     dse::ExploreOptions opts;
     opts.strategy = dse::Strategy::kExhaustive;
     opts.exhaustive_limit = 1u << 17;
-    opts.cache_capacity = 1u << 17;
     opts.des.enabled = false;
     opts.prune = mode;
 

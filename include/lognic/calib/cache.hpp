@@ -1,29 +1,27 @@
 /**
  * @file
- * LRU memoization for loss evaluations.
+ * Memoization for loss evaluations.
  *
  * Every loss evaluation is a full analytical-model solve per observation,
  * and the solvers revisit points: multi-start fits re-probe shared
  * corners after bound clamping, the calibrator re-evaluates the incumbent
  * for reporting, and finite-difference probes repeat across backtracking.
- * An EvalCache memoizes residual vectors keyed on the *bit pattern* of
- * the parameter vector — exact, no tolerance games — with LRU eviction.
- * The eviction/counter machinery itself lives in the shared
- * io::LruCache backend (also used by the dse memo cache); EvalCache is
- * the parameter-vector-keyed adapter with unchanged semantics.
+ * CachedResiduals memoizes residual vectors keyed on the *bit pattern* of
+ * the parameter vector — exact, no tolerance games — and keeps every
+ * point it evaluates: one start probes at most a few thousand.
  *
- * Caches are deliberately not thread-safe: the calibrator gives each
- * multi-start worker its own cache so hit/miss counts (and therefore
- * reports) stay bit-identical for any thread count.
+ * Not thread-safe: the calibrator gives each multi-start worker its own
+ * CachedResiduals so hit/miss counts (and therefore reports) stay
+ * bit-identical for any thread count.
  */
 #ifndef LOGNIC_CALIB_CACHE_HPP_
 #define LOGNIC_CALIB_CACHE_HPP_
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
-#include "lognic/io/lru_cache.hpp"
 #include "lognic/solver/objective.hpp"
 
 namespace lognic::calib {
@@ -31,44 +29,23 @@ namespace lognic::calib {
 /// Bit-exact string key of a parameter vector.
 std::string cache_key(const solver::Vector& x);
 
-class EvalCache {
-  public:
-    using Stats = io::LruCacheStats;
-
-    /// @throws std::invalid_argument when capacity is zero.
-    explicit EvalCache(std::size_t capacity);
-
-    /// Cached value for @p x, refreshing its recency; nullopt on a miss.
-    std::optional<solver::Vector> lookup(const solver::Vector& x);
-    /// Insert (no-op if present), evicting the least-recent entry at
-    /// capacity.
-    void insert(const solver::Vector& x, solver::Vector value);
-
-    const Stats& stats() const { return cache_.stats(); }
-    std::size_t size() const { return cache_.size(); }
-    std::size_t capacity() const { return cache_.capacity(); }
-
-  private:
-    io::LruCache<solver::Vector> cache_;
-};
-
 /**
  * A residual function wrapped with memoization. Tracks how many
  * evaluations actually reached the underlying function (the model
- * solves) versus were served from cache, and records the running-best
- * loss after each underlying evaluation — the convergence trace the
- * calibrator publishes.
+ * solves, i.e. the misses) versus were served from the memo, and records
+ * the running-best loss after each underlying evaluation — the
+ * convergence trace the calibrator publishes.
  */
 class CachedResiduals {
   public:
-    CachedResiduals(solver::VectorFn fn, std::size_t capacity);
+    explicit CachedResiduals(solver::VectorFn fn);
 
     solver::Vector operator()(const solver::Vector& x);
 
-    const EvalCache::Stats& stats() const { return cache_.stats(); }
-    /// Evaluations that reached the underlying function.
+    /// Requests that reached the underlying function (one that threw
+    /// included): the misses.
     std::uint64_t underlying_evaluations() const { return underlying_; }
-    /// Total requests (cache hits + underlying evaluations).
+    /// Total requests; the hits are requests() - underlying_evaluations().
     std::uint64_t requests() const { return requests_; }
     /// Running best 0.5*||r||^2 after each *underlying* evaluation that
     /// improved on the incumbent: a monotone convergence trace.
@@ -76,7 +53,7 @@ class CachedResiduals {
 
   private:
     solver::VectorFn fn_;
-    EvalCache cache_;
+    std::unordered_map<std::string, solver::Vector> memo_;
     std::uint64_t underlying_{0};
     std::uint64_t requests_{0};
     double best_{0.0};

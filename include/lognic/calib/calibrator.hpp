@@ -2,7 +2,7 @@
  * @file
  * The calibrator: fit a (parameter space, dataset, loss) problem with
  * Levenberg-Marquardt (solver::levenberg_marquardt, the one fitting
- * engine) under bounds, with multi-start, per-start LRU memoization, and
+ * engine) under bounds, with multi-start, per-start memoization, and
  * optional k-fold cross-validation, and emit a CalibrationReport.
  *
  * Concurrency contract (inherited from lognic::runner): every start and
@@ -73,7 +73,6 @@ struct FitOptions {
     std::size_t starts{4};
     std::size_t threads{1};
     std::uint64_t seed{42};
-    std::size_t cache_capacity{4096};
     std::size_t max_iterations{200};
     /// Checkpoint/resume seams (see lognic::ckpt). Inner fits (k-fold
     /// cross-validation) always run with cleared hooks: only top-level

@@ -13,7 +13,7 @@
  *                "p99_weight": 0, "kind": "relative", "huber_delta": 0},
  *       "backend": "least_squares",        // optional; the only engine
  *       "starts": 4, "threads": 1, "seed": 42,
- *       "max_iterations": 200, "cache_capacity": 4096,
+ *       "max_iterations": 200,
  *       "holdout_fraction": 0.25, "k_folds": 0,
  *       "dataset": [ ...observation documents... ],    // measured, or:
  *       "generate": {"rates_gbps": [...], "packet_sizes": [...],
@@ -23,6 +23,8 @@
  *
  * Exactly one of "dataset" / "generate" must be present: load measured
  * points, or synthesize ground truth by simulating the scenario itself.
+ * Each start memoizes every point it evaluates, so older specs' cache
+ * size key is ignored.
  */
 #ifndef LOGNIC_CALIB_SPEC_HPP_
 #define LOGNIC_CALIB_SPEC_HPP_

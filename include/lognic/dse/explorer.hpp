@@ -11,7 +11,7 @@
  *   kExhaustive  full grid; refuses spaces above exhaustive_limit
  *   kMutation    random immigrants + local ±1-level mutation of the
  *                incumbent frontier (hill climbing; mutated neighbors
- *                revisit configs, which the memo cache absorbs)
+ *                revisit configs, which the archive answers unsolved)
  *   kNsga2       NSGA-II-style evolutionary search: non-dominated
  *                sorting + crowding, binary tournaments, uniform
  *                crossover, 1/n-per-knob mutation
@@ -38,7 +38,6 @@
 #include "lognic/dse/pareto.hpp"
 #include "lognic/dse/prune.hpp"
 #include "lognic/io/json.hpp"
-#include "lognic/io/lru_cache.hpp"
 #include "lognic/obs/metrics.hpp"
 
 namespace lognic::dse {
@@ -70,8 +69,8 @@ ObjectiveSpec objective_from_name(const std::string& name);
 // Constraint lives in prune.hpp (the pruner narrows domains against it);
 // it is re-exported here for source compatibility.
 
-/// Model-oracle outcome for one config: the memo-cache value and the
-/// ExploreJournal record.
+/// Model-oracle outcome for one config: the ExploreJournal record, whose
+/// fields the archive's ScoredConfig carries.
 struct Evaluation {
     std::vector<double> objectives; ///< aligned with the objective specs
     bool feasible{true};
@@ -131,13 +130,11 @@ struct ExploreOptions {
     std::size_t generations{8};
     /// kExhaustive refuses spaces with more combinations than this.
     std::uint64_t exhaustive_limit{1u << 16};
-    /// Memo-cache entries kept before the least recent is evicted.
-    std::size_t cache_capacity{1u << 16};
     /**
      * Feasibility pruning (prune.hpp). kOn skips the model solve for
      * configs a Pruner proves infeasible; such configs still flow through
      * the serial batch coordinator as recorded misses with a synthesized
-     * infeasible Evaluation, so requests/evaluated/infeasible/cache
+     * infeasible Evaluation, so requests/evaluated/infeasible/hit/miss
      * counters — and the whole FrontierReport JSON — are byte-identical
      * to a kOff run. kExplain additionally narrates the derived domains
      * through prune_log.
@@ -172,7 +169,8 @@ struct FrontierReport {
     std::uint64_t evaluated{0};   ///< unique configs scored
     std::uint64_t quarantined{0}; ///< NaN/inf or failed evaluations
     std::uint64_t infeasible{0};  ///< constraint violations
-    io::LruCacheStats cache;
+    std::uint64_t cache_hits{0};   ///< requests scored in an earlier batch
+    std::uint64_t cache_misses{0}; ///< the other requests
     /**
      * Pruning/solve accounting — deliberately NOT serialized into the
      * report JSON, which stays byte-identical across prune modes. They
@@ -191,7 +189,7 @@ struct FrontierReport {
  * empty/unknown/duplicate objectives, a constraint on an unknown metric,
  * with lower > upper, or with neither bound set, or an exhaustive run
  * over a space above exhaustive_limit. When @p metrics is non-null,
- * publishes dse.* counters (cache hits/misses/evictions, evaluations,
+ * publishes dse.* counters (cache hits/misses, evaluations,
  * frontier size, quarantined, infeasible, DES validations).
  */
 FrontierReport explore(const DesignSpace& space,
@@ -201,17 +199,17 @@ FrontierReport explore(const DesignSpace& space,
                        obs::MetricsRegistry* metrics = nullptr);
 
 /// Model-oracle scoring of one config — pure in (space, config,
-/// objectives, constraints); the unit the memo cache and ExploreJournal
-/// key by canonical config string.
+/// objectives, constraints); the unit the archive and ExploreJournal key
+/// by canonical config string.
 Evaluation evaluate_config(const DesignSpace& space, const Config& c,
                            const std::vector<ObjectiveSpec>& objectives,
                            const std::vector<Constraint>& constraints);
 
 /**
- * The serial batch coordinator the strategies feed. Memo lookups,
- * journal replay decisions, prune rejections, and cache inserts all
- * happen on the caller thread in batch order, so hit/miss/eviction
- * counters are a pure function of the candidate stream; only the model
+ * The serial batch coordinator the strategies feed. Archive lookups,
+ * journal replay decisions, prune rejections, and archive inserts all
+ * happen on the caller thread in batch order, so hit/miss counters are
+ * a pure function of the candidate stream; only the model
  * solves for first-seen configs fan out to the thread pool, each one an
  * evaluate_config call keyed by its index, so the thread count cannot
  * perturb results. Public so tests and the benchmark can drive batches —
@@ -231,9 +229,12 @@ class BatchEvaluator {
     /// Every unique scored config, in canonical key order.
     std::vector<ScoredConfig> archive_vector() const;
 
-    std::uint64_t requests() const; ///< cache hits + misses
-    io::LruCacheStats cache_stats() const;
-    std::size_t archive_size() const;
+    std::uint64_t requests() const { return hits_ + misses_; }
+    /// Requests whose config an earlier batch scored.
+    std::uint64_t hits() const { return hits_; }
+    /// The other requests, a repeat inside one batch included.
+    std::uint64_t misses() const { return misses_; }
+    std::size_t archive_size() const { return archive_.size(); }
     /// Model solves actually performed (misses minus replays and prunes).
     std::uint64_t solves() const { return solves_; }
     /// Misses resolved by the pruner without a solve.
@@ -245,9 +246,11 @@ class BatchEvaluator {
     const std::vector<Constraint>& constraints_;
     const ExploreOptions& opts_;
     Pruner* pruner_;
-    /// Keyed by canonical config string; touched only by the coordinator.
-    io::LruCache<Evaluation> cache_;
-    std::map<std::string, ScoredConfig> archive_; ///< canonical key order
+    /// The memo: every scored config, keyed by canonical config string
+    /// (so in canonical key order); touched only by the coordinator.
+    std::map<std::string, ScoredConfig> archive_;
+    std::uint64_t hits_{0};
+    std::uint64_t misses_{0};
     std::uint64_t solves_{0};
     std::uint64_t pruned_{0};
 };

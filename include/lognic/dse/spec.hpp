@@ -18,15 +18,16 @@
  *       "prune": "on",                 // off | explain (default on)
  *       "seed": 42, "budget": 256, "population": 16, "generations": 8,
  *       "exhaustive_limit": 65536,
- *       "cache_capacity": 65536,
  *       "des": {"enabled": true, "replications": 3, "duration": 0.01,
  *               "warmup_fraction": 0.2}
  *     }
  *   }
  *
- * Exactly one of "scenario" / dse."base" must be present. Thread count is
- * deliberately NOT part of the spec (it may never influence results);
- * the CLI wires --threads into ExploreOptions directly.
+ * Exactly one of "scenario" / dse."base" must be present. The memo of
+ * scored configs is unbounded, so older specs' cache size and shard keys
+ * are ignored. Thread count is deliberately NOT part of the spec (it may
+ * never influence results); the CLI wires --threads into ExploreOptions
+ * directly.
  */
 #ifndef LOGNIC_DSE_SPEC_HPP_
 #define LOGNIC_DSE_SPEC_HPP_

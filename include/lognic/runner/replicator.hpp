@@ -61,9 +61,9 @@ struct ReplicationResult {
 };
 
 /**
- * The resolved outcome of one guarded task (a replication, or one
- * point x replication cell of a sweep) in the form a checkpoint journal
- * stores and a resumed run replays. A resumed task is *not* re-simulated:
+ * The resolved outcome of one guarded task (one point x replication
+ * cell of a sweep) in the form a checkpoint journal stores and a resumed
+ * run replays. A resumed task is *not* re-simulated:
  * the recorded result (or recorded failure) is used verbatim, which is
  * what makes an interrupted-then-resumed run byte-identical to an
  * uninterrupted one at any thread count — every task is pure in its index,
@@ -84,11 +84,6 @@ using TaskLookup = std::function<bool(std::size_t task, CompletedTask& out)>;
 /// Completion sink: fired once per freshly-computed task (success or
 /// exhausted-retries failure), from the worker thread that ran it.
 using TaskHook = std::function<void(std::size_t task, const CompletedTask&)>;
-
-struct ReplicatorHooks {
-    TaskLookup lookup;
-    TaskHook on_complete;
-};
 
 /// A replication whose simulation threw (see Replicator::run_guarded).
 struct FailedReplication {
@@ -135,16 +130,6 @@ class Replicator {
      */
     GuardedReplication run_guarded(const SimFn& fn,
                                    std::size_t threads = 1) const;
-
-    /**
-     * run_guarded() with checkpoint/resume hooks: replications satisfied
-     * by hooks.lookup are replayed from their recorded outcome instead of
-     * being simulated; freshly-computed outcomes (including failures) are
-     * reported through hooks.on_complete. Empty hooks degrade to plain
-     * run_guarded().
-     */
-    GuardedReplication run_guarded(const SimFn& fn, std::size_t threads,
-                                   const ReplicatorHooks& hooks) const;
 
     /// Aggregate pre-computed results (results[i] came from seeds[i]).
     static ReplicationResult aggregate(

@@ -1,7 +1,6 @@
 #include "lognic/calib/cache.hpp"
 
 #include <cstring>
-#include <stdexcept>
 #include <utility>
 
 namespace lognic::calib {
@@ -16,33 +15,17 @@ cache_key(const solver::Vector& x)
     return key;
 }
 
-EvalCache::EvalCache(std::size_t capacity) : cache_(capacity) {}
-
-std::optional<solver::Vector>
-EvalCache::lookup(const solver::Vector& x)
-{
-    return cache_.lookup(cache_key(x));
-}
-
-void
-EvalCache::insert(const solver::Vector& x, solver::Vector value)
-{
-    cache_.insert(cache_key(x), std::move(value));
-}
-
-CachedResiduals::CachedResiduals(solver::VectorFn fn, std::size_t capacity)
-    : fn_(std::move(fn)), cache_(capacity)
-{
-}
+CachedResiduals::CachedResiduals(solver::VectorFn fn) : fn_(std::move(fn)) {}
 
 solver::Vector
 CachedResiduals::operator()(const solver::Vector& x)
 {
     ++requests_;
-    if (auto hit = cache_.lookup(x))
-        return *std::move(hit);
-    solver::Vector r = fn_(x);
+    std::string key = cache_key(x);
+    if (const auto hit = memo_.find(key); hit != memo_.end())
+        return hit->second;
     ++underlying_;
+    solver::Vector r = fn_(x);
     double loss = 0.0;
     for (double v : r)
         loss += 0.5 * v * v;
@@ -51,7 +34,7 @@ CachedResiduals::operator()(const solver::Vector& x)
         has_best_ = true;
         convergence_.push_back(loss);
     }
-    cache_.insert(x, r);
+    memo_.emplace(std::move(key), r);
     return r;
 }
 

@@ -112,7 +112,7 @@ run_start(const FitProblem& problem, const FitOptions& options,
     out.outcome.index = k;
     out.outcome.seed = runner::derive_seed(options.seed, k);
 
-    CachedResiduals cached(problem.residuals, options.cache_capacity);
+    CachedResiduals cached(problem.residuals);
     const auto eval = [&cached](const solver::Vector& x) {
         return cached(x);
     };
@@ -147,8 +147,9 @@ run_start(const FitProblem& problem, const FitOptions& options,
             std::numeric_limits<double>::infinity();
     }
     out.outcome.model_solves = cached.underlying_evaluations();
-    out.outcome.cache_hits = cached.stats().hits;
-    out.outcome.cache_misses = cached.stats().misses;
+    out.outcome.cache_hits =
+        cached.requests() - cached.underlying_evaluations();
+    out.outcome.cache_misses = cached.underlying_evaluations();
     out.convergence = cached.convergence();
     return out;
 }

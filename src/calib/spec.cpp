@@ -68,8 +68,6 @@ calib_spec_from_json(const io::Json& doc)
     options.fit.seed = io::uint_or<std::uint64_t>(c, "seed", 42);
     options.fit.max_iterations =
         io::uint_or<std::size_t>(c, "max_iterations", 200);
-    options.fit.cache_capacity =
-        io::uint_or<std::size_t>(c, "cache_capacity", 4096);
     options.holdout_fraction = c.number_or("holdout_fraction", 0.0);
     options.k_folds = io::uint_or<std::size_t>(c, "k_folds", 0);
 
@@ -143,7 +141,6 @@ sample_calib_spec(const io::Scenario& base)
     calib.set("threads", 1);
     calib.set("seed", 42);
     calib.set("max_iterations", 60);
-    calib.set("cache_capacity", 1024);
     calib.set("holdout_fraction", 0.25);
     calib.set("generate", std::move(generate));
 

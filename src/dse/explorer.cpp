@@ -1,7 +1,7 @@
 /**
  * @file
- * Design-space exploration engine: model-first scoring with a memo
- * cache, seed-deterministic search strategies, and DES confirmation of
+ * Design-space exploration engine: model-first scoring memoized in the
+ * archive, seed-deterministic search strategies, and DES confirmation of
  * the frontier. See explorer.hpp for the determinism contract.
  */
 #include "lognic/dse/explorer.hpp"
@@ -9,8 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -200,7 +200,7 @@ run_mutation(const DesignSpace& space, const ExploreOptions& opts,
         batch.clear();
         // Local mutation: every ±1-level neighbor of every frontier
         // member. Stable frontier members re-propose the same neighbors
-        // round after round — the memo cache absorbs the repeats (that is
+        // round after round — the archive answers the repeats (that is
         // the asserted >0 hit count).
         for (std::size_t idx : frontier) {
             const Config& c = archive[idx].config;
@@ -441,7 +441,7 @@ BatchEvaluator::BatchEvaluator(const DesignSpace& space,
                                const std::vector<Constraint>& constraints,
                                const ExploreOptions& opts, Pruner* pruner)
     : space_(space), objectives_(objectives), constraints_(constraints),
-      opts_(opts), pruner_(pruner), cache_(opts.cache_capacity)
+      opts_(opts), pruner_(pruner)
 {
 }
 
@@ -455,25 +455,27 @@ BatchEvaluator::run_batch(const std::vector<Config>& batch)
         bool resolved{false}; ///< replayed or pruned: no solve needed
     };
     std::vector<std::string> keys(batch.size());
-    std::map<std::string, Evaluation> hits;
     std::vector<Pending> pending;
-    std::map<std::string, std::size_t> pending_index;
+    std::set<std::string> pending_keys;
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
         keys[i] = space_.canonical_key(batch[i]);
-        if (auto hit = cache_.lookup(keys[i])) {
-            hits.emplace(keys[i], *std::move(hit));
+        // This batch's configs reach the archive only after the loop, so
+        // a repeat inside the batch is a miss.
+        if (archive_.count(keys[i]) != 0) {
+            ++hits_;
             continue;
         }
-        if (pending_index.count(keys[i]) != 0)
+        ++misses_;
+        if (!pending_keys.insert(keys[i]).second)
             continue; // duplicate within the batch: one solve
         Pending p;
         p.key = keys[i];
         p.config = batch[i];
         // A journaled outcome replaces the *work*, never the counters:
-        // the lookup above already recorded the miss, exactly as the
-        // uninterrupted run would have. Replays also bypass the pruner,
-        // which keeps journals portable across prune modes.
+        // the miss is already counted, exactly as the uninterrupted run
+        // counted it. Replays also bypass the pruner, which keeps
+        // journals portable across prune modes.
         p.resolved = opts_.resume_eval && opts_.resume_eval(p.key, p.eval);
         if (!p.resolved && pruner_ != nullptr) {
             if (auto r = pruner_->reject(p.config)) {
@@ -494,7 +496,6 @@ BatchEvaluator::run_batch(const std::vector<Config>& batch)
                     opts_.on_eval(p.key, p.eval);
             }
         }
-        pending_index.emplace(p.key, pending.size());
         pending.push_back(std::move(p));
     }
 
@@ -512,27 +513,24 @@ BatchEvaluator::run_batch(const std::vector<Config>& batch)
             if (opts_.on_eval)
                 opts_.on_eval(p.key, p.eval);
         });
-    for (const Pending& p : pending)
-        cache_.insert(p.key, p.eval);
-
-    std::vector<ScoredConfig> out(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        const auto pit = pending_index.find(keys[i]);
-        const Evaluation& eval = pit != pending_index.end()
-                                     ? pending[pit->second].eval
-                                     : hits.at(keys[i]);
+    for (Pending& p : pending) {
         ScoredConfig s;
-        s.id = io::fnv1a64(keys[i]);
-        s.key = keys[i];
-        s.config = batch[i];
-        s.objectives = eval.objectives;
-        s.feasible = eval.feasible;
-        s.finite = eval.finite;
-        s.pruned = eval.pruned;
-        s.why = eval.why;
-        archive_.emplace(s.key, s);
-        out[i] = std::move(s);
+        s.id = io::fnv1a64(p.key);
+        s.key = p.key;
+        s.config = std::move(p.config);
+        s.objectives = std::move(p.eval.objectives);
+        s.feasible = p.eval.feasible;
+        s.finite = p.eval.finite;
+        s.pruned = p.eval.pruned;
+        s.why = std::move(p.eval.why);
+        archive_.emplace(std::move(p.key), std::move(s));
     }
+
+    // Knob levels are strictly increasing, so a key names one config.
+    std::vector<ScoredConfig> out;
+    out.reserve(batch.size());
+    for (const std::string& key : keys)
+        out.push_back(archive_.at(key));
     return out;
 }
 
@@ -544,25 +542,6 @@ BatchEvaluator::archive_vector() const
     for (const auto& [key, scored] : archive_)
         out.push_back(scored);
     return out;
-}
-
-std::uint64_t
-BatchEvaluator::requests() const
-{
-    const auto s = cache_.stats();
-    return s.hits + s.misses;
-}
-
-io::LruCacheStats
-BatchEvaluator::cache_stats() const
-{
-    return cache_.stats();
-}
-
-std::size_t
-BatchEvaluator::archive_size() const
-{
-    return archive_.size();
 }
 
 FrontierReport
@@ -609,7 +588,8 @@ explore(const DesignSpace& space,
     report.objectives = objectives;
     report.requests = ev.requests();
     report.evaluated = ev.archive_size();
-    report.cache = ev.cache_stats();
+    report.cache_hits = ev.hits();
+    report.cache_misses = ev.misses();
     for (const ScoredConfig& s : archive) {
         if (!s.finite)
             ++report.quarantined;
@@ -649,9 +629,8 @@ explore(const DesignSpace& space,
     if (metrics != nullptr) {
         metrics->counter("dse.requests").add(report.requests);
         metrics->counter("dse.evaluations").add(report.evaluated);
-        metrics->counter("dse.cache.hits").add(report.cache.hits);
-        metrics->counter("dse.cache.misses").add(report.cache.misses);
-        metrics->counter("dse.cache.evictions").add(report.cache.evictions);
+        metrics->counter("dse.cache.hits").add(report.cache_hits);
+        metrics->counter("dse.cache.misses").add(report.cache_misses);
         metrics->counter("dse.quarantined").add(report.quarantined);
         metrics->counter("dse.infeasible").add(report.infeasible);
         // Separate channels: the report JSON counters above are prune-

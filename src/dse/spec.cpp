@@ -98,8 +98,6 @@ explore_spec_from_json(const io::Json& doc)
     opts.generations = io::uint_or(dse, "generations", opts.generations);
     opts.exhaustive_limit =
         io::uint_or(dse, "exhaustive_limit", opts.exhaustive_limit);
-    opts.cache_capacity =
-        io::uint_or(dse, "cache_capacity", opts.cache_capacity);
     if (dse.contains("des")) {
         const io::Json& d = dse.at("des");
         if (d.contains("enabled"))

@@ -84,13 +84,6 @@ Replicator::run(const SimFn& fn, std::size_t threads) const
 GuardedReplication
 Replicator::run_guarded(const SimFn& fn, std::size_t threads) const
 {
-    return run_guarded(fn, threads, ReplicatorHooks{});
-}
-
-GuardedReplication
-Replicator::run_guarded(const SimFn& fn, std::size_t threads,
-                        const ReplicatorHooks& hooks) const
-{
     if (replications_ == 0)
         throw std::invalid_argument("Replicator: zero replications");
     const auto reps_seeds = seeds();
@@ -98,16 +91,6 @@ Replicator::run_guarded(const SimFn& fn, std::size_t threads,
     std::vector<std::string> errors(replications_);
     std::vector<char> ok(replications_, 0);
     parallel_for(replications_, threads, [&](std::size_t i) {
-        if (hooks.lookup) {
-            CompletedTask done;
-            if (hooks.lookup(i, done)) {
-                // Replay the journaled outcome; no simulation, no hook.
-                ok[i] = done.ok ? 1 : 0;
-                results[i] = std::move(done.result);
-                errors[i] = std::move(done.error);
-                return;
-            }
-        }
         try {
             results[i] = fn(reps_seeds[i]);
             ok[i] = 1;
@@ -115,16 +98,6 @@ Replicator::run_guarded(const SimFn& fn, std::size_t threads,
             errors[i] = e.what();
         } catch (...) {
             errors[i] = "unknown exception";
-        }
-        if (hooks.on_complete) {
-            CompletedTask done;
-            done.ok = ok[i] != 0;
-            done.seed = reps_seeds[i];
-            done.attempts = 1;
-            done.error = errors[i];
-            if (done.ok)
-                done.result = results[i];
-            hooks.on_complete(i, done);
         }
     });
 

@@ -1640,8 +1640,7 @@ struct NicSimulator::Impl {
         for (const io::Json& pj : snap.at("packets").as_array()) {
             Packet* p = packet_slab.acquire();
             p->id = hexu(pj.at("id"), "snapshot packet id");
-            p->class_index = static_cast<std::size_t>(
-                pj.at("class").as_number());
+            p->class_index = io::uint_at<std::size_t>(pj, "class");
             if (p->class_index >= traffic.classes().size())
                 throw std::runtime_error(
                     "NicSimulator::load_state: packet class out of range");
@@ -1650,16 +1649,12 @@ struct NicSimulator::Impl {
             p->enqueued =
                 hexd(pj.at("enqueued"), "snapshot packet enqueued");
             p->traced = false;
-            p->pending_kind = static_cast<std::uint8_t>(
-                pj.at("pending_kind").as_number());
-            p->pending_stage = static_cast<std::uint8_t>(
-                pj.at("pending_stage").as_number());
-            p->pending_edge = static_cast<EdgeId>(
-                pj.at("pending_edge").as_number());
-            p->pending_vertex = static_cast<VertexId>(
-                pj.at("pending_vertex").as_number());
-            p->pending_slot = static_cast<std::size_t>(
-                pj.at("pending_slot").as_number());
+            p->pending_kind = io::uint_at<std::uint8_t>(pj, "pending_kind");
+            p->pending_stage =
+                io::uint_at<std::uint8_t>(pj, "pending_stage");
+            p->pending_edge = io::uint_at<EdgeId>(pj, "pending_edge");
+            p->pending_vertex = io::uint_at<VertexId>(pj, "pending_vertex");
+            p->pending_slot = io::uint_at<std::size_t>(pj, "pending_slot");
             p->pending_when =
                 hexd(pj.at("pending_when"), "snapshot packet when");
             p->pending_seq =
@@ -1713,18 +1708,16 @@ struct NicSimulator::Impl {
             for (std::size_t v = 0; v < arr.size(); ++v) {
                 VertexState& st = vertices[v];
                 const io::Json& vo = arr[v];
-                st.busy = static_cast<std::uint32_t>(
-                    vo.at("busy").as_number());
-                st.engines_offline = static_cast<std::uint32_t>(
-                    vo.at("engines_offline").as_number());
+                st.busy = io::uint_at<std::uint32_t>(vo, "busy");
+                st.engines_offline =
+                    io::uint_at<std::uint32_t>(vo, "engines_offline");
                 st.slow_factor =
                     hexd(vo.at("slow_factor"), "snapshot slow_factor");
                 st.drop_prob =
                     hexd(vo.at("drop_prob"), "snapshot drop_prob");
-                st.capacity_override = static_cast<std::uint32_t>(
-                    vo.at("capacity_override").as_number());
-                st.rr_cursor = static_cast<std::size_t>(
-                    vo.at("rr_cursor").as_number());
+                st.capacity_override =
+                    io::uint_at<std::uint32_t>(vo, "capacity_override");
+                st.rr_cursor = io::uint_at<std::size_t>(vo, "rr_cursor");
                 if (st.rr_cursor != 0 && st.rr_cursor >= st.queues.size())
                     throw std::runtime_error(
                         "NicSimulator::load_state: round-robin cursor out "
@@ -1746,10 +1739,12 @@ struct NicSimulator::Impl {
                         hexu(eo.at("serial"), "snapshot in-service serial");
                     e.pkt = find_packet(
                         hexu(eo.at("id"), "snapshot in-service id"));
-                    e.qi = static_cast<std::size_t>(
-                        eo.at("qi").as_number());
-                    e.slot = static_cast<std::size_t>(
-                        eo.at("slot").as_number());
+                    e.qi = io::uint_at<std::size_t>(eo, "qi");
+                    if (e.qi >= st.queues.size())
+                        throw std::runtime_error(
+                            "NicSimulator::load_state: in-service queue "
+                            "index out of range");
+                    e.slot = io::uint_at<std::size_t>(eo, "slot");
                     st.in_service.push_back(e);
                 }
                 st.area_busy =
@@ -1768,16 +1763,15 @@ struct NicSimulator::Impl {
                             "credit window on a vertex without one");
                     continue;
                 }
-                st.credits_free = static_cast<std::uint32_t>(
-                    vo.at("credits_free").as_number());
+                st.credits_free =
+                    io::uint_at<std::uint32_t>(vo, "credits_free");
                 if (st.credits_free > st.credits)
                     throw std::runtime_error(
                         "NicSimulator::load_state: more free credits "
                         "than the window holds");
                 st.held.clear();
                 for (const io::Json& ho : vo.at("held").as_array()) {
-                    const auto edge =
-                        static_cast<EdgeId>(ho.at("edge").as_number());
+                    const auto edge = io::uint_at<EdgeId>(ho, "edge");
                     if (edge >= graph.edge_count()
                         || graph.edge(edge).to != v)
                         throw std::runtime_error(

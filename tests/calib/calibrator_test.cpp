@@ -269,6 +269,35 @@ TEST(CalibSpec, BackendMayOnlyNameLeastSquares)
     }
 }
 
+TEST(CalibSpec, OldCacheCapacityKeyLoadsAndReportsAsWithout)
+{
+    // Older sample specs carry "cache_capacity". The memo now keeps every
+    // point a start evaluates, so the key is ignored: the spec loads and
+    // calibrates to the same report bytes as the spec without it.
+    const io::Scenario base{test::small_nic(),
+                            test::single_stage_graph(test::small_nic()),
+                            test::mtu_traffic(5.0)};
+    const io::Json doc = io::Json::parse(sample_calib_spec(base));
+    ASSERT_FALSE(doc.at("calib").contains("cache_capacity"));
+    io::JsonObject c = doc.at("calib").as_object();
+    c["cache_capacity"] = io::Json(1024);
+    io::JsonObject root = doc.as_object();
+    root["calib"] = io::Json(std::move(c));
+    const io::Json old_doc(std::move(root));
+
+    const auto report_of = [](const io::Json& spec_doc) {
+        CalibSpec spec = calib_spec_from_json(spec_doc);
+        return Calibrator(std::move(spec.space), std::move(spec.data),
+                          spec.options)
+            .fit();
+    };
+    const CalibrationReport plain = report_of(doc);
+    const CalibrationReport old = report_of(old_doc);
+    EXPECT_GT(plain.cache_hits, 0u);
+    EXPECT_EQ(to_json(old).dump(), to_json(plain).dump());
+    EXPECT_EQ(render(old), render(plain));
+}
+
 TEST(CalibReport, RenderMentionsTheEssentials)
 {
     CalibrationReport r;

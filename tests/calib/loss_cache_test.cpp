@@ -1,10 +1,14 @@
 /**
  * @file
  * Loss composition (weights, relative/absolute residuals, pseudo-Huber)
- * and the LRU evaluation cache the calibrator memoizes model solves with.
+ * and the evaluation memo the calibrator answers repeated model solves
+ * from.
  */
 #include <cmath>
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <vector>
 
 #include "lognic/apps/inline_accel.hpp"
 #include "lognic/calib/cache.hpp"
@@ -140,57 +144,36 @@ TEST(CalibLoss, TotalLossIsHalfSquaredNorm)
     EXPECT_DOUBLE_EQ(total_loss({}), 0.0);
 }
 
-TEST(CalibCache, LruEvictsLeastRecentlyUsed)
-{
-    EvalCache cache(2);
-    cache.insert({1.0}, {10.0});
-    cache.insert({2.0}, {20.0});
-    // Touch {1.0} so {2.0} becomes the eviction victim.
-    ASSERT_TRUE(cache.lookup({1.0}).has_value());
-    cache.insert({3.0}, {30.0});
-
-    EXPECT_TRUE(cache.lookup({1.0}).has_value());
-    EXPECT_FALSE(cache.lookup({2.0}).has_value());
-    EXPECT_TRUE(cache.lookup({3.0}).has_value());
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.stats().hits, 3u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-}
-
 TEST(CalibCache, KeyIsBitExact)
 {
-    EvalCache cache(4);
-    cache.insert({1.0}, {1.0});
-    EXPECT_FALSE(cache.lookup({1.0 + 1e-15}).has_value());
-    EXPECT_TRUE(cache.lookup({1.0}).has_value());
+    std::size_t calls = 0;
+    CachedResiduals cached([&calls](const solver::Vector& x) {
+        ++calls;
+        return x;
+    });
+    (void)cached({1.0});
+    (void)cached({1.0 + 1e-15}); // a neighbor, not the same point: a miss
+    (void)cached({1.0});         // the exact point again: a hit
+    EXPECT_EQ(calls, 2u);
+    EXPECT_EQ(cached.requests() - cached.underlying_evaluations(), 1u);
     EXPECT_NE(cache_key({0.0}), cache_key({-0.0})); // distinct bit patterns
-}
-
-TEST(CalibCache, RejectsZeroCapacity)
-{
-    EXPECT_THROW(EvalCache(0), std::invalid_argument);
 }
 
 TEST(CalibCache, CachedResidualsCountsModelSolvesOnce)
 {
     std::size_t calls = 0;
-    CachedResiduals cached(
-        [&calls](const solver::Vector& x) {
-            ++calls;
-            return solver::Vector{x[0] - 1.0};
-        },
-        16);
+    CachedResiduals cached([&calls](const solver::Vector& x) {
+        ++calls;
+        return solver::Vector{x[0] - 1.0};
+    });
 
     const auto a = cached({3.0});
     const auto b = cached({3.0});
     const auto c = cached({4.0});
     EXPECT_EQ(a, b);
     EXPECT_EQ(calls, 2u);
-    EXPECT_EQ(cached.underlying_evaluations(), 2u);
+    EXPECT_EQ(cached.underlying_evaluations(), 2u); // the misses
     EXPECT_EQ(cached.requests(), 3u);
-    EXPECT_EQ(cached.stats().hits, 1u);
-    EXPECT_EQ(cached.stats().misses, 2u);
     EXPECT_EQ(c.size(), 1u);
 
     // Convergence trace is the running best and only improves.
@@ -199,28 +182,42 @@ TEST(CalibCache, CachedResidualsCountsModelSolvesOnce)
         EXPECT_LE(cached.convergence()[i], cached.convergence()[i - 1]);
 }
 
-TEST(CalibCache, SharedLruBackendPreservesHitCounts)
+TEST(CalibCache, KeepsEveryPointItEvaluated)
 {
-    // EvalCache now delegates to the shared io::LruCache (also the dse
-    // memo backend). Replaying the same access pattern against both must
-    // yield identical hit/miss/eviction counts — the extraction
-    // guarantee that calibration reports are unchanged.
-    EvalCache adapted(2);
-    io::LruCache<solver::Vector> raw(2);
-    const std::vector<solver::Vector> pattern{
-        {1.0}, {2.0}, {1.0}, {3.0}, {2.0}, {3.0}, {1.0}, {1.0}, {3.0}};
-    for (const auto& x : pattern) {
-        if (!adapted.lookup(x).has_value())
-            adapted.insert(x, x);
-        if (!raw.lookup(cache_key(x)).has_value())
-            raw.insert(cache_key(x), x);
-    }
-    EXPECT_EQ(adapted.stats().hits, raw.stats().hits);
-    EXPECT_EQ(adapted.stats().misses, raw.stats().misses);
-    EXPECT_EQ(adapted.stats().evictions, raw.stats().evictions);
-    EXPECT_GT(adapted.stats().hits, 0u);
-    EXPECT_GT(adapted.stats().evictions, 0u);
-    EXPECT_EQ(adapted.size(), raw.size());
+    // More distinct points than the 4,096 entries a start once kept: the
+    // second pass over all of them is answered from the memo, bit for bit.
+    constexpr std::size_t kPoints = 5000;
+    std::size_t calls = 0;
+    CachedResiduals cached([&calls](const solver::Vector& x) {
+        ++calls;
+        return solver::Vector{x[0] * x[0], -x[0]};
+    });
+    std::vector<solver::Vector> first(kPoints);
+    for (std::size_t i = 0; i < kPoints; ++i)
+        first[i] = cached({0.5 + static_cast<double>(i)});
+    for (std::size_t i = 0; i < kPoints; ++i)
+        EXPECT_EQ(cached({0.5 + static_cast<double>(i)}), first[i]) << i;
+    EXPECT_EQ(calls, kPoints);
+    EXPECT_EQ(cached.underlying_evaluations(), kPoints);
+    EXPECT_EQ(cached.requests(), 2 * kPoints);
+}
+
+TEST(CalibCache, ThrowingEvaluationCountsAsAMiss)
+{
+    // A request that reaches the residual function is a miss (and a model
+    // solve) even when the function throws, so hits are exactly the
+    // requests the memo answered.
+    CachedResiduals cached([](const solver::Vector& x) {
+        if (x[0] < 0.0)
+            throw std::runtime_error("outside the model's domain");
+        return x;
+    });
+    (void)cached({1.0});
+    (void)cached({1.0});
+    EXPECT_THROW((void)cached({-1.0}), std::runtime_error);
+    EXPECT_EQ(cached.requests(), 3u);
+    EXPECT_EQ(cached.underlying_evaluations(), 2u);
+    EXPECT_EQ(cached.requests() - cached.underlying_evaluations(), 1u);
 }
 
 } // namespace

@@ -9,7 +9,8 @@
  * replay (engine fail-stop with requeue, drop bursts), and a credit
  * window (held packets, free credits, pending credit returns). The
  * unsupported-configuration guards (tracing, watchdog, API misuse) must
- * throw rather than silently produce a snapshot that cannot resume.
+ * throw rather than silently produce a snapshot that cannot resume, and
+ * an edited snapshot's malformed integer fields are refused by name.
  */
 #include <gtest/gtest.h>
 
@@ -313,6 +314,108 @@ TEST(SimSnapshotGuards, RefusesOneTakenWithAnotherPlanOfTheSameLength)
 
     sim::NicSimulator matched(s.hw, s.graph, s.traffic, s.options);
     matched.load_state(snap);
+}
+
+/// @p node with the value at @p path replaced by @p value. Path steps
+/// are object keys, or decimal indices into arrays.
+io::Json
+replaced(const io::Json& node, const std::vector<std::string>& path,
+         const io::Json& value, std::size_t depth = 0)
+{
+    if (depth == path.size())
+        return value;
+    const std::string& step = path[depth];
+    if (node.is_array()) {
+        io::JsonArray items = node.as_array();
+        io::Json& item = items.at(std::stoul(step));
+        item = replaced(item, path, value, depth + 1);
+        return io::Json(std::move(items));
+    }
+    io::Json out = node;
+    out.set(step, replaced(node.at(step), path, value, depth + 1));
+    return out;
+}
+
+TEST(SimSnapshotGuards, MalformedIntegerFieldsAreRefused)
+{
+    // The credited overload case, advanced until its snapshot holds a
+    // request in service and a packet held for a credit.
+    const std::vector<SimCase> all = corpus();
+    const SimCase& s = all.back();
+    ASSERT_EQ(s.name, "credited");
+    sim::NicSimulator source(s.hw, s.graph, s.traffic, s.options);
+    source.begin();
+    io::Json snap;
+    std::string in_service;
+    std::string held;
+    while (in_service.empty() || held.empty()) {
+        ASSERT_FALSE(source.advance(50))
+            << "no snapshot with both a request in service and a held "
+               "packet";
+        snap = source.save_state();
+        in_service.clear();
+        held.clear();
+        const io::JsonArray& vertices = snap.at("vertices").as_array();
+        for (std::size_t v = 0; v < vertices.size(); ++v) {
+            if (!vertices[v].at("in_service").as_array().empty())
+                in_service = std::to_string(v);
+            if (vertices[v].contains("held")
+                && !vertices[v].at("held").as_array().empty())
+                held = std::to_string(v);
+        }
+    }
+    ASSERT_FALSE(snap.at("packets").as_array().empty());
+    {
+        sim::NicSimulator intact(s.hw, s.graph, s.traffic, s.options);
+        intact.load_state(snap);
+    }
+
+    const std::vector<std::vector<std::string>> fields{
+        {"packets", "0", "class"},
+        {"packets", "0", "pending_kind"},
+        {"packets", "0", "pending_stage"},
+        {"packets", "0", "pending_edge"},
+        {"packets", "0", "pending_vertex"},
+        {"packets", "0", "pending_slot"},
+        {"vertices", in_service, "busy"},
+        {"vertices", in_service, "engines_offline"},
+        {"vertices", in_service, "capacity_override"},
+        {"vertices", in_service, "rr_cursor"},
+        {"vertices", in_service, "in_service", "0", "qi"},
+        {"vertices", in_service, "in_service", "0", "slot"},
+        {"vertices", held, "credits_free"},
+        {"vertices", held, "held", "0", "edge"},
+    };
+    const std::vector<io::Json> bad_values{io::Json(-1), io::Json(2.5),
+                                           io::Json(1e300), io::Json("x")};
+    for (const auto& path : fields) {
+        const std::string name = "\"" + path.back() + "\"";
+        for (const io::Json& bad : bad_values) {
+            sim::NicSimulator target(s.hw, s.graph, s.traffic, s.options);
+            try {
+                target.load_state(replaced(snap, path, bad));
+                ADD_FAILURE() << name << " = " << bad.dump(-1) << " loaded";
+            } catch (const std::runtime_error& e) {
+                EXPECT_NE(std::string(e.what()).find(name),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+
+    // A well-formed in-service queue index past the vertex's queues.
+    const std::vector<std::string> qi{"vertices", in_service, "in_service",
+                                      "0", "qi"};
+    const std::size_t queues = snap.at("vertices")
+                                   .as_array()
+                                   .at(std::stoul(in_service))
+                                   .at("queues")
+                                   .as_array()
+                                   .size();
+    sim::NicSimulator target(s.hw, s.graph, s.traffic, s.options);
+    EXPECT_THROW(target.load_state(replaced(
+                     snap, qi, io::Json(static_cast<double>(queues)))),
+                 std::runtime_error);
 }
 
 } // namespace

@@ -204,9 +204,9 @@ TEST(Explore, MutationHitsTheCacheAndIsDeterministic)
     const auto a = dse::explore(space, tput_p99(), {}, opts);
     // Stable-frontier neighbor revisits MUST hit the memo cache — the
     // acceptance gate for the memoized backend.
-    EXPECT_GT(a.cache.hits, 0u);
-    EXPECT_EQ(a.requests, a.cache.hits + a.cache.misses);
-    EXPECT_LE(a.evaluated, a.cache.misses);
+    EXPECT_GT(a.cache_hits, 0u);
+    EXPECT_EQ(a.requests, a.cache_hits + a.cache_misses);
+    EXPECT_LE(a.evaluated, a.cache_misses);
 
     opts.threads = 4;
     const auto b = dse::explore(space, tput_p99(), {}, opts);
@@ -214,10 +214,12 @@ TEST(Explore, MutationHitsTheCacheAndIsDeterministic)
               dse::frontier_report_to_json(b).dump(-1));
 }
 
-TEST(Explore, CacheHoldsCacheCapacityEntriesBeforeEvicting)
+TEST(Explore, OldSpecCacheCapacityKeyIsIgnored)
 {
-    // A mutation run over three knobs that scores exactly cache_capacity
-    // configs: every one of them fits, so nothing is evicted.
+    // A mutation run over three knobs that scores 64 configs, from a spec
+    // that still carries the retired "cache_capacity" key at that value.
+    // The key is ignored: the memo keeps every scored config, and the
+    // report is the same bytes as the one of the spec without the key.
     auto doc = io::Json::parse(dse::sample_explore_spec());
     io::Json section = doc.at("dse");
     section.set("knobs", io::Json::parse(R"([
@@ -233,6 +235,8 @@ TEST(Explore, CacheHoldsCacheCapacityEntriesBeforeEvicting)
     section.set("des", std::move(des));
     section.set("strategy", io::Json("mutation"));
     section.set("budget", io::Json(64));
+    doc.set("dse", section);
+    const auto plain = dse::explore_spec_from_json(doc);
     section.set("cache_capacity", io::Json(64));
     doc.set("dse", std::move(section));
     const auto spec = dse::explore_spec_from_json(doc);
@@ -240,9 +244,15 @@ TEST(Explore, CacheHoldsCacheCapacityEntriesBeforeEvicting)
     const auto report = dse::explore(spec.space, spec.objectives,
                                      spec.constraints, spec.options);
     EXPECT_EQ(report.evaluated, 64u);
-    EXPECT_EQ(report.cache.hits, 45u);
-    EXPECT_EQ(report.cache.misses, 71u);
-    EXPECT_EQ(report.cache.evictions, 0u);
+    EXPECT_EQ(report.cache_hits, 45u);
+    EXPECT_EQ(report.cache_misses, 71u);
+    const io::Json json = dse::frontier_report_to_json(report);
+    EXPECT_EQ(json.at("cache").at("evictions").as_number(), 0.0);
+    EXPECT_EQ(json.dump(-1),
+              dse::frontier_report_to_json(
+                  dse::explore(plain.space, plain.objectives,
+                               plain.constraints, plain.options))
+                  .dump(-1));
 }
 
 TEST(Explore, Nsga2DeterministicAndBudgeted)
