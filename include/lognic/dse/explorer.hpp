@@ -30,8 +30,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "lognic/dse/design_space.hpp"
@@ -223,11 +223,15 @@ class BatchEvaluator {
                    const std::vector<Constraint>& constraints,
                    const ExploreOptions& opts, Pruner* pruner = nullptr);
 
-    /// Scores per batch index; duplicates within the batch cost one solve.
-    std::vector<ScoredConfig> run_batch(const std::vector<Config>& batch);
+    /// Score @p batch into the archive; duplicates within the batch cost
+    /// one solve.
+    void run_batch(const std::vector<Config>& batch);
 
-    /// Every unique scored config, in canonical key order.
-    std::vector<ScoredConfig> archive_vector() const;
+    /// run_batch(), then each request's score by batch index.
+    std::vector<ScoredConfig> scored_batch(const std::vector<Config>& batch);
+
+    /// Every unique scored config, in the order they were first scored.
+    const std::vector<ScoredConfig>& archive() const { return archive_; }
 
     std::uint64_t requests() const { return hits_ + misses_; }
     /// Requests whose config an earlier batch scored.
@@ -246,9 +250,14 @@ class BatchEvaluator {
     const std::vector<Constraint>& constraints_;
     const ExploreOptions& opts_;
     Pruner* pruner_;
-    /// The memo: every scored config, keyed by canonical config string
-    /// (so in canonical key order); touched only by the coordinator.
-    std::map<std::string, ScoredConfig> archive_;
+    /// Scores @p batch; when @p at is non-null, it receives each request's
+    /// archive position by batch index.
+    void score(const std::vector<Config>& batch, std::vector<std::size_t>* at);
+
+    /// The memo: every scored config, and its position by canonical config
+    /// string; touched only by the coordinator.
+    std::vector<ScoredConfig> archive_;
+    std::unordered_map<std::string, std::size_t> position_;
     std::uint64_t hits_{0};
     std::uint64_t misses_{0};
     std::uint64_t solves_{0};

@@ -53,6 +53,43 @@ class WeightTable {
     double total_{0.0};
 };
 
+/**
+ * A service-time law: a positive mean and a squared coefficient of
+ * variation. scv <= 0 is deterministic; otherwise the law is gamma with
+ * shape 1/scv and scale mean * scv (shape 1, i.e. scv = 1, is exactly the
+ * exponential distribution). The gamma parameters, with the square root
+ * the sampler needs, are computed once per law instead of once per draw.
+ *
+ * Every scv > 0 goes through the same gamma sampler: an exact-compare
+ * special case for scv == 1 would draw from a different engine stream
+ * than scv = 1 ± epsilon and make sweep results discontinuous across the
+ * exponential point.
+ */
+class ServiceLaw {
+  public:
+    ServiceLaw(double mean, double scv)
+        : mean_(mean), deterministic_(scv <= 0.0)
+    {
+        if (!deterministic_) {
+            const double shape = 1.0 / scv;
+            gamma_ = std::gamma_distribution<double>::param_type(
+                shape, mean / shape);
+        }
+    }
+
+    double mean() const { return mean_; }
+    bool deterministic() const { return deterministic_; }
+    const std::gamma_distribution<double>::param_type& gamma() const
+    {
+        return gamma_;
+    }
+
+  private:
+    double mean_;
+    bool deterministic_;
+    std::gamma_distribution<double>::param_type gamma_;
+};
+
 class Rng {
   public:
     explicit Rng(std::uint64_t seed) : engine_(seed) {}
@@ -70,22 +107,16 @@ class Rng {
     }
 
     /**
-     * Positive sample with the given mean and squared coefficient of
-     * variation: 0 = deterministic, otherwise gamma with shape 1/scv
-     * (shape 1, i.e. scv = 1, is exactly the exponential distribution).
-     *
-     * Every scv > 0 goes through the same gamma sampler: an exact-compare
-     * special case for scv == 1 would draw from a different engine stream
-     * than scv = 1 ± epsilon and make sweep results discontinuous across
-     * the exponential point.
+     * One draw from @p law: its mean when it is deterministic (no engine
+     * state consumed), otherwise a gamma sample from a distribution built
+     * fresh on the law's parameters, so no saved state carries over
+     * between draws.
      */
-    double with_scv(double mean, double scv)
+    double service_time(const ServiceLaw& law)
     {
-        if (scv <= 0.0)
-            return mean;
-        const double shape = 1.0 / scv;
-        return std::gamma_distribution<double>(shape, mean / shape)(
-            engine_);
+        if (law.deterministic())
+            return law.mean();
+        return std::gamma_distribution<double>(law.gamma())(engine_);
     }
 
     /**

@@ -30,7 +30,7 @@ namespace lognic::sim {
  *
  *  1. a single writer calls record() while the simulation runs;
  *  2. that writer calls seal() exactly when recording is done — the one
- *     place the sample buffer is sorted;
+ *     place the sample buffer is sorted (IEEE-754 totalOrder);
  *  3. after seal(), every accessor is a pure const read, safe to call
  *     concurrently from any number of threads (replication aggregators
  *     read p50/p99 of finished runs in parallel).
@@ -62,8 +62,14 @@ class LatencyRecorder {
     void record(SimTime completion_time, Seconds latency);
 
     /**
-     * End the write phase: sort the samples once. Idempotent. After this,
-     * all accessors are thread-safe const reads until the next record().
+     * End the write phase: sort the samples once, in IEEE-754 totalOrder
+     * (std::strong_order's order: -0.0 before +0.0, NaNs at the ends by
+     * sign and payload). Equal keys are equal bits, so the sorted bits do
+     * not depend on the algorithm, and for samples without NaNs or both
+     * zeros they are std::sort's. The samples are radix-sorted where they lie;
+     * the only allocation is a fixed key scratch (at most 128 KiB,
+     * whatever count() is). Idempotent. After this, all accessors are
+     * thread-safe const reads until the next record().
      */
     void seal();
 
@@ -89,8 +95,8 @@ class LatencyRecorder {
     /// @throws std::logic_error on an unsealed, non-empty recorder.
     std::optional<Seconds> max() const;
 
-    /// Raw samples in their current order (insertion order before seal(),
-    /// sorted after). mean() is a float sum over this order, but the
+    /// Raw samples in their current order: insertion order before seal(),
+    /// totalOrder after. mean() is a float sum over this order, but the
     /// simulator seals before it reads the mean, so the mean it reports is
     /// the ascending-order sum whatever the insertion order. Insertion
     /// order matters only to an unsealed mean() and to snapshot bytes:

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -187,7 +186,7 @@ run_mutation(const DesignSpace& space, const ExploreOptions& opts,
     std::vector<std::uint64_t> previous;
     std::size_t stale = 0;
     while (ev.requests() < opts.budget && stale < 3) {
-        const auto archive = ev.archive_vector();
+        const std::vector<ScoredConfig>& archive = ev.archive();
         const auto frontier = pareto_frontier(archive, senses);
         std::vector<std::uint64_t> ids;
         for (std::size_t idx : frontier)
@@ -235,7 +234,7 @@ run_nsga2(const DesignSpace& space, const ExploreOptions& opts,
     std::vector<Config> seed_batch;
     for (std::size_t i = 0; i < opts.population; ++i)
         seed_batch.push_back(random_config(space, rng));
-    std::vector<ScoredConfig> pop = ev.run_batch(seed_batch);
+    std::vector<ScoredConfig> pop = ev.scored_batch(seed_batch);
 
     const auto rank_and_crowd =
         [&](const std::vector<ScoredConfig>& members,
@@ -284,7 +283,7 @@ run_nsga2(const DesignSpace& space, const ExploreOptions& opts,
                         rng.pick(space.knob(k).values.size()));
             offspring.push_back(std::move(child));
         }
-        std::vector<ScoredConfig> scored_q = ev.run_batch(offspring);
+        std::vector<ScoredConfig> scored_q = ev.scored_batch(offspring);
 
         // Environmental selection over P u Q: fill whole fronts, break
         // the overflowing front by crowding (ties to lower index), and
@@ -445,8 +444,27 @@ BatchEvaluator::BatchEvaluator(const DesignSpace& space,
 {
 }
 
-std::vector<ScoredConfig>
+void
 BatchEvaluator::run_batch(const std::vector<Config>& batch)
+{
+    score(batch, nullptr);
+}
+
+std::vector<ScoredConfig>
+BatchEvaluator::scored_batch(const std::vector<Config>& batch)
+{
+    std::vector<std::size_t> at;
+    score(batch, &at);
+    std::vector<ScoredConfig> out;
+    out.reserve(at.size());
+    for (std::size_t i : at)
+        out.push_back(archive_[i]);
+    return out;
+}
+
+void
+BatchEvaluator::score(const std::vector<Config>& batch,
+                      std::vector<std::size_t>* at)
 {
     struct Pending {
         std::string key;
@@ -454,24 +472,30 @@ BatchEvaluator::run_batch(const std::vector<Config>& batch)
         Evaluation eval;
         bool resolved{false}; ///< replayed or pruned: no solve needed
     };
-    std::vector<std::string> keys(batch.size());
     std::vector<Pending> pending;
-    std::set<std::string> pending_keys;
+    // This batch's configs take the positions from here on.
+    const std::size_t first_new = archive_.size();
+    if (at != nullptr)
+        at->reserve(batch.size());
 
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        keys[i] = space_.canonical_key(batch[i]);
-        // This batch's configs reach the archive only after the loop, so
-        // a repeat inside the batch is a miss.
-        if (archive_.count(keys[i]) != 0) {
-            ++hits_;
+    for (const Config& config : batch) {
+        const auto [it, inserted] = position_.try_emplace(
+            space_.canonical_key(config), first_new + pending.size());
+        if (at != nullptr)
+            at->push_back(it->second);
+        if (!inserted) {
+            // An earlier batch scored it (a hit), or it repeats a config of
+            // this batch (a miss that costs no second solve).
+            if (it->second < first_new)
+                ++hits_;
+            else
+                ++misses_;
             continue;
         }
         ++misses_;
-        if (!pending_keys.insert(keys[i]).second)
-            continue; // duplicate within the batch: one solve
         Pending p;
-        p.key = keys[i];
-        p.config = batch[i];
+        p.key = it->first;
+        p.config = config;
         // A journaled outcome replaces the *work*, never the counters:
         // the miss is already counted, exactly as the uninterrupted run
         // counted it. Replays also bypass the pruner, which keeps
@@ -513,35 +537,19 @@ BatchEvaluator::run_batch(const std::vector<Config>& batch)
             if (opts_.on_eval)
                 opts_.on_eval(p.key, p.eval);
         });
+    archive_.reserve(archive_.size() + pending.size());
     for (Pending& p : pending) {
         ScoredConfig s;
         s.id = io::fnv1a64(p.key);
-        s.key = p.key;
+        s.key = std::move(p.key);
         s.config = std::move(p.config);
         s.objectives = std::move(p.eval.objectives);
         s.feasible = p.eval.feasible;
         s.finite = p.eval.finite;
         s.pruned = p.eval.pruned;
         s.why = std::move(p.eval.why);
-        archive_.emplace(std::move(p.key), std::move(s));
+        archive_.push_back(std::move(s));
     }
-
-    // Knob levels are strictly increasing, so a key names one config.
-    std::vector<ScoredConfig> out;
-    out.reserve(batch.size());
-    for (const std::string& key : keys)
-        out.push_back(archive_.at(key));
-    return out;
-}
-
-std::vector<ScoredConfig>
-BatchEvaluator::archive_vector() const
-{
-    std::vector<ScoredConfig> out;
-    out.reserve(archive_.size());
-    for (const auto& [key, scored] : archive_)
-        out.push_back(scored);
-    return out;
 }
 
 FrontierReport
@@ -576,9 +584,10 @@ explore(const DesignSpace& space,
         break;
     }
 
-    const std::vector<ScoredConfig> archive = ev.archive_vector();
+    const std::vector<ScoredConfig>& archive = ev.archive();
     // One best-first scan yields the frontier and each member's dominated
-    // count.
+    // count. Its frontier is in canonical (id, key) order and the counts
+    // do not depend on the archive's order.
     const DominanceSummary dom = dominance_summary(archive, senses);
     const std::vector<std::size_t>& frontier = dom.frontier;
 

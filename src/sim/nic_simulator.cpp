@@ -205,6 +205,9 @@ struct NicSimulator::Impl {
         std::uint32_t capacity{1};
         double service_scv{1.0};
         std::vector<double> service_mean; ///< per class, seconds
+        /// Per class: service_mean * slow_factor under service_scv (0 when
+        /// exponential_service is off). Rebuilt with slow_factor.
+        std::vector<ServiceLaw> service_law;
         std::vector<EdgeId> out;
         /// Delta weights of `out`, when it has several edges and a
         /// positive delta sum; otherwise departures pick uniformly.
@@ -215,6 +218,7 @@ struct NicSimulator::Impl {
         // (round-robin served, split capacity) when the vertex asks for
         // per-input queues (Figure 2b). Queued packets are slab handles.
         std::vector<std::deque<Packet*>> queues;
+        std::size_t queued{0}; ///< requests in all of `queues`
         std::uint32_t per_queue_capacity{1};
         std::size_t rr_cursor{0}; ///< index of the last queue served
         std::uint32_t busy{0};
@@ -451,6 +455,7 @@ struct NicSimulator::Impl {
                         / (share * vx.params.acceleration);
                 }
             }
+            build_service_laws(st);
             st.per_queue_capacity = std::max<std::uint32_t>(
                 1, st.capacity
                        / static_cast<std::uint32_t>(st.queues.size()));
@@ -458,6 +463,19 @@ struct NicSimulator::Impl {
             st.credits_free = st.credits;
             windows_active = windows_active || st.credits > 0;
         }
+    }
+
+    /// The vertex's per-class service laws at its current slow_factor
+    /// (exactly 1.0 unless a slowdown fault is in force).
+    void
+    build_service_laws(VertexState& st) const
+    {
+        // exponential_service = false forces determinism everywhere;
+        // otherwise each IP's own variability (SCV) governs.
+        const double scv = options.exponential_service ? st.service_scv : 0.0;
+        st.service_law.clear();
+        for (double mean : st.service_mean)
+            st.service_law.emplace_back(mean * st.slow_factor, scv);
     }
 
     void
@@ -588,6 +606,7 @@ struct NicSimulator::Impl {
             break;
           case fault::FaultKind::kSlowdown:
             vertices[f.v].slow_factor = f.inverse ? 1.0 : f.factor;
+            build_service_laws(vertices[f.v]);
             break;
           case fault::FaultKind::kDropBurst:
             vertices[f.v].drop_prob = f.inverse ? 0.0 : f.probability;
@@ -635,6 +654,7 @@ struct NicSimulator::Impl {
                 // Still inside v: the request keeps its credit.
                 victim.pkt->enqueued = events.now();
                 st.queues[victim.qi].push_front(victim.pkt);
+                ++st.queued;
             } else {
                 lose(victim.pkt, v, st, kDropEngineFail);
             }
@@ -676,26 +696,22 @@ struct NicSimulator::Impl {
         }
     }
 
-    /// Total requests queued at a vertex (all of its FIFOs).
-    static std::size_t
-    queued_total(const VertexState& st)
-    {
-        std::size_t queued = 0;
-        for (const auto& q : st.queues)
-            queued += q.size();
-        return queued;
-    }
-
-    /// Emit the vertex's queue-depth and busy-engine counter samples.
+    /// Emit the vertex's queue-depth and busy-engine counter samples when
+    /// counters are traced; otherwise this is one inline test.
     void
     trace_counters(VertexId v, const VertexState& st)
     {
-        if (trace_opts.sink == nullptr || !trace_opts.counters)
-            return;
+        if (trace_opts.sink != nullptr && trace_opts.counters)
+            emit_counters(v, st);
+    }
+
+    [[gnu::noinline]] void
+    emit_counters(VertexId v, const VertexState& st)
+    {
         const Seconds now{events.now()};
         const VertexTracks& vt = tracks[v];
         trace_opts.sink->counter(vt.queue, "queue_depth", now,
-                                 static_cast<double>(queued_total(st)));
+                                 static_cast<double>(st.queued));
         trace_opts.sink->counter(vt.queue, "busy", now,
                                  static_cast<double>(st.busy));
         if (st.credits > 0)
@@ -734,12 +750,9 @@ struct NicSimulator::Impl {
         const SimTime from = std::max(st.last_change, warmup_end);
         const double dt = now - from;
         if (dt > 0.0) {
-            std::size_t queued = 0;
-            for (const auto& q : st.queues)
-                queued += q.size();
             st.area_busy += dt * static_cast<double>(st.busy);
             st.area_occupancy += dt
-                * static_cast<double>(st.busy + queued);
+                * static_cast<double>(st.busy + st.queued);
         }
         st.last_change = now;
     }
@@ -1024,8 +1037,7 @@ struct NicSimulator::Impl {
             st.capacity_override > 0 ? st.capacity_override : st.capacity;
         if (st.queues.size() == 1) {
             // Shared FIFO: the whole capacity N bounds queue + service.
-            std::size_t queued = st.queues[0].size();
-            if (queued + st.busy >= cap) {
+            if (st.queued + st.busy >= cap) {
                 lose(pkt, v, st, kDropOverflow);
                 return;
             }
@@ -1045,6 +1057,7 @@ struct NicSimulator::Impl {
         if (ckpt_track)
             pkt->pending_kind = 0; // the transfer event just fired; queued
         st.queues[qi].push_back(pkt);
+        ++st.queued;
         trace_counters(v, st);
         try_dispatch(v);
     }
@@ -1071,16 +1084,10 @@ struct NicSimulator::Impl {
             touch(st);
             Packet* pkt = queue->front();
             queue->pop_front();
+            --st.queued;
             ++st.busy;
-            // slow_factor is exactly 1.0 when no slowdown fault is in
-            // force, so the healthy path is bit-identical.
-            const double mean =
-                st.service_mean[pkt->class_index] * st.slow_factor;
-            // exponential_service = false forces determinism everywhere;
-            // otherwise each IP's own variability (SCV) governs.
-            const double service = options.exponential_service
-                ? rng.with_scv(mean, st.service_scv)
-                : mean;
+            const double service =
+                rng.service_time(st.service_law[pkt->class_index]);
             std::size_t slot = 0;
             if (pkt->traced) {
                 trace_opts.sink->span(
@@ -1248,7 +1255,7 @@ struct NicSimulator::Impl {
             if (st.passthrough)
                 continue;
             touch(st);
-            queued_or_busy += queued_total(st) + st.busy + st.held.size();
+            queued_or_busy += st.queued + st.busy + st.held.size();
             VertexStats vs;
             vs.name = graph.vertex(v).name;
             if (window > 0.0) {
@@ -1713,6 +1720,7 @@ struct NicSimulator::Impl {
                     io::uint_at<std::uint32_t>(vo, "engines_offline");
                 st.slow_factor =
                     hexd(vo.at("slow_factor"), "snapshot slow_factor");
+                build_service_laws(st);
                 st.drop_prob =
                     hexd(vo.at("drop_prob"), "snapshot drop_prob");
                 st.capacity_override =
@@ -1726,11 +1734,13 @@ struct NicSimulator::Impl {
                 if (queues.size() != st.queues.size())
                     throw std::runtime_error(
                         "NicSimulator::load_state: queue count mismatch");
+                st.queued = 0;
                 for (std::size_t q = 0; q < queues.size(); ++q) {
                     st.queues[q].clear();
                     for (const io::Json& id : queues[q].as_array())
                         st.queues[q].push_back(find_packet(
                             hexu(id, "snapshot queued packet id")));
+                    st.queued += st.queues[q].size();
                 }
                 st.in_service.clear();
                 for (const io::Json& eo : vo.at("in_service").as_array()) {

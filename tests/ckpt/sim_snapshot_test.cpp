@@ -6,8 +6,10 @@
  * cycle into a *fresh* simulator must complete to the identical result.
  * Exercised across the behaviors a checkpoint must capture faithfully:
  * overload drops, deterministic service, burst modulation, fault-plan
- * replay (engine fail-stop with requeue, drop bursts), and a credit
- * window (held packets, free credits, pending credit returns). The
+ * replay (engine fail-stop with requeue, drop bursts), a slowdown in
+ * force on a vertex with per-input queues (its service laws and queued
+ * count are rebuilt from the snapshot), and a credit window (held
+ * packets, free credits, pending credit returns). The
  * unsupported-configuration guards (tracing, watchdog, API misuse) must
  * throw rather than silently produce a snapshot that cannot resume, and
  * an edited snapshot's malformed integer fields are refused by name.
@@ -21,6 +23,7 @@
 #include "lognic/ckpt/journal.hpp"
 #include "lognic/devices/panic_proto.hpp"
 #include "lognic/fault/fault_plan.hpp"
+#include "lognic/io/checkpoint.hpp"
 #include "lognic/obs/trace.hpp"
 #include "lognic/sim/nic_simulator.hpp"
 #include "../test_helpers.hpp"
@@ -82,6 +85,41 @@ corpus()
     drop.duration = 0.0004;
     faulted.options.faults.events.push_back(drop);
     all.push_back(std::move(faulted));
+
+    // ingress -> {pre-a, pre-b} -> cores, where cores keeps one queue per
+    // input and is slowed from 0.4 ms to the end of the run: the resumed
+    // run must draw at the slowed mean and integrate the queues it
+    // restored.
+    {
+        auto hw = test::small_nic(Bandwidth::from_gbps(1000.0));
+        core::ExecutionGraph g("slowed");
+        const auto in = g.add_ingress();
+        const auto out = g.add_egress();
+        const auto pre_a = g.add_ip_vertex("pre-a", *hw.find_ip("accel"));
+        const auto pre_b = g.add_ip_vertex("pre-b", *hw.find_ip("accel"));
+        core::VertexParams split;
+        split.parallelism = 2;
+        split.queue_capacity = 32;
+        split.per_input_queues = true;
+        const auto cores = g.add_ip_vertex("cores", *hw.find_ip("cores"),
+                                           split);
+        g.add_edge(in, pre_a, core::EdgeParams{0.5, 0, 0.5, {}});
+        g.add_edge(in, pre_b, core::EdgeParams{0.5, 0, 0.5, {}});
+        g.add_edge(pre_a, cores, core::EdgeParams{0.5, 0, 0.5, {}});
+        g.add_edge(pre_b, cores, core::EdgeParams{0.5, 0, 0.5, {}});
+        g.add_edge(cores, out);
+        SimCase slowed{"slowed", std::move(hw), std::move(g),
+                       test::mtu_traffic(14.0), {}};
+        slowed.options.duration = 0.002;
+        slowed.options.seed = 29;
+        fault::FaultEvent slow;
+        slow.kind = fault::FaultKind::kSlowdown;
+        slow.at = 0.0004;
+        slow.target = "cores";
+        slow.factor = 1.5;
+        slowed.options.faults.events.push_back(slow);
+        all.push_back(std::move(slowed));
+    }
 
     // Overloaded credited Model-1 chain: held FIFOs stay non-empty, and
     // engines of a credited unit fail mid-run with their requests lost,
@@ -179,8 +217,26 @@ TEST(SimSnapshot, MidRunSnapshotResumesToTheIdenticalResult)
                 0u);
         }
 
-        for (std::size_t i : {std::size_t{0}, snapshots.size() / 2,
-                              snapshots.size() - 1}) {
+        const std::vector<std::size_t> cuts{
+            0, snapshots.size() / 2, snapshots.size() - 1};
+        if (s.name == "slowed") {
+            // Past the first cut, each resume starts with the slowdown in
+            // force and requests waiting in the per-input queues.
+            for (std::size_t i : {cuts[1], cuts[2]}) {
+                const io::Json snap = io::Json::parse(snapshots[i]);
+                const io::Json& v = snap.at("vertices").as_array().back();
+                EXPECT_NE(v.at("slow_factor").as_string(),
+                          io::double_to_hex(1.0))
+                    << "snapshot " << i;
+                const io::JsonArray& queues = v.at("queues").as_array();
+                ASSERT_EQ(queues.size(), 2u);
+                EXPECT_GT(queues[0].as_array().size()
+                              + queues[1].as_array().size(),
+                          0u)
+                    << "snapshot " << i;
+            }
+        }
+        for (std::size_t i : cuts) {
             sim::NicSimulator resumed(s.hw, s.graph, s.traffic, s.options);
             resumed.load_state(io::Json::parse(snapshots[i]));
             while (!resumed.advance(1234)) {

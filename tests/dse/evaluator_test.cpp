@@ -67,7 +67,7 @@ TEST(BatchEvaluator, WithinBatchDuplicatesCostOneSolve)
             ++journaled;
         };
         dse::BatchEvaluator ev(space, objectives, constraints, opts);
-        const auto scored = ev.run_batch(batch);
+        const auto scored = ev.scored_batch(batch);
         ASSERT_EQ(scored.size(), batch.size());
 
         // 5 requests, 2 unique configs, 2 solves, 2 journal records —
@@ -102,8 +102,8 @@ TEST(BatchEvaluator, DuplicatesAcrossBatchesHitTheCache)
     opts.des.enabled = false;
     dse::BatchEvaluator ev(space, objectives, constraints, opts);
 
-    (void)ev.run_batch({{5}});
-    (void)ev.run_batch({{5}, {6}});
+    ev.run_batch({{5}});
+    ev.run_batch({{5}, {6}});
     EXPECT_EQ(ev.requests(), 3u);
     EXPECT_EQ(ev.solves(), 2u);
     EXPECT_EQ(ev.hits(), 1u);
@@ -161,7 +161,7 @@ TEST(BatchEvaluator, HitIffScoredInAnEarlierBatch)
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         for (const auto& batch : stream) {
-            const auto out = ev.run_batch(batch);
+            const auto out = ev.scored_batch(batch);
             ASSERT_EQ(out.size(), batch.size());
             std::set<std::string> this_batch;
             for (std::size_t i = 0; i < batch.size(); ++i) {

@@ -535,7 +535,7 @@ TEST(ParetoEngine, ExploreSupervisedSpaceMatchesTheOracle)
     BatchEvaluator ev(spec.space, spec.objectives, spec.constraints,
                       spec.options);
     ev.run_batch(batch);
-    const std::vector<ScoredConfig> archive = ev.archive_vector();
+    const std::vector<ScoredConfig>& archive = ev.archive();
     ASSERT_EQ(archive.size(), 6400u);
     EXPECT_EQ(eligible_count(archive), 6400u);
     EXPECT_EQ(expect_matches_oracle(archive, senses, 101), 84u);

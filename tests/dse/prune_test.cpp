@@ -269,7 +269,7 @@ TEST(BatchEvaluator, ScoresEqualEvaluateConfigAtAnyThreadCount)
         opts.des.enabled = false;
         opts.threads = threads;
         dse::BatchEvaluator ev(space, objectives, constraints, opts);
-        const auto scored = ev.run_batch(batch);
+        const auto scored = ev.scored_batch(batch);
         ASSERT_EQ(scored.size(), batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
             const auto fresh = dse::evaluate_config(space, batch[i],

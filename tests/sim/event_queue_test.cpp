@@ -2,72 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "heap_counter.hpp"
+
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
+#include <cstdint>
 #include <limits>
-#include <new>
 #include <random>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-// ---------------------------------------------------------------------------
-// Global allocation counter. Replacing the replaceable global operator new
-// lets SteadyStateSchedulingIsAllocationFree assert the tentpole property
-// directly: once the calendar reaches its high-water population, schedule +
-// dispatch perform zero heap allocations. The replacement affects the whole
-// test binary, but only that one test reads the counter around a critical
-// region, so the other tests are unaffected.
-//
-// Disabled under ASan: the sanitizer pairs its own operator-new interceptor
-// with its free interceptor, and a malloc-backed replacement in the
-// executable trips alloc-dealloc-mismatch on allocations made inside
-// unsanitized libraries (e.g. gtest). Under ASan the counting test is
-// skipped — that build's job is catching slab/action lifetime bugs, and
-// the allocation-freedom claim is covered by every non-sanitized run.
-// ---------------------------------------------------------------------------
-
-#if defined(__SANITIZE_ADDRESS__)
-#define LOGNIC_TEST_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define LOGNIC_TEST_ASAN 1
-#endif
-#endif
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-} // namespace
-
-#ifndef LOGNIC_TEST_ASAN
-
-// Out of line: once GCC inlines a replacement into a caller, it pairs the
-// free() below with the caller's operator new and warns
-// (-Wmismatched-new-delete), although the pair is this file's own.
-
-[[gnu::noinline]] void*
-operator new(std::size_t size)
-{
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc{};
-}
-
-[[gnu::noinline]] void
-operator delete(void* p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-#endif // !LOGNIC_TEST_ASAN
 
 namespace lognic::sim {
 namespace {
@@ -211,7 +154,7 @@ TEST(EventQueue, SteadyStateSchedulingIsAllocationFree)
     // backing vector is already at capacity.
 #ifdef LOGNIC_TEST_ASAN
     GTEST_SKIP() << "allocation counting is disabled under ASan "
-                    "(interceptor pairing); see the operator new note above";
+                    "(interceptor pairing); see heap_counter.cpp";
 #endif
     EventQueue q;
     std::uint64_t fired = 0;
@@ -221,11 +164,11 @@ TEST(EventQueue, SteadyStateSchedulingIsAllocationFree)
     q.run_until(10.0);
     ASSERT_EQ(fired, 256u);
 
-    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = test::heap_allocations();
     for (int i = 0; i < 256; ++i)
         q.schedule_at(20.0 + 0.001 * (i % 13), [&fired] { ++fired; });
     q.run_until(30.0);
-    const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t after = test::heap_allocations();
     EXPECT_EQ(fired, 512u);
     EXPECT_EQ(after, before)
         << "steady-state schedule/dispatch touched the heap";
@@ -248,13 +191,13 @@ TEST(EventQueue, SteadyStateSchedulingIsAllocationFree)
     }
     ASSERT_EQ(fired, 512u + 128u);
     const std::uint64_t lane_before =
-        g_heap_allocs.load(std::memory_order_relaxed);
+        test::heap_allocations();
     for (int round = 2; round < 10; ++round) {
         q.schedule_at(40.0 + round, Burst{&q, &fired});
         q.run_until(40.5 + round);
     }
     const std::uint64_t lane_after =
-        g_heap_allocs.load(std::memory_order_relaxed);
+        test::heap_allocations();
     EXPECT_EQ(fired, 512u + 640u);
     EXPECT_EQ(lane_after, lane_before)
         << "steady-state zero-delay scheduling touched the heap";

@@ -1,5 +1,7 @@
 #include "lognic/sim/random.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <stdexcept>
@@ -93,13 +95,14 @@ TEST(WeightedIndex, FrequenciesMatchWeights)
     EXPECT_NEAR(static_cast<double>(ones) / n, 0.75, 0.02);
 }
 
-// --- with_scv -----------------------------------------------------------------
+// --- service laws (mean and scv) ---------------------------------------------
 
 TEST(WithScv, ZeroScvIsDeterministic)
 {
     Rng rng(5);
-    EXPECT_DOUBLE_EQ(rng.with_scv(3.5, 0.0), 3.5);
-    EXPECT_DOUBLE_EQ(rng.with_scv(3.5, -1.0), 3.5);
+    EXPECT_DOUBLE_EQ(rng.service_time(ServiceLaw(3.5, 0.0)), 3.5);
+    EXPECT_DOUBLE_EQ(rng.service_time(ServiceLaw(3.5, -1.0)), 3.5);
+    EXPECT_TRUE(ServiceLaw(3.5, 0.0).deterministic());
     // ...and consumes no engine state.
     Rng fresh(5);
     EXPECT_DOUBLE_EQ(rng.uniform(), fresh.uniform());
@@ -112,10 +115,33 @@ TEST(WithScv, ScvOneMatchesGammaShapeOne)
     // continuous across a sweep through the exponential point.
     Rng rng(99);
     std::mt19937_64 ref(99);
+    const ServiceLaw law(4.0, 1.0);
     for (int i = 0; i < 50; ++i) {
         const double expect =
             std::gamma_distribution<double>(1.0, 4.0)(ref);
-        EXPECT_DOUBLE_EQ(rng.with_scv(4.0, 1.0), expect);
+        EXPECT_DOUBLE_EQ(rng.service_time(law), expect);
+    }
+}
+
+TEST(WithScv, LawDrawsEqualAPerDrawDistributionBitForBit)
+{
+    // A law reused across draws yields the bits a gamma distribution built
+    // from (mean, scv) for each draw would: same parameters, and a fresh
+    // distribution per draw keeps no saved normal between draws.
+    for (const double scv : {0.05, 0.25, 0.5, 1.0 - 1e-9, 1.0, 1.7, 4.0}) {
+        const double mean = 3.0e-6;
+        const ServiceLaw law(mean, scv);
+        Rng rng(1234);
+        std::mt19937_64 ref(1234);
+        for (int i = 0; i < 200; ++i) {
+            const double shape = 1.0 / scv;
+            const double expect =
+                std::gamma_distribution<double>(shape, mean / shape)(ref);
+            const double got = rng.service_time(law);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(expect))
+                << "scv " << scv << " draw " << i;
+        }
     }
 }
 
@@ -126,9 +152,11 @@ TEST(WithScv, StreamContinuousAcrossExponentialPoint)
     // exponential special case broke both properties.
     Rng a(2024);
     Rng b(2024);
+    const ServiceLaw la(2.0, 1.0);
+    const ServiceLaw lb(2.0, 1.0 - 1e-9);
     for (int i = 0; i < 50; ++i) {
-        const double xa = a.with_scv(2.0, 1.0);
-        const double xb = b.with_scv(2.0, 1.0 - 1e-9);
+        const double xa = a.service_time(la);
+        const double xb = b.service_time(lb);
         EXPECT_NEAR(xa, xb, 1e-6 * (1.0 + xa));
     }
     // Identical residual engine state.
@@ -140,10 +168,11 @@ TEST(WithScv, SampleMomentsMatchRequested)
     Rng rng(7);
     const double mean = 5.0;
     const double scv = 0.25;
+    const ServiceLaw law(mean, scv);
     double sum = 0.0, sumsq = 0.0;
     const int n = 50000;
     for (int i = 0; i < n; ++i) {
-        const double x = rng.with_scv(mean, scv);
+        const double x = rng.service_time(law);
         EXPECT_GT(x, 0.0);
         sum += x;
         sumsq += x * x;
@@ -158,8 +187,9 @@ TEST(WithScv, DeterministicForSeed)
 {
     Rng a(31337);
     Rng b(31337);
+    const ServiceLaw law(1.0, 0.5);
     for (int i = 0; i < 20; ++i)
-        EXPECT_DOUBLE_EQ(a.with_scv(1.0, 0.5), b.with_scv(1.0, 0.5));
+        EXPECT_DOUBLE_EQ(a.service_time(law), b.service_time(law));
 }
 
 } // namespace

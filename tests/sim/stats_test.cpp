@@ -4,13 +4,17 @@
 
 #include "lognic/runner/replicator.hpp"
 
+#include "heap_counter.hpp"
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <compare>
 #include <cstdint>
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace lognic::sim {
@@ -182,12 +186,25 @@ bits(double x)
     return std::bit_cast<std::uint64_t>(x);
 }
 
+/// IEEE-754 totalOrder, the order seal() sorts in.
+bool
+total_order_less(double a, double b)
+{
+    return std::strong_order(a, b) < 0;
+}
+
+bool
+same_bits(double a, double b)
+{
+    return bits(a) == bits(b);
+}
+
 TEST(LatencyRecorder, MatchesSortedVectorOracleBitForBit)
 {
     // 1.3M seeded samples, ~1.04M past the warmup cut (some exactly on it),
     // drawn with heavy ties and a block of signed zeros below every other
-    // value, so which zero a low quantile returns depends on the order
-    // sorting leaves equal keys in.
+    // value. totalOrder puts every -0.0 before every +0.0, so which zero a
+    // low quantile returns is fixed by the order, not by the algorithm.
     constexpr double kWarmup = 0.2;
     constexpr std::size_t kSamples = 1'300'000;
     std::mt19937_64 rng(0x5eed);
@@ -213,9 +230,6 @@ TEST(LatencyRecorder, MatchesSortedVectorOracleBitForBit)
     ASSERT_GE(kept.size(), 1'000'000u);
     ASSERT_EQ(r.count(), kept.size());
 
-    const auto same_bits = [](double a, double b) {
-        return bits(a) == bits(b);
-    };
     // Before seal(): insertion order, which snapshots serialize.
     ASSERT_TRUE(std::equal(r.samples().begin(), r.samples().end(),
                            kept.begin(), kept.end(), same_bits));
@@ -227,7 +241,7 @@ TEST(LatencyRecorder, MatchesSortedVectorOracleBitForBit)
 
     r.seal();
     std::vector<double> sorted = kept;
-    std::sort(sorted.begin(), sorted.end());
+    std::sort(sorted.begin(), sorted.end(), total_order_less);
     ASSERT_TRUE(std::equal(r.samples().begin(), r.samples().end(),
                            sorted.begin(), sorted.end(), same_bits));
     // Nearest rank max(1, ceil(percent * n / 100)) in integers.
@@ -246,6 +260,115 @@ TEST(LatencyRecorder, MatchesSortedVectorOracleBitForBit)
         sorted_sum += x;
     EXPECT_EQ(bits(r.mean()->seconds()),
               bits(sorted_sum / static_cast<double>(n)));
+}
+
+/// seal() of @p values must leave the samples in the order std::sort
+/// gives them under std::strong_order, bit for bit.
+void
+expect_seal_in_total_order(const std::vector<double>& values,
+                           const std::string& what)
+{
+    LatencyRecorder r;
+    for (double x : values)
+        r.record(1.0, Seconds{x});
+    std::vector<double> oracle(r.samples().begin(), r.samples().end());
+    ASSERT_EQ(oracle.size(), values.size()) << what;
+    std::sort(oracle.begin(), oracle.end(), total_order_less);
+    r.seal();
+    ASSERT_TRUE(r.sealed());
+    EXPECT_TRUE(std::equal(r.samples().begin(), r.samples().end(),
+                           oracle.begin(), oracle.end(), same_bits))
+        << what << " (n = " << values.size() << ")";
+}
+
+std::vector<double>
+gamma_latencies(std::size_t n, std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    std::gamma_distribution<double> service(1.5, 4e-6);
+    std::vector<double> out(n);
+    for (double& x : out)
+        x = 2e-6 + service(rng);
+    return out;
+}
+
+TEST(LatencyRecorder, SealMatchesTheTotalOrderOracle)
+{
+    // Around the scratch size (8,192 keys): sorted in the scratch at once,
+    // or partitioned in place first.
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 100u, 8191u, 8192u, 8193u,
+                                20000u})
+        expect_seal_in_total_order(gamma_latencies(n, n + 1),
+                                   "gamma latencies");
+
+    expect_seal_in_total_order(std::vector<double>(50000, 7.5e-6),
+                               "all equal");
+
+    // 99% of the samples in a range one partition digit cannot split, the
+    // rest spread over nine decades: the big bucket is partitioned again.
+    {
+        std::mt19937_64 rng(99);
+        std::uniform_real_distribution<double> unit(0.0, 1.0);
+        std::vector<double> v;
+        for (std::size_t i = 0; i < 100000; ++i)
+            v.push_back(i % 100 == 0 ? std::pow(10.0, -9.0 * unit(rng))
+                                     : 1.0 + 1e-12 * unit(rng));
+        expect_seal_in_total_order(v, "99% in one bucket");
+    }
+
+    // Negatives, both zeros, both infinities, subnormals of both signs,
+    // the extremes, and NaNs of both signs with several payloads, mixed
+    // into ordinary values and repeated past the scratch size.
+    {
+        const double inf = std::numeric_limits<double>::infinity();
+        const double tiny = std::numeric_limits<double>::denorm_min();
+        std::vector<double> specials{
+            -0.0, 0.0, inf, -inf, tiny, -tiny, 3 * tiny, -5 * tiny,
+            std::numeric_limits<double>::min() / 2,
+            std::numeric_limits<double>::min(),
+            std::numeric_limits<double>::max(),
+            std::numeric_limits<double>::lowest(), -1.0, -2.5e-6, 1.0};
+        for (const std::uint64_t nan :
+             {0x7ff8000000000000ULL, 0x7ff0000000000001ULL,
+              0x7fffffffffffffffULL, 0x7ff4000000000abcULL,
+              0xfff8000000000000ULL, 0xfff0000000000001ULL,
+              0xffffffffffffffffULL, 0xfff4000000000abcULL})
+            specials.push_back(std::bit_cast<double>(nan));
+        expect_seal_in_total_order(specials, "special values");
+
+        std::mt19937_64 rng(7);
+        std::uniform_real_distribution<double> unit(-1.0, 1.0);
+        std::vector<double> mixed;
+        for (std::size_t i = 0; i < 30000; ++i)
+            mixed.push_back(i % 7 == 0
+                                ? specials[i % specials.size()]
+                                : unit(rng) * std::pow(10.0, 30 * unit(rng)));
+        expect_seal_in_total_order(mixed, "mixed signs and specials");
+    }
+
+    expect_seal_in_total_order(gamma_latencies(1'000'000, 1234),
+                               "1M gamma latencies");
+}
+
+TEST(LatencyRecorder, SealAllocatesABoundThatDoesNotGrowWithN)
+{
+    // The samples are sorted where they are: seal() allocates only its
+    // fixed key scratch, however many samples there are.
+#ifdef LOGNIC_TEST_ASAN
+    GTEST_SKIP() << "allocation counting is disabled under ASan "
+                    "(interceptor pairing); see heap_counter.cpp";
+#endif
+    constexpr std::uint64_t kBound = 256 * 1024;
+    for (const std::size_t n : {100'000u, 1'000'000u}) {
+        LatencyRecorder r;
+        for (double x : gamma_latencies(n, 42))
+            r.record(1.0, Seconds{x});
+        const std::uint64_t before = test::heap_bytes();
+        r.seal();
+        const std::uint64_t used = test::heap_bytes() - before;
+        EXPECT_GT(used, 0u) << "n = " << n << ": the counter saw no scratch";
+        EXPECT_LE(used, kBound) << "n = " << n;
+    }
 }
 
 TEST(WindowedCounter, CountsOnlyInsideMeasurementWindow)
