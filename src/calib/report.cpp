@@ -1,21 +1,13 @@
 #include "lognic/calib/report.hpp"
 
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
+
+#include "lognic/io/checkpoint.hpp"
 
 namespace lognic::calib {
 
 namespace {
-
-std::string
-hex_seed(std::uint64_t seed)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  static_cast<unsigned long long>(seed));
-    return buf;
-}
 
 io::Json
 vector_to_json(const solver::Vector& v)
@@ -95,7 +87,7 @@ to_json(const StartOutcome& s)
 {
     io::Json j;
     j.set("index", static_cast<double>(s.index));
-    j.set("seed", hex_seed(s.seed));
+    j.set("seed", io::u64_to_hex(s.seed));
     j.set("initial_loss", s.initial_loss);
     j.set("final_loss", s.final_loss);
     j.set("converged", s.converged);
@@ -182,7 +174,7 @@ to_json(const CalibrationReport& report)
     io::Json j;
     j.set("device", report.device);
     j.set("backend", kFitEngine);
-    j.set("seed", hex_seed(report.seed));
+    j.set("seed", io::u64_to_hex(report.seed));
     j.set("starts", static_cast<double>(report.starts));
 
     io::Json names{io::JsonArray{}};
@@ -290,7 +282,7 @@ render(const CalibrationReport& report)
     std::ostringstream os;
     os << "calibration of " << report.device << " (" << kFitEngine << ", "
        << report.starts << " starts, seed "
-       << hex_seed(report.seed) << ")\n";
+       << io::u64_to_hex(report.seed) << ")\n";
     os << "  loss: " << report.initial_loss << " -> " << report.best_loss
        << (report.converged ? "  [converged: " : "  [not converged: ")
        << report.message << "]\n";

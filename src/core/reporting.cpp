@@ -1,29 +1,134 @@
 #include "lognic/core/reporting.hpp"
 
-#include <cstdio>
-#include <sstream>
+#include <charconv>
+#include <string_view>
 
 namespace lognic::core {
 
 namespace {
 
-std::string
-format(const char* fmt, double v)
+/// printf's "%W.Pf" of a value: P decimals, right-justified with spaces
+/// to W characters (no padding when the number is W or wider).
+struct Fixed {
+    double value;
+    int precision;
+    int width;
+};
+
+Fixed
+fixed(double value, int precision, int width = 0)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), fmt, v);
-    return buf;
+    return {value, precision, width};
 }
 
-std::string
-class_label(const TrafficProfile& traffic, std::size_t i)
+/// "1500B", or "64B (50% of bytes)" when the profile mixes sizes.
+struct ClassLabel {
+    const TrafficProfile& traffic;
+    std::size_t index;
+};
+
+/**
+ * Appends text, integers and fixed() numbers to one string. std::to_chars
+ * with chars_format::fixed and a precision is specified as printf's
+ * "%.Pf" in the C locale, so every number has printf's bytes, all of
+ * them: the stack buffer holds any double.
+ */
+class Appender {
+  public:
+    explicit Appender(std::string& out) : out_(out) {}
+
+    Appender& operator<<(std::string_view text)
+    {
+        out_.append(text);
+        return *this;
+    }
+
+    Appender& operator<<(long long n)
+    {
+        char buf[20]; // a sign and 19 digits
+        out_.append(buf, std::to_chars(buf, buf + sizeof(buf), n).ptr);
+        return *this;
+    }
+
+    Appender& operator<<(Fixed f)
+    {
+        // DBL_MAX has 309 integer digits; with a sign and the point, any
+        // precision up to 19 fits.
+        char buf[330];
+        char* end = std::to_chars(buf, buf + sizeof(buf), f.value,
+                                  std::chars_format::fixed, f.precision)
+                        .ptr;
+        if (end - buf < f.width)
+            out_.append(static_cast<std::size_t>(f.width - (end - buf)), ' ');
+        out_.append(buf, end);
+        return *this;
+    }
+
+    Appender& operator<<(const ClassLabel& label)
+    {
+        const auto& classes = label.traffic.classes();
+        const auto& c = classes[label.index];
+        *this << static_cast<long long>(c.size.bytes()) << "B";
+        if (classes.size() > 1)
+            *this << " (" << fixed(100.0 * c.weight, 0) << "% of bytes)";
+        return *this;
+    }
+
+  private:
+    std::string& out_;
+};
+
+void
+append_throughput(std::string& s, const ThroughputReport& report,
+                  const TrafficProfile& traffic)
 {
-    const auto& c = traffic.classes()[i];
-    std::ostringstream os;
-    os << static_cast<long long>(c.size.bytes()) << "B";
-    if (traffic.classes().size() > 1)
-        os << " (" << format("%.0f", 100.0 * c.weight) << "% of bytes)";
-    return os.str();
+    Appender os(s);
+    os << "Throughput: capacity " << fixed(report.capacity.gbps(), 3)
+       << " Gbps, achieved " << fixed(report.achieved.gbps(), 3)
+       << " Gbps at " << fixed(traffic.ingress_bandwidth().gbps(), 3)
+       << " Gbps offered\n";
+    for (std::size_t i = 0; i < report.per_class.size(); ++i) {
+        const auto& est = report.per_class[i];
+        os << "  class " << ClassLabel{traffic, i} << ": capacity "
+           << fixed(est.capacity.gbps(), 3) << " Gbps\n";
+        for (const auto& term : est.terms) {
+            const bool binding = term.name == est.bottleneck.name
+                && term.kind == est.bottleneck.kind;
+            os << "    " << (binding ? "-> " : "   ")
+               << fixed(term.limit.gbps(), 3, 10) << " Gbps  "
+               << to_string(term.kind) << "  " << term.name
+               << (binding ? "  [bottleneck]" : "") << "\n";
+        }
+    }
+}
+
+void
+append_latency(std::string& s, const LatencyReport& report,
+               const TrafficProfile& traffic)
+{
+    Appender os(s);
+    os << "Latency: mean " << fixed(report.mean.micros(), 3) << " us";
+    if (report.max_drop_probability > 0.0)
+        os << ", worst drop probability "
+           << fixed(report.max_drop_probability, 4);
+    os << "\n";
+    for (std::size_t i = 0; i < report.per_class.size(); ++i) {
+        const auto& est = report.per_class[i];
+        os << "  class " << ClassLabel{traffic, i} << ": "
+           << fixed(est.mean.micros(), 3) << " us, goodput "
+           << fixed(est.goodput.gbps(), 3) << " Gbps\n";
+        for (const auto& path : est.paths) {
+            os << "    path (weight " << fixed(path.weight, 2)
+               << "): " << fixed(path.total.micros(), 3) << " us\n";
+            for (const auto& hop : path.hops) {
+                os << "      " << hop.vertex << ": Q="
+                   << fixed(hop.queueing.micros(), 3) << " C="
+                   << fixed(hop.compute.micros(), 3) << " O="
+                   << fixed(hop.overhead.micros(), 3) << " xfer="
+                   << fixed(hop.transfer.micros(), 3) << " us\n";
+            }
+        }
+    }
 }
 
 } // namespace
@@ -32,69 +137,34 @@ std::string
 render_throughput(const ThroughputReport& report,
                   const TrafficProfile& traffic)
 {
-    std::ostringstream os;
-    os << "Throughput: capacity "
-       << format("%.3f", report.capacity.gbps()) << " Gbps, achieved "
-       << format("%.3f", report.achieved.gbps()) << " Gbps at "
-       << format("%.3f", traffic.ingress_bandwidth().gbps())
-       << " Gbps offered\n";
-    for (std::size_t i = 0; i < report.per_class.size(); ++i) {
-        const auto& est = report.per_class[i];
-        os << "  class " << class_label(traffic, i) << ": capacity "
-           << format("%.3f", est.capacity.gbps()) << " Gbps\n";
-        for (const auto& term : est.terms) {
-            const bool binding = term.name == est.bottleneck.name
-                && term.kind == est.bottleneck.kind;
-            os << "    " << (binding ? "-> " : "   ")
-               << format("%10.3f", term.limit.gbps()) << " Gbps  "
-               << to_string(term.kind) << "  " << term.name
-               << (binding ? "  [bottleneck]" : "") << "\n";
-        }
-    }
-    return os.str();
+    std::string out;
+    append_throughput(out, report, traffic);
+    return out;
 }
 
 std::string
 render_latency(const LatencyReport& report, const TrafficProfile& traffic)
 {
-    std::ostringstream os;
-    os << "Latency: mean " << format("%.3f", report.mean.micros())
-       << " us";
-    if (report.max_drop_probability > 0.0)
-        os << ", worst drop probability "
-           << format("%.4f", report.max_drop_probability);
-    os << "\n";
-    for (std::size_t i = 0; i < report.per_class.size(); ++i) {
-        const auto& est = report.per_class[i];
-        os << "  class " << class_label(traffic, i) << ": "
-           << format("%.3f", est.mean.micros()) << " us, goodput "
-           << format("%.3f", est.goodput.gbps()) << " Gbps\n";
-        for (const auto& path : est.paths) {
-            os << "    path (weight " << format("%.2f", path.weight)
-               << "): " << format("%.3f", path.total.micros()) << " us\n";
-            for (const auto& hop : path.hops) {
-                os << "      " << hop.vertex << ": Q="
-                   << format("%.3f", hop.queueing.micros()) << " C="
-                   << format("%.3f", hop.compute.micros()) << " O="
-                   << format("%.3f", hop.overhead.micros()) << " xfer="
-                   << format("%.3f", hop.transfer.micros()) << " us\n";
-            }
-        }
-    }
-    return os.str();
+    std::string out;
+    append_latency(out, report, traffic);
+    return out;
 }
 
 std::string
 render_report(const Report& report, const TrafficProfile& traffic)
 {
-    return render_throughput(report.throughput, traffic)
-        + render_latency(report.latency, traffic);
+    std::string out;
+    out.reserve(1024); // a generated scenario's report is ~820 bytes
+    append_throughput(out, report.throughput, traffic);
+    append_latency(out, report.latency, traffic);
+    return out;
 }
 
 std::string
 to_dot(const ExecutionGraph& graph, const HardwareModel& hw)
 {
-    std::ostringstream os;
+    std::string out;
+    Appender os(out);
     os << "digraph \"" << graph.name() << "\" {\n"
        << "  rankdir=LR;\n"
        << "  node [shape=box, fontname=\"monospace\"];\n";
@@ -106,11 +176,11 @@ to_dot(const ExecutionGraph& graph, const HardwareModel& hw)
           case VertexKind::kIngress:
           case VertexKind::kEgress:
             os << "\\n(" << to_string(vx.kind) << " @ "
-               << format("%.0f", hw.line_rate().gbps()) << "G)\"";
+               << fixed(hw.line_rate().gbps(), 0) << "G)\"";
             os << ", shape=ellipse";
             break;
           case VertexKind::kRateLimiter:
-            os << "\\n(shaper @ " << format("%.1f", vx.rate_limit.gbps())
+            os << "\\n(shaper @ " << fixed(vx.rate_limit.gbps(), 1)
                << "G, N=" << vx.params.queue_capacity << ")\"";
             os << ", shape=hexagon";
             break;
@@ -125,7 +195,7 @@ to_dot(const ExecutionGraph& graph, const HardwareModel& hw)
             os << "\\n(" << to_string(spec.kind) << " " << spec.name
                << ", D=" << d << ", N=" << n;
             if (vx.params.partition < 1.0)
-                os << ", g=" << format("%.2f", vx.params.partition);
+                os << ", g=" << fixed(vx.params.partition, 2);
             os << ")\"";
             break;
           }
@@ -137,17 +207,17 @@ to_dot(const ExecutionGraph& graph, const HardwareModel& hw)
         const Edge& ed = graph.edge(e);
         const EdgeParams& p = ed.params;
         os << "  v" << ed.from << " -> v" << ed.to << " [label=\"d="
-           << format("%.2f", p.delta);
+           << fixed(p.delta, 2);
         if (p.alpha > 0.0)
-            os << " a=" << format("%.2f", p.alpha);
+            os << " a=" << fixed(p.alpha, 2);
         if (p.beta > 0.0)
-            os << " b=" << format("%.2f", p.beta);
+            os << " b=" << fixed(p.beta, 2);
         if (p.dedicated_bw)
-            os << " bw=" << format("%.1f", p.dedicated_bw->gbps()) << "G";
+            os << " bw=" << fixed(p.dedicated_bw->gbps(), 1) << "G";
         os << "\"];\n";
     }
     os << "}\n";
-    return os.str();
+    return out;
 }
 
 } // namespace lognic::core

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "lognic/io/checkpoint.hpp"
 #include "lognic/runner/seed.hpp"
 #include "lognic/runner/thread_pool.hpp"
 
@@ -37,15 +38,6 @@ to_json(const Summary& s)
     o.emplace("stddev", io::Json(s.stddev));
     o.emplace("ci95", io::Json(s.ci_half));
     return io::Json(std::move(o));
-}
-
-std::string
-hex_seed(std::uint64_t seed)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  static_cast<unsigned long long>(seed));
-    return buf;
 }
 
 /// One (point, replication) slot of a guarded campaign.
@@ -305,7 +297,7 @@ to_json(const PointResult& result)
               io::Json(static_cast<double>(result.stats.degenerate)));
     io::JsonArray seeds;
     for (std::uint64_t s : result.stats.seeds)
-        seeds.emplace_back(hex_seed(s));
+        seeds.emplace_back(io::u64_to_hex(s));
     o.emplace("seeds", io::Json(std::move(seeds)));
     o.emplace("delivered_gbps", to_json(result.stats.delivered_gbps));
     o.emplace("delivered_mops", to_json(result.stats.delivered_mops));
@@ -339,7 +331,7 @@ to_json(const FailedPoint& failure)
     o.emplace("label", io::Json(failure.label));
     o.emplace("replication",
               io::Json(static_cast<double>(failure.replication)));
-    o.emplace("seed", io::Json(hex_seed(failure.seed)));
+    o.emplace("seed", io::Json(io::u64_to_hex(failure.seed)));
     o.emplace("attempts", io::Json(static_cast<double>(failure.attempts)));
     o.emplace("error", io::Json(failure.error));
     return io::Json(std::move(o));
@@ -353,7 +345,7 @@ to_json(const TruncationRecord& record)
     o.emplace("label", io::Json(record.label));
     o.emplace("replication",
               io::Json(static_cast<double>(record.replication)));
-    o.emplace("seed", io::Json(hex_seed(record.seed)));
+    o.emplace("seed", io::Json(io::u64_to_hex(record.seed)));
     o.emplace("reason", io::Json(record.reason));
     o.emplace("sim_time_reached", io::Json(record.sim_time_reached));
     return io::Json(std::move(o));
