@@ -84,8 +84,7 @@ class EventQueue {
     /**
      * Schedule @p fn (a closure or an Action) at absolute time @p when
      * (>= now). Returns the sequence number assigned (the FIFO
-     * tie-break) — checkpointing records it so a restored calendar
-     * replays the exact (when, seq) dispatch order.
+     * tie-break), which for_each_pending() reports with the event.
      *
      * Inline so that the closure is built straight into its pool slot.
      * @throws std::invalid_argument when @p when is before now() or NaN.
@@ -132,15 +131,22 @@ class EventQueue {
     /// Next sequence number to be assigned (checkpoint state).
     std::uint64_t next_seq() const { return next_seq_; }
 
-    // --- snapshot restore (see lognic::ckpt) -----------------------------
+    // --- snapshots (see lognic::ckpt) ------------------------------------
     //
-    // A calendar of InlineActions cannot be serialized directly (the
-    // closures hold raw pointers into the simulator); instead the owner
-    // records enough metadata to *reconstruct* each pending event and
-    // replays it here. restore_clock() first, then one restore_event()
-    // per pending event with its original (when, seq) pair: dispatch
-    // order depends only on (when, seq), so the restored run is
-    // bit-identical to the uninterrupted one.
+    // The calendar is the one record of what is pending. A snapshot reads
+    // each pending (when, seq, action) through for_each_pending() and
+    // Action::target<F>() — the actions hold raw pointers into their
+    // owner, so the owner writes what they mean, not their bytes. A
+    // restore is restore_clock() first, then one restore_event() per
+    // pending event with its original (when, seq) pair: dispatch order
+    // depends only on (when, seq), so the restored run is bit-identical
+    // to the uninterrupted one.
+
+    /// Call @p fn(when, seq, action) once per pending event, in no
+    /// particular order.
+    void for_each_pending(
+        const std::function<void(SimTime, std::uint64_t, const Action&)>& fn)
+        const;
 
     /**
      * Reset clock state on an empty calendar.

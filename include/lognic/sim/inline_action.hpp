@@ -67,16 +67,33 @@ class InlineAction {
                       "destructible (events are dropped without running "
                       "destructors)");
         ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
-        invoke_ = [](void* storage) {
-            (*std::launder(reinterpret_cast<Fn*>(storage)))();
-        };
+        invoke_ = &invoke<Fn>;
     }
 
     void operator()() { invoke_(storage_); }
 
     explicit operator bool() const { return invoke_ != nullptr; }
 
+    /**
+     * The stored callable when it is an @p F, else nullptr — the contract
+     * of std::function::target. The invoker is instantiated per stored
+     * type, so its address identifies that type without a tag field.
+     */
+    template <typename F>
+    const F* target() const
+    {
+        if (invoke_ != &invoke<F>)
+            return nullptr;
+        return std::launder(reinterpret_cast<const F*>(storage_));
+    }
+
   private:
+    template <typename Fn>
+    static void invoke(void* storage)
+    {
+        (*std::launder(reinterpret_cast<Fn*>(storage)))();
+    }
+
     void (*invoke_)(void*){nullptr};
     alignas(alignof(void*)) unsigned char storage_[kCapacity]{};
 };

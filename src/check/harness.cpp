@@ -1,7 +1,5 @@
 #include "lognic/check/harness.hpp"
 
-#include <atomic>
-#include <exception>
 #include <utility>
 
 #include "lognic/runner/thread_pool.hpp"
@@ -126,10 +124,8 @@ apply_outcome(CheckReport& report, TrialOutcome&& out)
  * Run units 0..n-1 on copts.threads workers, each into its own slot: the
  * resume lookup, then @p run (generation, simulation, minimization) and
  * the completion hook. An outcome depends only on its index, so the slots
- * are the same at any thread count. When units throw, the lowest index's
- * error is rethrown — what a serial run would have thrown. Indices are
- * claimed in increasing order, so every unit below a failed one runs, and
- * units above the lowest failure seen so far are skipped.
+ * are the same at any thread count. When units throw, parallel_for
+ * rethrows the lowest index's error — what a serial run would have thrown.
  */
 template <class KeyOf, class Run>
 std::vector<TrialOutcome>
@@ -137,35 +133,20 @@ run_units(const CheckOptions& copts, std::size_t n, const KeyOf& key_of,
           const Run& run)
 {
     std::vector<TrialOutcome> outcomes(n);
-    std::vector<std::exception_ptr> errors(n);
-    std::atomic<std::size_t> lowest_error{n};
     const std::size_t threads = runner::resolve_threads(copts.threads);
     runner::parallel_for(n, threads, [&](std::size_t i) {
-        if (i > lowest_error.load())
+        const std::string key = key_of(i);
+        TrialOutcome done;
+        if (copts.resume_lookup && copts.resume_lookup(key, done)) {
+            // Journaled outcome: replay without even regenerating the
+            // scenario — the outcome carries everything the report needs.
+            outcomes[i] = std::move(done);
             return;
-        try {
-            const std::string key = key_of(i);
-            TrialOutcome done;
-            if (copts.resume_lookup && copts.resume_lookup(key, done)) {
-                // Journaled outcome: replay without even regenerating the
-                // scenario — the outcome carries everything the report
-                // needs.
-                outcomes[i] = std::move(done);
-                return;
-            }
-            outcomes[i] = run(i);
-            if (copts.on_trial_complete)
-                copts.on_trial_complete(key, outcomes[i]);
-        } catch (...) {
-            errors[i] = std::current_exception();
-            std::size_t seen = lowest_error.load();
-            while (i < seen && !lowest_error.compare_exchange_weak(seen, i))
-                ;
         }
+        outcomes[i] = run(i);
+        if (copts.on_trial_complete)
+            copts.on_trial_complete(key, outcomes[i]);
     });
-    for (const std::exception_ptr& e : errors)
-        if (e)
-            std::rethrow_exception(e);
     return outcomes;
 }
 

@@ -1,6 +1,7 @@
 #include "lognic/core/reporting.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <string_view>
 
 namespace lognic::core {
@@ -68,7 +69,9 @@ class Appender {
     {
         const auto& classes = label.traffic.classes();
         const auto& c = classes[label.index];
-        *this << static_cast<long long>(c.size.bytes()) << "B";
+        // trunc, not a long long cast: a size of 2^63 bytes or more has
+        // no long long, and below that both print the same digits.
+        *this << fixed(std::trunc(c.size.bytes()), 0) << "B";
         if (classes.size() > 1)
             *this << " (" << fixed(100.0 * c.weight, 0) << "% of bytes)";
         return *this;

@@ -90,6 +90,18 @@ EventQueue::enqueue(SimTime when, std::uint64_t seq, Action* action)
 }
 
 void
+EventQueue::for_each_pending(
+    const std::function<void(SimTime, std::uint64_t, const Action&)>& fn) const
+{
+    for (const Key& key : heap_)
+        fn(key.when, key.seq, *key.action);
+    for (std::size_t i = 0; i < lane_count_; ++i) {
+        const Key& key = lane_[(lane_head_ + i) & lane_mask_];
+        fn(key.when, key.seq, *key.action);
+    }
+}
+
+void
 EventQueue::restore_clock(SimTime now, std::uint64_t next_seq,
                           std::uint64_t executed)
 {

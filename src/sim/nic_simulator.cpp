@@ -38,24 +38,6 @@ struct Packet {
     SimTime enqueued{0.0};
     /// True when this packet carries lifecycle spans (sampled).
     bool traced{false};
-
-    // --- checkpoint tracking (written only when ckpt_track is on) ---------
-    // The calendar holds closures over this packet which cannot be
-    // serialized; these fields describe the packet's single pending event
-    // well enough to *reconstruct* it with its original (when, seq) pair.
-    /// 0 = none (queued / being measured), 1 = transfer stage, 2 = service
-    /// completion.
-    std::uint8_t pending_kind{0};
-    /// Next transfer stage to run (pending_kind 1).
-    std::uint8_t pending_stage{0};
-    EdgeId pending_edge{0};     ///< pending_kind 1
-    VertexId pending_vertex{0}; ///< pending_kind 2
-    std::size_t pending_slot{0};///< pending_kind 2 (traced lane; 0 here)
-    SimTime pending_when{0.0};
-    std::uint64_t pending_seq{0};
-    SimTime service_start{0.0}; ///< pending_kind 2
-    SimTime service_time{0.0};  ///< pending_kind 2
-    std::uint64_t serial{0};    ///< pending_kind 2, faults active only
 };
 
 /// Fixed latency-histogram buckets (microseconds, log-spaced). Fixed
@@ -247,13 +229,6 @@ struct NicSimulator::Impl {
             EdgeId edge{0}; ///< the edge the packet leaves on
         };
         std::deque<Held> held;
-        /// Pending credit returns, oldest first (ckpt_track only). They
-        /// fire in this order: each is scheduled O_i after its cause.
-        struct CreditReturn {
-            SimTime when{0.0};
-            std::uint64_t seq{0};
-        };
-        std::deque<CreditReturn> returns;
 
         std::uint32_t available() const
         {
@@ -302,14 +277,9 @@ struct NicSimulator::Impl {
     std::vector<std::size_t> trace_class; ///< profile class per position
     std::size_t trace_pos{0};
 
-    // --- segmented execution / checkpoint state -----------------------------
-    // All of this is inert for run(): ckpt_track stays false, so the hot
-    // path pays one predictable branch per scheduling site and nothing
-    // else, and run() results are bit-identical to a build without
-    // checkpoint support.
-    /// When true, every scheduling site records enough metadata to
-    /// reconstruct its pending event (set by begin()/load_state()).
-    bool ckpt_track{false};
+    // --- segmented execution -------------------------------------------------
+    // A snapshot reads what is pending off the calendar (save_json()), so
+    // run() and the segmented API execute the same handlers.
     bool started{false};
     bool finalized{false};
     /// config_fingerprint()'s digest of the scenario and fault plan,
@@ -318,27 +288,51 @@ struct NicSimulator::Impl {
     /// Outcome of the last advance() segment; kEventBudget until a segment
     /// actually finishes the run.
     RunOutcome last_outcome{RunOutcome::kEventBudget};
-    /// The (at most one) pending arrival-generator event.
-    bool arrival_pending{false};
-    double arrival_peak{0.0};
-    SimTime arrival_when{0.0};
-    std::uint64_t arrival_seq{0};
-    /// Calendar seq of each upfront-scheduled fault event, index-aligned
-    /// with scheduled_faults; pending faults are [fault_events_applied,
-    /// size) because they dispatch in index order.
-    std::vector<std::uint64_t> fault_seqs;
-    /// Completion events neutralized by fail_engines(): still sitting in
-    /// the calendar as stale no-ops, so a restore must reconstruct them
-    /// (they consume an executed-count slot when they fire).
-    struct StaleEvent {
-        SimTime when{0.0};
-        std::uint64_t seq{0};
-        std::uint64_t serial{0};
+
+    // --- events --------------------------------------------------------------
+    // One named functor per kind of pending event, so that save_json() can
+    // read each one's fields back off the calendar (Action::target).
+
+    /// The arrival generator's next draw.
+    struct ArrivalEvent {
+        Impl* s;
+        double peak;
+        void operator()() const { s->arrival_event(peak); }
     };
-    std::vector<StaleEvent> stale_events;
-    /// Live packets by stable id; ordered so snapshots serialize packets
-    /// deterministically.
-    std::map<std::uint64_t, Packet*> live_packets;
+    /// scheduled_faults[index] takes effect.
+    struct FaultEvent {
+        Impl* s;
+        std::size_t index;
+        void operator()() const { s->apply_fault(s->scheduled_faults[index]); }
+    };
+    /// @p pkt reaches transfer stage @p stage of edge @p edge.
+    struct TransferEvent {
+        Impl* s;
+        Packet* pkt;
+        EdgeId edge;
+        int stage;
+        void operator()() const { s->transfer_stage(pkt, edge, stage); }
+    };
+    /// @p pkt's service at @p v ends, unless a fault killed @p serial.
+    struct ServiceEvent {
+        Impl* s;
+        Packet* pkt;
+        VertexId v;
+        std::size_t slot;
+        SimTime start;
+        SimTime service;
+        std::uint64_t serial;
+        void operator()() const
+        {
+            s->complete_service(pkt, v, slot, start, service, serial);
+        }
+    };
+    /// One of @p w's credits returns.
+    struct CreditEvent {
+        Impl* s;
+        VertexId w;
+        void operator()() const { s->credit_returned(w); }
+    };
 
     Impl(const HardwareModel& hw_in, const ExecutionGraph& graph_in,
          const TrafficProfile& traffic_in, SimOptions options_in)
@@ -571,12 +565,8 @@ struct NicSimulator::Impl {
     void
     schedule_faults()
     {
-        for (const ScheduledFault& f : scheduled_faults) {
-            const std::uint64_t seq =
-                events.schedule_at(f.at, [this, &f] { apply_fault(f); });
-            if (ckpt_track)
-                fault_seqs.push_back(seq);
-        }
+        for (std::size_t i = 0; i < scheduled_faults.size(); ++i)
+            events.schedule_at(scheduled_faults[i].at, FaultEvent{this, i});
     }
 
     void
@@ -637,15 +627,6 @@ struct NicSimulator::Impl {
             const VertexState::InService victim = st.in_service.back();
             st.in_service.pop_back();
             killed.insert(victim.serial);
-            if (ckpt_track) {
-                // The victim's completion event stays in the calendar as a
-                // stale no-op; remember its (when, seq) so a restored run
-                // can reconstruct it (it still burns an executed slot).
-                stale_events.push_back({victim.pkt->pending_when,
-                                        victim.pkt->pending_seq,
-                                        victim.serial});
-                victim.pkt->pending_kind = 0;
-            }
             --st.busy;
             if (victim.pkt->traced)
                 tracks[v].slot_busy[victim.slot] = 0;
@@ -769,24 +750,13 @@ struct NicSimulator::Impl {
         const double gap = options.poisson_arrivals
             ? rng.exponential(1.0 / peak)
             : 1.0 / total_pps;
-        const std::uint64_t seq =
-            events.schedule_in(gap, [this, peak] { arrival_event(peak); });
-        if (ckpt_track) {
-            arrival_pending = true;
-            arrival_peak = peak;
-            arrival_when = events.now() + gap;
-            arrival_seq = seq;
-        }
+        events.schedule_in(gap, ArrivalEvent{this, peak});
     }
 
-    /// Body of the arrival-generator event; factored out so a restored
-    /// snapshot can reconstruct the pending arrival with its original
-    /// (when, seq) pair.
+    /// Body of the arrival-generator event.
     void
     arrival_event(double peak)
     {
-        if (ckpt_track)
-            arrival_pending = false;
         if (events.now() >= options.duration)
             return;
         if (options.burst.enabled
@@ -808,10 +778,6 @@ struct NicSimulator::Impl {
         pkt->id = generated;
         pkt->traced = trace_opts.sampled(pkt->id);
         ++generated;
-        if (ckpt_track) {
-            pkt->pending_kind = 0; // slab slots recycle; reset stale state
-            live_packets.emplace(pkt->id, pkt);
-        }
         offered_in_window.record(events.now());
         if (pkt->traced)
             trace_opts.sink->async_begin(pkt->id, "pkt",
@@ -839,8 +805,6 @@ struct NicSimulator::Impl {
             if (pkt->traced)
                 trace_opts.sink->async_end(pkt->id, "pkt",
                                            Seconds{events.now()});
-            if (ckpt_track)
-                live_packets.erase(pkt->id);
             packet_slab.release(pkt);
             return;
         }
@@ -882,17 +846,7 @@ struct NicSimulator::Impl {
     send(Packet* pkt, EdgeId eid, double overhead)
     {
         ++in_transit; // in an overhead delay or link transfer
-        const std::uint64_t seq =
-            events.schedule_in(overhead, [this, pkt, eid] {
-                transfer_stage(pkt, eid, 0);
-            });
-        if (ckpt_track) {
-            pkt->pending_kind = 1;
-            pkt->pending_stage = 0;
-            pkt->pending_edge = eid;
-            pkt->pending_when = events.now() + overhead;
-            pkt->pending_seq = seq;
-        }
+        events.schedule_in(overhead, TransferEvent{this, pkt, eid, 0});
     }
 
     /// Park @p pkt (bound for credited vertex @p w over @p eid) until one
@@ -906,8 +860,6 @@ struct NicSimulator::Impl {
             drop(pkt, w, ws, kDropOverflow);
             return;
         }
-        if (ckpt_track)
-            pkt->pending_kind = 0; // waiting; no event of its own
         ws.held.push_back({pkt, eid});
     }
 
@@ -916,12 +868,8 @@ struct NicSimulator::Impl {
     void
     return_credit(VertexId w)
     {
-        VertexState& ws = vertices[w];
-        const double delay = ws.overhead.seconds();
-        const std::uint64_t seq = events.schedule_in(
-            delay, [this, w] { credit_returned(w); });
-        if (ckpt_track)
-            ws.returns.push_back({events.now() + delay, seq});
+        events.schedule_in(vertices[w].overhead.seconds(),
+                           CreditEvent{this, w});
     }
 
     /// Body of a credit-return event: the oldest held packet, if any,
@@ -930,8 +878,6 @@ struct NicSimulator::Impl {
     credit_returned(VertexId w)
     {
         VertexState& ws = vertices[w];
-        if (ckpt_track)
-            ws.returns.pop_front();
         if (ws.held.empty()) {
             ++ws.credits_free;
         } else {
@@ -965,18 +911,8 @@ struct NicSimulator::Impl {
             }
             if (link != nullptr) {
                 const SimTime end = link->occupy(events.now(), payload);
-                const std::uint64_t seq =
-                    events.schedule_at(end, [this, pkt, eid, stage] {
-                        transfer_stage(pkt, eid, stage + 1);
-                    });
-                if (ckpt_track) {
-                    pkt->pending_kind = 1;
-                    pkt->pending_stage =
-                        static_cast<std::uint8_t>(stage + 1);
-                    pkt->pending_edge = eid;
-                    pkt->pending_when = end;
-                    pkt->pending_seq = seq;
-                }
+                events.schedule_at(end,
+                                   TransferEvent{this, pkt, eid, stage + 1});
                 return;
             }
         }
@@ -1000,8 +936,6 @@ struct NicSimulator::Impl {
                 trace_opts.sink->async_end(pkt->id, "pkt",
                                            Seconds{events.now()});
         }
-        if (ckpt_track)
-            live_packets.erase(pkt->id);
         packet_slab.release(pkt);
     }
 
@@ -1054,8 +988,6 @@ struct NicSimulator::Impl {
         }
         touch(st);
         pkt->enqueued = events.now();
-        if (ckpt_track)
-            pkt->pending_kind = 0; // the transfer event just fired; queued
         st.queues[qi].push_back(pkt);
         ++st.queued;
         trace_counters(v, st);
@@ -1109,26 +1041,12 @@ struct NicSimulator::Impl {
             }
             trace_counters(v, st);
             const SimTime start = events.now();
-            const std::uint64_t seq = events.schedule_in(
-                service, [this, pkt, v, slot, start, service, serial] {
-                    complete_service(pkt, v, slot, start, service, serial);
-                });
-            if (ckpt_track) {
-                pkt->pending_kind = 2;
-                pkt->pending_vertex = v;
-                pkt->pending_slot = slot;
-                pkt->pending_when = start + service;
-                pkt->pending_seq = seq;
-                pkt->service_start = start;
-                pkt->service_time = service;
-                pkt->serial = serial;
-            }
+            events.schedule_in(service, ServiceEvent{this, pkt, v, slot, start,
+                                                     service, serial});
         }
     }
 
-    /// Body of a service-completion event; factored out so a restored
-    /// snapshot can reconstruct pending completions with the values the
-    /// original closure captured.
+    /// Body of a service-completion event.
     void
     complete_service(Packet* pkt, VertexId v, std::size_t slot, SimTime start,
                      SimTime service, std::uint64_t serial)
@@ -1137,12 +1055,10 @@ struct NicSimulator::Impl {
             // An engine failure may have aborted this request after its
             // completion was scheduled; the fault instant already
             // requeued/dropped it and fixed the busy count, so the stale
-            // event must do nothing.
-            if (killed.erase(serial) > 0) {
-                if (ckpt_track)
-                    erase_stale(serial);
+            // event must do nothing — not even read @p pkt, which may be
+            // recycled (a restored stale event holds none).
+            if (killed.erase(serial) > 0)
                 return;
-            }
             auto& isv = vertices[v].in_service;
             for (std::size_t i = 0; i < isv.size(); ++i) {
                 if (isv[i].serial == serial) {
@@ -1166,20 +1082,6 @@ struct NicSimulator::Impl {
         if (s2.credits > 0)
             return_credit(v);
         depart(pkt, v);
-    }
-
-    /// Forget the stale_events record for @p serial — its calendar event
-    /// just fired, so a future snapshot must not reconstruct it.
-    void
-    erase_stale(std::uint64_t serial)
-    {
-        for (std::size_t i = 0; i < stale_events.size(); ++i) {
-            if (stale_events[i].serial == serial) {
-                stale_events[i] = stale_events.back();
-                stale_events.pop_back();
-                return;
-            }
-        }
     }
 
     /// Guard shared by begin() and load_state(): segmented execution
@@ -1360,8 +1262,19 @@ struct NicSimulator::Impl {
         return io::Json(std::move(fp));
     }
 
-    io::Json
-    packet_to_json(const Packet& p) const
+    /// The packets a snapshot carries, by id.
+    using PacketIndex = std::map<std::uint64_t, const Packet*>;
+
+    /// @p p's id, with @p p noted in @p packets.
+    static io::Json
+    packet_ref(const Packet* p, PacketIndex& packets)
+    {
+        packets.emplace(p->id, p);
+        return io::Json(io::u64_to_hex(p->id));
+    }
+
+    static io::Json
+    packet_to_json(const Packet& p)
     {
         io::JsonObject o;
         o["id"] = io::Json(io::u64_to_hex(p.id));
@@ -1369,18 +1282,60 @@ struct NicSimulator::Impl {
         o["size"] = io::Json(io::double_to_hex(p.app_size.bytes()));
         o["created"] = io::Json(io::double_to_hex(p.created));
         o["enqueued"] = io::Json(io::double_to_hex(p.enqueued));
-        o["pending_kind"] = io::Json(static_cast<double>(p.pending_kind));
-        o["pending_stage"] = io::Json(static_cast<double>(p.pending_stage));
-        o["pending_edge"] = io::Json(static_cast<double>(p.pending_edge));
-        o["pending_vertex"] =
-            io::Json(static_cast<double>(p.pending_vertex));
-        o["pending_slot"] = io::Json(static_cast<double>(p.pending_slot));
-        o["pending_when"] = io::Json(io::double_to_hex(p.pending_when));
-        o["pending_seq"] = io::Json(io::u64_to_hex(p.pending_seq));
-        o["service_start"] = io::Json(io::double_to_hex(p.service_start));
-        o["service_time"] = io::Json(io::double_to_hex(p.service_time));
-        o["serial"] = io::Json(io::u64_to_hex(p.serial));
         return io::Json(std::move(o));
+    }
+
+    /// The calendar, oldest seq first: each pending event's kind, (when,
+    /// seq) and fields. The packets the events hold go into @p packets.
+    io::Json
+    events_to_json(PacketIndex& packets) const
+    {
+        std::map<std::uint64_t, std::pair<SimTime, const EventQueue::Action*>>
+            by_seq;
+        events.for_each_pending([&by_seq](SimTime when, std::uint64_t seq,
+                                          const EventQueue::Action& action) {
+            by_seq.emplace(seq, std::pair{when, &action});
+        });
+        auto num = [](auto n) { return io::Json(static_cast<double>(n)); };
+        io::JsonArray arr;
+        for (const auto& [seq, pending] : by_seq) {
+            const auto& [when, action] = pending;
+            io::JsonObject e;
+            e["when"] = io::Json(io::double_to_hex(when));
+            e["seq"] = io::Json(io::u64_to_hex(seq));
+            if (const auto* a = action->target<ArrivalEvent>()) {
+                e["kind"] = "arrival";
+                e["peak"] = io::Json(io::double_to_hex(a->peak));
+            } else if (const auto* f = action->target<FaultEvent>()) {
+                e["kind"] = "fault";
+                e["index"] = num(f->index);
+            } else if (const auto* t = action->target<TransferEvent>()) {
+                e["kind"] = "transfer";
+                e["packet"] = packet_ref(t->pkt, packets);
+                e["edge"] = num(t->edge);
+                e["stage"] = num(t->stage);
+            } else if (const auto* c = action->target<ServiceEvent>()) {
+                e["kind"] = "service";
+                // A killed completion's request was requeued or lost when
+                // its engine failed: its packet may since have moved on or
+                // been recycled, and complete_service() never reads it.
+                if (killed.count(c->serial) == 0)
+                    e["packet"] = packet_ref(c->pkt, packets);
+                e["vertex"] = num(c->v);
+                e["slot"] = num(c->slot);
+                e["start"] = io::Json(io::double_to_hex(c->start));
+                e["service"] = io::Json(io::double_to_hex(c->service));
+                e["serial"] = io::Json(io::u64_to_hex(c->serial));
+            } else if (const auto* r = action->target<CreditEvent>()) {
+                e["kind"] = "credit";
+                e["vertex"] = num(r->w);
+            } else {
+                throw std::logic_error(
+                    "NicSimulator::save_state: unknown pending event");
+            }
+            arr.push_back(io::Json(std::move(e)));
+        }
+        return io::Json(std::move(arr));
     }
 
     static io::Json
@@ -1427,42 +1382,9 @@ struct NicSimulator::Impl {
                 arr.push_back(io::Json(io::u64_to_hex(k)));
             o["killed"] = io::Json(std::move(arr));
         }
-        {
-            io::JsonArray arr;
-            for (std::uint64_t s : fault_seqs)
-                arr.push_back(io::Json(io::u64_to_hex(s)));
-            o["fault_seqs"] = io::Json(std::move(arr));
-        }
-        {
-            std::vector<StaleEvent> stale = stale_events;
-            std::sort(stale.begin(), stale.end(),
-                      [](const StaleEvent& a, const StaleEvent& b) {
-                          return a.seq < b.seq;
-                      });
-            io::JsonArray arr;
-            for (const StaleEvent& ev : stale) {
-                io::JsonObject so;
-                so["when"] = io::Json(io::double_to_hex(ev.when));
-                so["seq"] = io::Json(io::u64_to_hex(ev.seq));
-                so["serial"] = io::Json(io::u64_to_hex(ev.serial));
-                arr.push_back(io::Json(std::move(so)));
-            }
-            o["stale"] = io::Json(std::move(arr));
-        }
-        {
-            io::JsonObject a;
-            a["pending"] = io::Json(arrival_pending);
-            a["peak"] = io::Json(io::double_to_hex(arrival_peak));
-            a["when"] = io::Json(io::double_to_hex(arrival_when));
-            a["seq"] = io::Json(io::u64_to_hex(arrival_seq));
-            o["arrival"] = io::Json(std::move(a));
-        }
-        {
-            io::JsonArray arr;
-            for (const auto& [id, pkt] : live_packets)
-                arr.push_back(packet_to_json(*pkt));
-            o["packets"] = io::Json(std::move(arr));
-        }
+        // Every packet a queue, a held FIFO or an event holds.
+        PacketIndex packets;
+        o["events"] = events_to_json(packets);
         o["interface_link"] = link_to_json(interface_link);
         o["memory_link"] = link_to_json(memory_link);
         {
@@ -1490,7 +1412,7 @@ struct NicSimulator::Impl {
                     for (const auto& q : st.queues) {
                         io::JsonArray ids;
                         for (const Packet* p : q)
-                            ids.push_back(io::Json(io::u64_to_hex(p->id)));
+                            ids.push_back(packet_ref(p, packets));
                         queues.push_back(io::Json(std::move(ids)));
                     }
                     vo["queues"] = io::Json(std::move(queues));
@@ -1523,23 +1445,21 @@ struct NicSimulator::Impl {
                     io::JsonArray held;
                     for (const VertexState::Held& h : st.held) {
                         io::JsonObject ho;
-                        ho["id"] = io::Json(io::u64_to_hex(h.pkt->id));
+                        ho["id"] = packet_ref(h.pkt, packets);
                         ho["edge"] = io::Json(static_cast<double>(h.edge));
                         held.push_back(io::Json(std::move(ho)));
                     }
                     vo["held"] = io::Json(std::move(held));
-                    io::JsonArray returns;
-                    for (const VertexState::CreditReturn& cr : st.returns) {
-                        io::JsonObject ro;
-                        ro["when"] = io::Json(io::double_to_hex(cr.when));
-                        ro["seq"] = io::Json(io::u64_to_hex(cr.seq));
-                        returns.push_back(io::Json(std::move(ro)));
-                    }
-                    vo["credit_returns"] = io::Json(std::move(returns));
                 }
                 arr.push_back(io::Json(std::move(vo)));
             }
             o["vertices"] = io::Json(std::move(arr));
+        }
+        {
+            io::JsonArray arr;
+            for (const auto& [id, pkt] : packets)
+                arr.push_back(packet_to_json(*pkt));
+            o["packets"] = io::Json(std::move(arr));
         }
         {
             io::JsonObject r;
@@ -1587,6 +1507,9 @@ struct NicSimulator::Impl {
                 "NicSimulator::load_state: snapshot configuration "
                 "fingerprint mismatch:\n  simulator " + want
                 + "\n  snapshot  " + have);
+        // The pending calendar; a snapshot without one is refused before
+        // anything is restored.
+        const io::JsonArray& calendar = snap.at("events").as_array();
 
         auto hexd = [](const io::Json& v, const char* ctx) {
             return io::double_from_hex(v.as_string(), ctx);
@@ -1595,7 +1518,6 @@ struct NicSimulator::Impl {
             return io::parse_u64(v.as_string(), ctx);
         };
 
-        ckpt_track = true;
         started = true;
 
         rng.restore_state(snap.at("rng").as_string());
@@ -1617,33 +1539,16 @@ struct NicSimulator::Impl {
         killed.clear();
         for (const io::Json& k : snap.at("killed").as_array())
             killed.insert(hexu(k, "snapshot killed serial"));
-        fault_seqs.clear();
-        for (const io::Json& s : snap.at("fault_seqs").as_array())
-            fault_seqs.push_back(hexu(s, "snapshot fault seq"));
-        if (faults_active && fault_seqs.size() != scheduled_faults.size())
-            throw std::runtime_error(
-                "NicSimulator::load_state: snapshot fault_seqs count does "
-                "not match the resolved fault schedule");
-        stale_events.clear();
-        for (const io::Json& ev : snap.at("stale").as_array()) {
-            StaleEvent se;
-            se.when = hexd(ev.at("when"), "snapshot stale when");
-            se.seq = hexu(ev.at("seq"), "snapshot stale seq");
-            se.serial = hexu(ev.at("serial"), "snapshot stale serial");
-            stale_events.push_back(se);
-        }
-        {
-            const io::Json& a = snap.at("arrival");
-            arrival_pending = a.at("pending").as_bool();
-            arrival_peak = hexd(a.at("peak"), "snapshot arrival peak");
-            arrival_when = hexd(a.at("when"), "snapshot arrival when");
-            arrival_seq = hexu(a.at("seq"), "snapshot arrival seq");
-        }
 
         // Packets: acquire slab slots in saved (id) order. Slab slot
         // assignment is invisible to results (nothing keys on pointer
         // values), so the restored run does not need the original slots.
-        live_packets.clear();
+        // Each must be referenced by a queue, a held FIFO or an event.
+        struct Restored {
+            Packet* pkt;
+            bool referenced;
+        };
+        std::map<std::uint64_t, Restored> packets;
         for (const io::Json& pj : snap.at("packets").as_array()) {
             Packet* p = packet_slab.acquire();
             p->id = hexu(pj.at("id"), "snapshot packet id");
@@ -1656,39 +1561,19 @@ struct NicSimulator::Impl {
             p->enqueued =
                 hexd(pj.at("enqueued"), "snapshot packet enqueued");
             p->traced = false;
-            p->pending_kind = io::uint_at<std::uint8_t>(pj, "pending_kind");
-            p->pending_stage =
-                io::uint_at<std::uint8_t>(pj, "pending_stage");
-            p->pending_edge = io::uint_at<EdgeId>(pj, "pending_edge");
-            p->pending_vertex = io::uint_at<VertexId>(pj, "pending_vertex");
-            p->pending_slot = io::uint_at<std::size_t>(pj, "pending_slot");
-            p->pending_when =
-                hexd(pj.at("pending_when"), "snapshot packet when");
-            p->pending_seq =
-                hexu(pj.at("pending_seq"), "snapshot packet seq");
-            p->service_start =
-                hexd(pj.at("service_start"), "snapshot service start");
-            p->service_time =
-                hexd(pj.at("service_time"), "snapshot service time");
-            p->serial = hexu(pj.at("serial"), "snapshot packet serial");
-            if (p->pending_kind == 1 && p->pending_edge >= graph.edge_count())
-                throw std::runtime_error(
-                    "NicSimulator::load_state: packet edge out of range");
-            if (p->pending_kind == 2
-                && p->pending_vertex >= graph.vertex_count())
-                throw std::runtime_error(
-                    "NicSimulator::load_state: packet vertex out of range");
-            if (!live_packets.emplace(p->id, p).second)
+            if (!packets.emplace(p->id, Restored{p, false}).second)
                 throw std::runtime_error(
                     "NicSimulator::load_state: duplicate packet id");
         }
-        auto find_packet = [this](std::uint64_t id) -> Packet* {
-            const auto it = live_packets.find(id);
-            if (it == live_packets.end())
+        auto find_packet = [&packets, &hexu](const io::Json& id,
+                                             const char* ctx) -> Packet* {
+            const auto it = packets.find(hexu(id, ctx));
+            if (it == packets.end())
                 throw std::runtime_error(
-                    "NicSimulator::load_state: queue references an "
+                    "NicSimulator::load_state: snapshot references an "
                     "unknown packet id");
-            return it->second;
+            it->second.referenced = true;
+            return it->second.pkt;
         };
 
         auto load_link = [&hexd](LinkServer& l, const io::Json& j) {
@@ -1738,8 +1623,8 @@ struct NicSimulator::Impl {
                 for (std::size_t q = 0; q < queues.size(); ++q) {
                     st.queues[q].clear();
                     for (const io::Json& id : queues[q].as_array())
-                        st.queues[q].push_back(find_packet(
-                            hexu(id, "snapshot queued packet id")));
+                        st.queues[q].push_back(
+                            find_packet(id, "snapshot queued packet id"));
                     st.queued += st.queues[q].size();
                 }
                 st.in_service.clear();
@@ -1747,8 +1632,7 @@ struct NicSimulator::Impl {
                     VertexState::InService e;
                     e.serial =
                         hexu(eo.at("serial"), "snapshot in-service serial");
-                    e.pkt = find_packet(
-                        hexu(eo.at("id"), "snapshot in-service id"));
+                    e.pkt = find_packet(eo.at("id"), "snapshot in-service id");
                     e.qi = io::uint_at<std::size_t>(eo, "qi");
                     if (e.qi >= st.queues.size())
                         throw std::runtime_error(
@@ -1788,14 +1672,8 @@ struct NicSimulator::Impl {
                             "NicSimulator::load_state: held packet's "
                             "edge does not lead to its vertex");
                     st.held.push_back(
-                        {find_packet(hexu(ho.at("id"), "snapshot held id")),
-                         edge});
+                        {find_packet(ho.at("id"), "snapshot held id"), edge});
                 }
-                st.returns.clear();
-                for (const io::Json& ro : vo.at("credit_returns").as_array())
-                    st.returns.push_back(
-                        {hexd(ro.at("when"), "snapshot credit return when"),
-                         hexu(ro.at("seq"), "snapshot credit return seq")});
             }
         }
 
@@ -1831,57 +1709,66 @@ struct NicSimulator::Impl {
         events.restore_clock(hexd(snap.at("now"), "snapshot now"),
                              hexu(snap.at("next_seq"), "snapshot next_seq"),
                              hexu(snap.at("executed"), "snapshot executed"));
-        if (arrival_pending) {
-            const double peak = arrival_peak;
-            events.restore_event(arrival_when, arrival_seq,
-                                 [this, peak] { arrival_event(peak); });
-        }
-        for (std::size_t i = static_cast<std::size_t>(fault_events_applied);
-             i < scheduled_faults.size(); ++i) {
-            events.restore_event(scheduled_faults[i].at, fault_seqs[i],
-                                 [this, i] {
-                                     apply_fault(scheduled_faults[i]);
-                                 });
-        }
-        for (const auto& [id, pkt] : live_packets) {
-            if (pkt->pending_kind == 1) {
-                Packet* p = pkt;
-                const EdgeId eid = p->pending_edge;
-                const int stage = p->pending_stage;
-                events.restore_event(p->pending_when, p->pending_seq,
-                                     [this, p, eid, stage] {
-                                         transfer_stage(p, eid, stage);
-                                     });
-            } else if (pkt->pending_kind == 2) {
-                Packet* p = pkt;
-                const VertexId v = p->pending_vertex;
-                const std::size_t slot = p->pending_slot;
-                const SimTime start = p->service_start;
-                const SimTime service = p->service_time;
-                const std::uint64_t serial = p->serial;
-                events.restore_event(
-                    p->pending_when, p->pending_seq,
-                    [this, p, v, slot, start, service, serial] {
-                        complete_service(p, v, slot, start, service,
-                                         serial);
-                    });
+        auto event_at = [&](const io::Json& ev) -> EventQueue::Action {
+            const std::string& kind = ev.at("kind").as_string();
+            auto in_range = [&kind](bool ok, const std::string& field) {
+                if (!ok)
+                    throw std::runtime_error(
+                        "NicSimulator::load_state: " + kind + " event's \""
+                        + field + "\" out of range");
+            };
+            if (kind == "arrival")
+                return ArrivalEvent{this, hexd(ev.at("peak"),
+                                               "snapshot arrival peak")};
+            if (kind == "fault") {
+                const auto index = io::uint_at<std::size_t>(ev, "index");
+                in_range(index < scheduled_faults.size(), "index");
+                return FaultEvent{this, index};
             }
-        }
-        for (VertexId w = 0; w < vertices.size(); ++w) {
-            for (const VertexState::CreditReturn& cr : vertices[w].returns)
-                events.restore_event(cr.when, cr.seq,
-                                     [this, w] { credit_returned(w); });
-        }
-        for (const StaleEvent& ev : stale_events) {
-            const std::uint64_t serial = ev.serial;
-            // The killed request's packet may be long gone (requeued,
-            // delivered, even recycled); the stale no-op must only burn
-            // its executed-count slot and clear the bookkeeping.
-            events.restore_event(ev.when, ev.seq, [this, serial] {
-                killed.erase(serial);
-                erase_stale(serial);
-            });
-        }
+            if (kind == "transfer") {
+                const auto edge = io::uint_at<EdgeId>(ev, "edge");
+                const auto stage = io::uint_at<unsigned>(ev, "stage");
+                in_range(edge < edges.size(), "edge");
+                in_range(stage <= 3, "stage");
+                return TransferEvent{
+                    this, find_packet(ev.at("packet"), "snapshot packet id"),
+                    edge, static_cast<int>(stage)};
+            }
+            if (kind == "service") {
+                ServiceEvent e{this,
+                               nullptr,
+                               io::uint_at<VertexId>(ev, "vertex"),
+                               io::uint_at<std::size_t>(ev, "slot"),
+                               hexd(ev.at("start"), "snapshot service start"),
+                               hexd(ev.at("service"), "snapshot service time"),
+                               hexu(ev.at("serial"), "snapshot serial")};
+                in_range(e.v < vertices.size(), "vertex");
+                // Only a killed completion is saved without its packet.
+                if (ev.contains("packet"))
+                    e.pkt = find_packet(ev.at("packet"), "snapshot packet id");
+                else if (killed.count(e.serial) == 0)
+                    throw std::runtime_error(
+                        "NicSimulator::load_state: a service event that "
+                        "no fault killed has no packet");
+                return e;
+            }
+            if (kind == "credit") {
+                const auto w = io::uint_at<VertexId>(ev, "vertex");
+                in_range(w < vertices.size(), "vertex");
+                return CreditEvent{this, w};
+            }
+            throw std::runtime_error(
+                "NicSimulator::load_state: unknown event kind '" + kind + "'");
+        };
+        for (const io::Json& ev : calendar)
+            events.restore_event(hexd(ev.at("when"), "snapshot event when"),
+                                 hexu(ev.at("seq"), "snapshot event seq"),
+                                 event_at(ev));
+        for (const auto& [id, r] : packets)
+            if (!r.referenced)
+                throw std::runtime_error(
+                    "NicSimulator::load_state: packet " + io::u64_to_hex(id)
+                    + " is in no queue, held FIFO or event");
     }
 };
 
@@ -1931,7 +1818,6 @@ NicSimulator::begin()
             "NicSimulator::begin: run()/begin()/load_state() already "
             "called");
     s.check_segmentable();
-    s.ckpt_track = true;
     s.started = true;
     if (s.faults_active)
         s.schedule_faults();

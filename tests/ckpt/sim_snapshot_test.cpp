@@ -201,12 +201,11 @@ TEST(SimSnapshot, MidRunSnapshotResumesToTheIdenticalResult)
             std::size_t returns = 0;
             for (const std::string& text : snapshots) {
                 const io::Json snap = io::Json::parse(text);
-                for (const io::Json& v : snap.at("vertices").as_array()) {
-                    if (!v.contains("held"))
-                        continue;
-                    held += v.at("held").as_array().size();
-                    returns += v.at("credit_returns").as_array().size();
-                }
+                for (const io::Json& v : snap.at("vertices").as_array())
+                    if (v.contains("held"))
+                        held += v.at("held").as_array().size();
+                for (const io::Json& e : snap.at("events").as_array())
+                    returns += e.at("kind").as_string() == "credit" ? 1 : 0;
             }
             EXPECT_GT(held, 0u);
             EXPECT_GT(returns, 0u);
@@ -243,6 +242,95 @@ TEST(SimSnapshot, MidRunSnapshotResumesToTheIdenticalResult)
             }
             EXPECT_EQ(render(resumed.finalize()), expected)
                 << s.name << " snapshot " << i << "/" << snapshots.size();
+        }
+    }
+}
+
+TEST(SimSnapshot, ResumedRunsPublishTheSameSnapshots)
+{
+    // A snapshot is a function of the simulation state: a run resumed
+    // from any cut publishes, step for step, the bytes the primary did.
+    for (const SimCase& s : corpus()) {
+        sim::NicSimulator primary(s.hw, s.graph, s.traffic, s.options);
+        primary.begin();
+        std::vector<std::string> snapshots;
+        bool done = false;
+        while (!done) {
+            snapshots.push_back(primary.save_state().dump(-1));
+            done = primary.advance(700);
+        }
+        for (std::size_t i :
+             {std::size_t{0}, snapshots.size() / 2, snapshots.size() - 1}) {
+            sim::NicSimulator resumed(s.hw, s.graph, s.traffic, s.options);
+            resumed.load_state(io::Json::parse(snapshots[i]));
+            for (std::size_t j = i; j < snapshots.size(); ++j) {
+                if (j > i)
+                    resumed.advance(700);
+                ASSERT_EQ(resumed.save_state().dump(-1), snapshots[j])
+                    << s.name << " resumed at " << i << ", step " << j;
+            }
+        }
+    }
+}
+
+/// True once @p snap's run has applied a fault.
+bool
+fault_applied(const io::Json& snap)
+{
+    return snap.at("fault_events_applied").as_string() != io::u64_to_hex(0);
+}
+
+TEST(SimSnapshot, SnapshotsWhileAKilledCompletionIsPendingResume)
+{
+    // From the first engine failure (the first fault of both plans) until
+    // no neutralized completion is pending, cut at every event boundary.
+    // The credited case's failure aborts requests in service, so its
+    // snapshots carry stale completions whose requests were dropped; the
+    // faulted case's failure finds few enough busy engines to abort none,
+    // so its window is the failure's own boundary.
+    for (const SimCase& s : corpus()) {
+        if (s.name != "faulted" && s.name != "credited")
+            continue;
+        const std::string expected = render(
+            sim::NicSimulator(s.hw, s.graph, s.traffic, s.options).run());
+        // The events before the 100-event step that applies the failure.
+        std::uint64_t before = 0;
+        {
+            sim::NicSimulator probe(s.hw, s.graph, s.traffic, s.options);
+            probe.begin();
+            for (;;) {
+                ASSERT_FALSE(probe.advance(100)) << s.name;
+                if (fault_applied(probe.save_state()))
+                    break;
+                before += 100;
+            }
+        }
+        sim::NicSimulator primary(s.hw, s.graph, s.traffic, s.options);
+        primary.begin();
+        if (before > 0) {
+            ASSERT_FALSE(primary.advance(before)) << s.name;
+        }
+        std::vector<std::string> window;
+        std::size_t with_killed = 0;
+        for (bool stale = true; stale;) {
+            ASSERT_FALSE(primary.advance(1)) << s.name;
+            const io::Json snap = primary.save_state();
+            if (!fault_applied(snap))
+                continue;
+            stale = !snap.at("killed").as_array().empty();
+            with_killed += stale ? 1 : 0;
+            window.push_back(snap.dump(-1));
+        }
+        if (s.name == "credited") {
+            EXPECT_GT(with_killed, 0u);
+        }
+        for (std::size_t i = 0; i < window.size(); ++i) {
+            sim::NicSimulator resumed(s.hw, s.graph, s.traffic, s.options);
+            resumed.load_state(io::Json::parse(window[i]));
+            while (!resumed.advance(1234)) {
+            }
+            ASSERT_EQ(render(resumed.finalize()), expected)
+                << s.name << " boundary " << i << "/" << window.size();
         }
     }
 }
@@ -392,34 +480,68 @@ replaced(const io::Json& node, const std::vector<std::string>& path,
     return out;
 }
 
+/// A credited-case snapshot that holds a request in service, a packet
+/// held for a credit, and a pending transfer, service, credit-return and
+/// fault event; each is named by its index in the snapshot.
+struct LiveSnapshot {
+    io::Json snap;
+    std::string in_service; ///< a vertex with a request in service
+    std::string held;       ///< a vertex with a held packet
+    std::string transfer, service, credit, fault; ///< events of each kind
+
+    bool complete() const
+    {
+        return !in_service.empty() && !held.empty() && !transfer.empty()
+            && !service.empty() && !credit.empty() && !fault.empty();
+    }
+};
+
+LiveSnapshot
+live_snapshot(const SimCase& s)
+{
+    sim::NicSimulator source(s.hw, s.graph, s.traffic, s.options);
+    source.begin();
+    LiveSnapshot live;
+    while (!live.complete()) {
+        if (source.advance(50))
+            throw std::logic_error("no snapshot holds every kind of state");
+        live = LiveSnapshot{source.save_state(), "", "", "", "", "", ""};
+        const io::JsonArray& vertices = live.snap.at("vertices").as_array();
+        for (std::size_t v = 0; v < vertices.size(); ++v) {
+            if (!vertices[v].at("in_service").as_array().empty())
+                live.in_service = std::to_string(v);
+            if (vertices[v].contains("held")
+                && !vertices[v].at("held").as_array().empty())
+                live.held = std::to_string(v);
+        }
+        const io::JsonArray& events = live.snap.at("events").as_array();
+        for (std::size_t e = 0; e < events.size(); ++e) {
+            const std::string& kind = events[e].at("kind").as_string();
+            if (kind == "transfer")
+                live.transfer = std::to_string(e);
+            else if (kind == "service" && events[e].contains("packet"))
+                live.service = std::to_string(e);
+            else if (kind == "credit")
+                live.credit = std::to_string(e);
+            else if (kind == "fault")
+                live.fault = std::to_string(e);
+        }
+    }
+    return live;
+}
+
 TEST(SimSnapshotGuards, MalformedIntegerFieldsAreRefused)
 {
     // The credited overload case, advanced until its snapshot holds a
-    // request in service and a packet held for a credit.
+    // request in service, a packet held for a credit, and a transfer and
+    // a service completion pending.
     const std::vector<SimCase> all = corpus();
     const SimCase& s = all.back();
     ASSERT_EQ(s.name, "credited");
-    sim::NicSimulator source(s.hw, s.graph, s.traffic, s.options);
-    source.begin();
-    io::Json snap;
-    std::string in_service;
-    std::string held;
-    while (in_service.empty() || held.empty()) {
-        ASSERT_FALSE(source.advance(50))
-            << "no snapshot with both a request in service and a held "
-               "packet";
-        snap = source.save_state();
-        in_service.clear();
-        held.clear();
-        const io::JsonArray& vertices = snap.at("vertices").as_array();
-        for (std::size_t v = 0; v < vertices.size(); ++v) {
-            if (!vertices[v].at("in_service").as_array().empty())
-                in_service = std::to_string(v);
-            if (vertices[v].contains("held")
-                && !vertices[v].at("held").as_array().empty())
-                held = std::to_string(v);
-        }
-    }
+    const LiveSnapshot live = live_snapshot(s);
+    const io::Json& snap = live.snap;
+    const std::string& in_service = live.in_service;
+    const std::string& held = live.held;
     ASSERT_FALSE(snap.at("packets").as_array().empty());
     {
         sim::NicSimulator intact(s.hw, s.graph, s.traffic, s.options);
@@ -428,11 +550,10 @@ TEST(SimSnapshotGuards, MalformedIntegerFieldsAreRefused)
 
     const std::vector<std::vector<std::string>> fields{
         {"packets", "0", "class"},
-        {"packets", "0", "pending_kind"},
-        {"packets", "0", "pending_stage"},
-        {"packets", "0", "pending_edge"},
-        {"packets", "0", "pending_vertex"},
-        {"packets", "0", "pending_slot"},
+        {"events", live.transfer, "edge"},
+        {"events", live.transfer, "stage"},
+        {"events", live.service, "vertex"},
+        {"events", live.service, "slot"},
         {"vertices", in_service, "busy"},
         {"vertices", in_service, "engines_offline"},
         {"vertices", in_service, "capacity_override"},
@@ -472,6 +593,94 @@ TEST(SimSnapshotGuards, MalformedIntegerFieldsAreRefused)
     EXPECT_THROW(target.load_state(replaced(
                      snap, qi, io::Json(static_cast<double>(queues)))),
                  std::runtime_error);
+}
+
+/// Loading @p snap into a fresh simulator of @p s throws a runtime_error
+/// whose message contains @p what.
+void
+expect_refused(const SimCase& s, const io::Json& snap, const std::string& what)
+{
+    sim::NicSimulator target(s.hw, s.graph, s.traffic, s.options);
+    try {
+        target.load_state(snap);
+        ADD_FAILURE() << "loaded; expected an error naming " << what;
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SimSnapshotGuards, MalformedEventsAreRefused)
+{
+    const std::vector<SimCase> all = corpus();
+    const SimCase& s = all.back();
+    ASSERT_EQ(s.name, "credited");
+    const LiveSnapshot live = live_snapshot(s);
+    const io::Json& snap = live.snap;
+    auto count = [](std::size_t n) { return io::Json(static_cast<double>(n)); };
+
+    expect_refused(s, replaced(snap, {"events", live.credit, "kind"},
+                               io::Json("teleport")),
+                   "unknown event kind 'teleport'");
+    expect_refused(s, replaced(snap, {"events", live.transfer, "edge"},
+                               count(s.graph.edge_count())),
+                   "\"edge\" out of range");
+    expect_refused(s, replaced(snap, {"events", live.transfer, "stage"},
+                               count(4)),
+                   "\"stage\" out of range");
+    expect_refused(s, replaced(snap, {"events", live.service, "vertex"},
+                               count(s.graph.vertex_count())),
+                   "\"vertex\" out of range");
+    expect_refused(s, replaced(snap, {"events", live.credit, "vertex"},
+                               count(s.graph.vertex_count())),
+                   "\"vertex\" out of range");
+    expect_refused(s, replaced(snap, {"events", live.fault, "index"},
+                               count(2)), // the plan resolves to 2 faults
+                   "\"index\" out of range");
+
+    // Without its transfer event, the packet in flight is held by nothing.
+    io::JsonArray events = snap.at("events").as_array();
+    const std::string id =
+        events.at(std::stoul(live.transfer)).at("packet").as_string();
+    events.erase(events.begin() + static_cast<long>(std::stoul(live.transfer)));
+    expect_refused(s, replaced(snap, {"events"}, io::Json(std::move(events))),
+                   "packet " + id + " is in no queue, held FIFO or event");
+
+    // A service completion goes without its packet only when killed.
+    io::JsonObject service =
+        snap.at("events").as_array().at(std::stoul(live.service)).as_object();
+    service.erase("packet");
+    expect_refused(s, replaced(snap, {"events", live.service},
+                               io::Json(std::move(service))),
+                   "no fault killed has no packet");
+}
+
+TEST(SimSnapshotGuards, RefusesTheLayoutThatKeptPendingEventsOnPackets)
+{
+    // Snapshots once kept each pending event beside the calendar: on its
+    // packet ("pending_kind", "pending_when", ...) and in "arrival",
+    // "fault_seqs", "stale" and per-vertex "credit_returns" blocks. No
+    // reader of that layout is left; such a snapshot is refused by name.
+    const SimCase s = make_case("layout", 8.0);
+    io::JsonObject old = snapshot_of(s).as_object();
+    old.erase("events");
+    old["fault_seqs"] = io::Json(io::JsonArray{});
+    old["stale"] = io::Json(io::JsonArray{});
+    io::JsonObject arrival;
+    arrival["pending"] = io::Json(true);
+    arrival["peak"] = io::Json(io::double_to_hex(1e6));
+    arrival["when"] = io::Json(io::double_to_hex(0.001));
+    arrival["seq"] = io::Json(io::u64_to_hex(1));
+    old["arrival"] = io::Json(std::move(arrival));
+    io::JsonArray packets;
+    for (const io::Json& p : old.at("packets").as_array()) {
+        io::Json with_pending = p;
+        with_pending.set("pending_kind", io::Json(0));
+        with_pending.set("pending_seq", io::Json(io::u64_to_hex(0)));
+        packets.push_back(std::move(with_pending));
+    }
+    old["packets"] = io::Json(std::move(packets));
+    expect_refused(s, io::Json(std::move(old)), "missing key 'events'");
 }
 
 } // namespace

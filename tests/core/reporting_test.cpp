@@ -74,6 +74,24 @@ TEST(Reporting, MixedProfilesLabelClasses)
     EXPECT_NE(text.find("1500B (50% of bytes)"), std::string::npos);
 }
 
+TEST(Reporting, ClassLabelsPrintSizesPastTheLongLongRange)
+{
+    // 2^63 bytes and more have no long long; a label prints the size's
+    // whole decimal value.
+    const auto mixed = TrafficProfile::mixed(
+        {{Bytes{0x1p63}, 0.5}, {Bytes{1e19}, 0.5}},
+        Bandwidth::from_gbps(4.0));
+    ThroughputReport report;
+    report.per_class.resize(2);
+    const auto text = render_throughput(report, mixed);
+    EXPECT_NE(text.find("class 9223372036854775808B (50% of bytes)"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("class 10000000000000000000B (50% of bytes)"),
+              std::string::npos)
+        << text;
+}
+
 TEST(Reporting, DotExportContainsStructure)
 {
     const auto hw = test::small_nic();

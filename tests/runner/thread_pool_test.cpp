@@ -3,42 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace lognic::runner {
 namespace {
-
-TEST(ThreadPool, RunsSubmittedTasks)
-{
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.size(), 3u);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, TasksMaySubmitTasks)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&] {
-        ++count;
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&count] { ++count; });
-    });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 11);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns)
-{
-    ThreadPool pool(2);
-    pool.wait_idle(); // no tasks: must not hang
-}
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
@@ -82,33 +54,30 @@ TEST(ParallelFor, RethrowsFirstException)
                          }),
             std::runtime_error);
     }
-}
-
-TEST(ThreadPool, WaitIdleRethrowsTaskExceptionAndPoolStaysUsable)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("task blew up"); });
-    try {
-        pool.wait_idle();
-        FAIL() << "expected runtime_error";
-    } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "task blew up");
+    // The lowest failing index's exception, as a serial run throws it —
+    // not whichever body threw first: index 5 sleeps before it throws, so
+    // with several threads index 40 usually throws first.
+    for (std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{16}}) {
+        for (int run = 0; run < 20; ++run) {
+            try {
+                parallel_for(64, threads, [](std::size_t i) {
+                    if (i == 5) {
+                        std::this_thread::sleep_for(
+                            std::chrono::microseconds(200));
+                        throw std::runtime_error("index 5");
+                    }
+                    if (i == 40)
+                        throw std::runtime_error("index 40");
+                });
+                ADD_FAILURE() << "nothing thrown at " << threads
+                              << " threads";
+            } catch (const std::runtime_error& e) {
+                EXPECT_STREQ(e.what(), "index 5")
+                    << threads << " threads, run " << run;
+            }
+        }
     }
-    // The stored exception was consumed; the pool keeps working.
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, OnlyFirstExceptionSurvivesABatch)
-{
-    ThreadPool pool(2);
-    for (int i = 0; i < 8; ++i)
-        pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-    // Later exceptions from the same batch were dropped, not queued up.
-    pool.wait_idle();
 }
 
 TEST(ParallelFor, MoreThreadsThanWorkIsFine)

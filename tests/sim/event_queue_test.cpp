@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -259,6 +260,72 @@ TEST(EventQueue, RunLimitsAbortStopsBetweenEvents)
     EXPECT_EQ(count, 11);
     EXPECT_DOUBLE_EQ(q.now(), 202.0);
     EXPECT_FALSE(q.empty());
+}
+
+/// Two event functors of different types, for target<F>().
+struct Stamp {
+    int* out;
+    int value;
+    void operator()() const { *out = value; }
+};
+struct Bump {
+    int* out;
+    void operator()() const { ++*out; }
+};
+
+TEST(InlineAction, TargetIsTheStoredFunctorOfItsOwnTypeOnly)
+{
+    int out = 0;
+    const InlineAction stamp = Stamp{&out, 7};
+    ASSERT_NE(stamp.target<Stamp>(), nullptr);
+    EXPECT_EQ(stamp.target<Stamp>()->out, &out);
+    EXPECT_EQ(stamp.target<Stamp>()->value, 7);
+    EXPECT_EQ(stamp.target<Bump>(), nullptr);
+
+    const InlineAction bump = Bump{&out};
+    ASSERT_NE(bump.target<Bump>(), nullptr);
+    EXPECT_EQ(bump.target<Bump>()->out, &out);
+    EXPECT_EQ(bump.target<Stamp>(), nullptr);
+
+    EXPECT_EQ(InlineAction{}.target<Stamp>(), nullptr);
+}
+
+TEST(EventQueue, ForEachPendingVisitsTheHeapAndTheLane)
+{
+    EventQueue q;
+    int out = 0;
+    struct Fan {
+        EventQueue* q;
+        int* out;
+        void operator()() const
+        {
+            for (int i = 0; i < 3; ++i)
+                q->schedule_in(0.0, Stamp{out, i}); // seqs 3, 4, 5: the lane
+        }
+    };
+    q.schedule_at(1.0, Fan{&q, &out}); // seq 0
+    q.schedule_at(4.0, Bump{&out});    // seq 1
+    q.schedule_at(2.5, Stamp{&out, 9}); // seq 2
+    RunLimits limits;
+    limits.max_events = 2; // the fan-out and the lane's first event
+    ASSERT_EQ(q.run_until(10.0, limits), RunOutcome::kEventBudget);
+    ASSERT_EQ(out, 0);
+
+    // (when, seq, what the action is: a Stamp's value, or -1 for a Bump)
+    std::vector<std::tuple<double, std::uint64_t, int>> seen;
+    q.for_each_pending([&seen](SimTime when, std::uint64_t seq,
+                               const EventQueue::Action& action) {
+        const Stamp* stamp = action.target<Stamp>();
+        ASSERT_TRUE(stamp != nullptr || action.target<Bump>() != nullptr);
+        seen.emplace_back(when, seq, stamp != nullptr ? stamp->value : -1);
+    });
+    EXPECT_EQ(seen.size(), q.size());
+    std::sort(seen.begin(), seen.end(), [](const auto& a, const auto& b) {
+        return std::get<1>(a) < std::get<1>(b);
+    });
+    const std::vector<std::tuple<double, std::uint64_t, int>> expected{
+        {4.0, 1, -1}, {2.5, 2, 9}, {1.0, 4, 1}, {1.0, 5, 2}};
+    EXPECT_EQ(seen, expected);
 }
 
 TEST(EventQueue, HeapStressMatchesSortedOrder)
