@@ -7,9 +7,9 @@
  * A Dataset is the ground truth side of a calibration problem. It can be
  * loaded from JSON (real testbed measurements) or generated synthetically
  * by running the packet-level DES simulator over a traffic grid — the
- * repository's stand-in for a physical SmartNIC. Generation fans out
- * across the lognic::runner thread pool with per-point derived seeds, so
- * a generated dataset is bit-identical for any thread count.
+ * repository's stand-in for a physical SmartNIC. Generation runs the
+ * grid as a runner::Sweep with per-replication derived seeds, so a
+ * generated dataset is bit-identical for any thread count.
  */
 #ifndef LOGNIC_CALIB_DATASET_HPP_
 #define LOGNIC_CALIB_DATASET_HPP_
@@ -107,10 +107,11 @@ struct GenerationSpec {
 };
 
 /**
- * Run the DES simulator over the spec's grid and collect one observation
- * per point (replication-averaged). Seeds derive from
- * (root_seed, point index, replication index); results are bit-identical
- * across thread counts.
+ * Run the DES simulator over the spec's grid, rate-major, as a
+ * runner::Sweep and collect one observation per point (the mean of its
+ * replications, as runner::Replicator::aggregate folds them). Seeds
+ * derive from (root_seed, point index, replication index); results are
+ * bit-identical across thread counts.
  *
  * @throws std::invalid_argument on an empty effective grid or zero
  * replications.

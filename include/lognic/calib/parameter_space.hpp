@@ -46,6 +46,9 @@ struct Candidate {
     std::vector<core::ExecutionGraph> graphs;
 };
 
+/// Split a path on dots: "a.b.c" -> {"a", "b", "c"}, "" -> {""}.
+std::vector<std::string> split_path(const std::string& path);
+
 /// One free variable of a calibration.
 struct Parameter {
     std::string name;

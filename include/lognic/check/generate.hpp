@@ -12,12 +12,11 @@
  * arbitrarily deep overload or idle, where every comparator trivially
  * agrees (all-drops or all-zeros) and the run checks nothing.
  *
- * Platform stability is why this file carries its own PRNG: the std::
- * engines are exactly specified but the std:: *distributions* are
- * implementation-defined, so a generator built on them produces different
- * scenarios per standard library. CheckRng is a SplitMix64 stream (the
- * same construction runner::derive_seed uses) with hand-rolled uniform
- * draws — identical output everywhere.
+ * Platform stability is why the generator draws from runner::SplitMix64
+ * (CheckRng): the std:: engines are exactly specified but the std::
+ * *distributions* are implementation-defined, so a generator built on
+ * them produces different scenarios per standard library. SplitMix64's
+ * uniform draws are hand-rolled — identical output everywhere.
  */
 #ifndef LOGNIC_CHECK_GENERATE_HPP_
 #define LOGNIC_CHECK_GENERATE_HPP_
@@ -29,42 +28,8 @@
 
 namespace lognic::check {
 
-/// Platform-stable PRNG: a SplitMix64 stream with explicit bit-to-double
-/// conversions (no std:: distributions anywhere in the draw path).
-class CheckRng {
-  public:
-    explicit CheckRng(std::uint64_t seed) : state_(seed) {}
-
-    std::uint64_t next_u64()
-    {
-        state_ += runner::kSplitMix64Gamma;
-        return runner::splitmix64_mix(state_);
-    }
-
-    /// Uniform in [0, 1): the top 53 bits as a double mantissa.
-    double uniform01()
-    {
-        return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-    }
-
-    double uniform(double lo, double hi)
-    {
-        return lo + (hi - lo) * uniform01();
-    }
-
-    /// Uniform integer in [lo, hi], inclusive. Requires lo <= hi.
-    std::uint32_t uniform_u32(std::uint32_t lo, std::uint32_t hi)
-    {
-        const std::uint64_t span =
-            static_cast<std::uint64_t>(hi) - lo + 1;
-        return lo + static_cast<std::uint32_t>(next_u64() % span);
-    }
-
-    bool bernoulli(double p) { return uniform01() < p; }
-
-  private:
-    std::uint64_t state_;
-};
+/// The generator's platform-stable PRNG.
+using CheckRng = runner::SplitMix64;
 
 /**
  * Bounds for the scenario generator. The defaults keep scenarios small

@@ -143,6 +143,14 @@ CheckReport run_trials(const CheckOptions& copts);
 CheckReport replay_corpus(const std::vector<CorpusEntry>& entries,
                           const CheckOptions& copts);
 
+/**
+ * One `lognic check` campaign: replay @p corpus, then run copts.trials
+ * random trials and merge them on top. ckpt::supervise_check runs the
+ * same campaign with journal hooks, so its report is the same bytes.
+ */
+CheckReport run_campaign(const CheckOptions& copts,
+                         const std::vector<CorpusEntry>& corpus);
+
 } // namespace lognic::check
 
 #endif // LOGNIC_CHECK_HARNESS_HPP_

@@ -68,11 +68,9 @@ struct SupervisorOptions {
     std::uint64_t checkpoint_every{8};
     /// Generations kept on disk.
     std::size_t retention{3};
-    /// Extra passes over failed sweep points (0 = report failures as-is).
+    /// Extra passes over failed sweep points (0 = report failures as-is);
+    /// supervise_sweep backs off 0.5 * 2^(r-1) seconds before round r.
     std::size_t retry_rounds{0};
-    /// Backoff before retry round r: initial * multiplier^(r-1) seconds.
-    double backoff_initial_seconds{0.5};
-    double backoff_multiplier{2.0};
     /// Test seam: called instead of a real sleep when set.
     std::function<void(double seconds)> sleep_fn{};
     /// Diagnostics sink (resume decisions, rejected generations, retry

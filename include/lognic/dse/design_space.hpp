@@ -24,6 +24,11 @@
  *   placement.nf_chain             NF-chain offload placement (16 levels,
  *                                  §4.5; replaces hw + graph wholesale)
  *
+ * add() records each built-in knob's KnobKind (and the vertex or IP it
+ * names) from the path it has just parsed; add_custom() knobs are always
+ * KnobKind::kCustom, whatever their names. The pruner bounds throughput
+ * terms by these kinds and never re-reads a knob's name.
+ *
  * Scenario-rebuilding knobs (placement.*) are applied before all others
  * and are mutually exclusive with knobs whose accessors were resolved
  * against base-scenario names (ip.*, graph.*, vertex.*): an accessor
@@ -49,6 +54,20 @@
 
 namespace lognic::dse {
 
+/// What a knob's declared path can structurally touch.
+enum class KnobKind {
+    kCustom,            ///< add_custom(); could touch anything
+    kPlacement,         ///< placement.nf_chain: scenario-rebuilding stratum
+    kVertexParallelism, ///< vertex.<v>.parallelism: one attainable-rate term
+    kVertexQueue,       ///< vertex.<v>.queue_capacity: latency only
+    kTraffic,           ///< traffic.rate_gbps: the offered ingress rate
+    kLineRate,          ///< line_rate_gbps: the line-rate term
+    kInterface,         ///< interface_gbps: the shared-interface term
+    kMemory,            ///< memory_gbps: the shared-memory term
+    kIpCatalog,         ///< ip.<name>.*: terms of every vertex on that IP
+    kGraphOverhead,     ///< graph.<g>.vertex.<v>.overhead_us: latency only
+};
+
 /// One discrete axis of the space.
 struct Knob {
     std::string name;
@@ -64,6 +83,11 @@ struct Knob {
     /// incompatible with rebuilds_scenario knobs.
     bool base_bound{false};
     std::function<void(io::Scenario&, double)> apply;
+    /// Recorded by DesignSpace::add from the parsed path; add_custom()
+    /// records kCustom whatever is set here.
+    KnobKind kind{KnobKind::kCustom};
+    /// The vertex (kVertex*) or IP (kIpCatalog) the path names; else empty.
+    std::string target;
 };
 
 class DesignSpace {
@@ -84,7 +108,7 @@ class DesignSpace {
      */
     std::size_t add(const std::string& path, std::vector<double> values,
                     double cost_weight = 0.0);
-    /// Fully custom knob (arbitrary apply).
+    /// Fully custom knob (arbitrary apply), recorded as KnobKind::kCustom.
     std::size_t add_custom(Knob k);
 
     std::size_t size() const { return knobs_.size(); }
@@ -114,6 +138,9 @@ class DesignSpace {
     io::Json config_json(const Config& c) const;
 
   private:
+    /// Validate @p k against the knobs declared so far and append it.
+    std::size_t insert(Knob k);
+
     io::Scenario base_;
     std::vector<Knob> knobs_;
 };

@@ -8,7 +8,7 @@
  *
  *   cost             exactly separable: sum(level * cost_weight)
  *   capacity_gbps    Eq. 4 is a min() of per-entity terms, and — for
- *                    single-class traffic with recognized knob paths —
+ *                    single-class traffic with built-in knobs only —
  *                    every term depends on at most one knob (a vertex's
  *                    attainable rate on its parallelism / its IP's
  *                    catalog entry, the shared interface / memory /
@@ -17,6 +17,11 @@
  *                    model's own term construction
  *   throughput_gbps  min(capacity, offered rate) with the offered rate
  *                    tabled from the traffic knob
+ *
+ * What a knob can touch is the KnobKind that DesignSpace::add recorded
+ * from its path; the pruner never reads a knob's name. An add_custom knob
+ * is KnobKind::kCustom whatever it is called, so one named like a
+ * built-in path cannot pass for it.
  *
  * Construction narrows each knob's level-set domain to a fixpoint
  * against the user's box constraints (interval arithmetic for cost,
@@ -31,8 +36,8 @@
  * DesignSpace::cost itself (same summation order as the model oracle)
  * and capacity terms are produced by the same pure term construction the
  * throughput model runs, so the pruner's comparison sees the identical
- * double the solver would. Terms it cannot table (unrecognized custom
- * knobs, mixed traffic, multi-knob terms) only ever *weaken* the bound
+ * double the solver would. Terms it cannot table (custom knobs, mixed
+ * traffic, multi-knob terms) only ever *weaken* the bound
  * — a config is rejected on an upper bound below a lower constraint (or,
  * when the term set is complete, on the exact metric), never on a guess.
  * Latency and drop-rate constraints are never pruned; they need a solve.
@@ -149,7 +154,7 @@ class Pruner {
     int rebuild_knob_{-1};
     int traffic_knob_{-1};
     bool single_class_{false};
-    bool paths_recognized_{false}; ///< every knob path is classifiable
+    bool paths_recognized_{false}; ///< no custom knob, <= 1 rebuild knob
     Bandwidth offered_const_{Bandwidth{0.0}};
     std::vector<Bandwidth> offered_by_level_;
     std::vector<Stratum> strata_; ///< one per rebuild level; else size 1

@@ -6,9 +6,11 @@
  * A single DES run is one draw from the distribution the simulator
  * defines; figure-quality numbers need several independent replications
  * and an honest error bar. The Replicator derives one seed per replication
- * from a root seed (see seed.hpp), runs them — optionally in parallel —
- * and aggregates each metric into mean / sample stddev / 95% Student-t
- * confidence half-width.
+ * from a root seed (see seed.hpp), runs them — optionally in parallel,
+ * recording a replication that throws instead of failing the batch — and
+ * aggregates each metric into mean / sample stddev / 95% Student-t
+ * confidence half-width. runner::Sweep folds each point's replications
+ * with the same aggregate().
  *
  * Replications that complete zero requests after warmup are *degenerate*:
  * their SimResult latency fields hold the documented empty-set sentinel
@@ -117,16 +119,12 @@ class Replicator {
 
     /**
      * Run fn(seed) once per replication — across @p threads threads when
-     * > 1 — and aggregate. Results are identical for any thread count:
-     * each replication depends only on its derived seed.
-     */
-    ReplicationResult run(const SimFn& fn, std::size_t threads = 1) const;
-
-    /**
-     * Failure-isolating run: a replication whose fn(seed) throws becomes a
+     * > 1 — and aggregate. A replication whose fn(seed) throws becomes a
      * FailedReplication record instead of aborting the batch; the
-     * survivors aggregate as usual (stats.seeds lists only them). Same
-     * thread-count-independence guarantee as run().
+     * survivors aggregate as usual (stats.seeds lists only them). Results
+     * are identical for any thread count: each replication depends only
+     * on its derived seed. @throws std::invalid_argument on zero
+     * replications.
      */
     GuardedReplication run_guarded(const SimFn& fn,
                                    std::size_t threads = 1) const;

@@ -15,6 +15,12 @@
  * pairwise distinct for distinct indices (GAMMA is odd), so derived seeds
  * never collide for the same root. Index 0 does not map to the root itself
  * (the +1), keeping the root reserved for deriving, never for running.
+ *
+ * SplitMix64 is the same construction as a stream: its i-th draw is
+ * derive_seed(seed, i). It is the one platform-stable PRNG of the
+ * repository (check's scenario generator, dse's random strategies): its
+ * uniform draws are explicit bit arithmetic, never std:: distributions,
+ * whose output is implementation-defined.
  */
 #ifndef LOGNIC_RUNNER_SEED_HPP_
 #define LOGNIC_RUNNER_SEED_HPP_
@@ -41,6 +47,44 @@ derive_seed(std::uint64_t root, std::uint64_t index)
 {
     return splitmix64_mix(root + (index + 1) * kSplitMix64Gamma);
 }
+
+/// The SplitMix64 stream under @p seed: draw i is derive_seed(seed, i).
+class SplitMix64 {
+  public:
+    explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
+
+    std::uint64_t next_u64()
+    {
+        state_ += kSplitMix64Gamma;
+        return splitmix64_mix(state_);
+    }
+
+    /// next_u64() % n, in [0, n). Requires n > 0.
+    std::uint64_t below(std::uint64_t n) { return next_u64() % n; }
+
+    /// Uniform in [0, 1): the top 53 bits as a double mantissa.
+    double uniform01()
+    {
+        return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+    }
+
+    double uniform(double lo, double hi)
+    {
+        return lo + (hi - lo) * uniform01();
+    }
+
+    /// Uniform integer in [lo, hi], inclusive. Requires lo <= hi.
+    std::uint32_t uniform_u32(std::uint32_t lo, std::uint32_t hi)
+    {
+        return lo + static_cast<std::uint32_t>(
+                        below(static_cast<std::uint64_t>(hi) - lo + 1));
+    }
+
+    bool bernoulli(double p) { return uniform01() < p; }
+
+  private:
+    std::uint64_t state_;
+};
 
 } // namespace lognic::runner
 

@@ -6,9 +6,8 @@
 #include <stdexcept>
 
 #include "lognic/io/serialize.hpp"
-#include "lognic/runner/replicator.hpp"
 #include "lognic/runner/seed.hpp"
-#include "lognic/runner/thread_pool.hpp"
+#include "lognic/runner/sweep.hpp"
 
 namespace lognic::calib {
 
@@ -152,15 +151,17 @@ generate_dataset(const core::HardwareModel& hw,
         throw std::invalid_argument(
             "generate_dataset: zero replications");
 
-    // Expand the grid; an absent axis keeps the base profile's value.
-    struct Point {
-        std::string label;
-        core::TrafficProfile traffic;
-    };
+    // Expand the grid, rate-major; an absent axis keeps the base
+    // profile's value.
     std::vector<double> rates = spec.rates_gbps;
     if (rates.empty())
         rates.push_back(base.ingress_bandwidth().gbps());
-    std::vector<Point> points;
+    runner::Sweep sweep;
+    const auto add_point = [&](const char* label,
+                               core::TrafficProfile traffic) {
+        sweep.add(runner::SweepPoint{label, hw, graph, std::move(traffic),
+                                     spec.sim});
+    };
     for (double rate : rates) {
         if (rate <= 0.0)
             throw std::invalid_argument(
@@ -170,7 +171,7 @@ generate_dataset(const core::HardwareModel& hw,
             t.set_ingress_bandwidth(Bandwidth::from_gbps(rate));
             char label[64];
             std::snprintf(label, sizeof label, "%gG/base", rate);
-            points.push_back(Point{label, std::move(t)});
+            add_point(label, std::move(t));
             continue;
         }
         for (double size : spec.packet_sizes_bytes) {
@@ -179,46 +180,33 @@ generate_dataset(const core::HardwareModel& hw,
                     "generate_dataset: non-positive packet size");
             char label[64];
             std::snprintf(label, sizeof label, "%gG/%gB", rate, size);
-            points.push_back(
-                Point{label,
-                      core::TrafficProfile::fixed(
-                          Bytes{size}, Bandwidth::from_gbps(rate))});
+            add_point(label, core::TrafficProfile::fixed(
+                                 Bytes{size}, Bandwidth::from_gbps(rate)));
         }
     }
-    if (points.empty())
+    if (sweep.size() == 0)
         throw std::invalid_argument("generate_dataset: empty grid");
 
-    // One replicated DES campaign per point, fanned across the runner.
-    // Seeds derive from (root, point index, replication index), so which
-    // thread evaluates a point cannot affect its observation.
-    std::vector<Observation> observations(points.size());
-    runner::parallel_for(
-        points.size(), spec.threads, [&](std::size_t i) {
-            const runner::Replicator reps(
-                spec.replications,
-                runner::derive_seed(spec.root_seed, i));
-            const auto stats =
-                reps.run([&](std::uint64_t seed) {
-                    sim::SimOptions opts = spec.sim;
-                    opts.seed = seed;
-                    return sim::simulate(hw, graph, points[i].traffic,
-                                         opts);
-                });
-            Observation obs;
-            obs.label = points[i].label;
-            obs.traffic = points[i].traffic;
-            obs.throughput =
-                Bandwidth::from_gbps(stats.delivered_gbps.mean);
-            obs.mean_latency =
-                Seconds::from_micros(stats.mean_latency_us.mean);
-            obs.p99_latency =
-                Seconds::from_micros(stats.p99_latency_us.mean);
-            observations[i] = std::move(obs);
-        });
-
+    // One replicated DES campaign per point. Replication r of point p
+    // runs under derive_seed(derive_seed(root, p), r), so which thread
+    // evaluates a point cannot affect its observation.
+    runner::SweepOptions options;
+    options.threads = spec.threads;
+    options.replications = spec.replications;
+    options.root_seed = spec.root_seed;
     Dataset data;
-    for (auto& obs : observations)
+    for (const runner::PointResult& point : sweep.run(options)) {
+        Observation obs;
+        obs.label = point.label;
+        obs.traffic = sweep.point(point.index).traffic;
+        obs.throughput =
+            Bandwidth::from_gbps(point.stats.delivered_gbps.mean);
+        obs.mean_latency =
+            Seconds::from_micros(point.stats.mean_latency_us.mean);
+        obs.p99_latency =
+            Seconds::from_micros(point.stats.p99_latency_us.mean);
         data.add(std::move(obs));
+    }
     return data;
 }
 

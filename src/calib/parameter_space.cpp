@@ -9,9 +9,6 @@
 
 namespace lognic::calib {
 
-namespace {
-
-/// Split "a.b.c" on dots.
 std::vector<std::string>
 split_path(const std::string& path)
 {
@@ -28,6 +25,8 @@ split_path(const std::string& path)
     }
     return parts;
 }
+
+namespace {
 
 [[noreturn]] void
 bad_path(const std::string& path, const std::string& why)

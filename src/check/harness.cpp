@@ -290,4 +290,16 @@ replay_corpus(const std::vector<CorpusEntry>& entries,
     return report;
 }
 
+CheckReport
+run_campaign(const CheckOptions& copts,
+             const std::vector<CorpusEntry>& corpus)
+{
+    CheckReport report;
+    if (!corpus.empty())
+        report = replay_corpus(corpus, copts);
+    if (copts.trials > 0)
+        report = merge(std::move(report), run_trials(copts));
+    return report;
+}
+
 } // namespace lognic::check

@@ -228,7 +228,7 @@ supervise_sweep(const runner::Sweep& sweep, runner::SweepOptions options,
     runner::SweepReport report = sweep.run_guarded(options);
 
     std::size_t rounds = 0;
-    double backoff = sup.backoff_initial_seconds;
+    double backoff = 0.5; // seconds, doubling each round
     while (rounds < sup.retry_rounds && !report.failed.empty()) {
         ++rounds;
         log_to(sup, "supervisor: retry round " + std::to_string(rounds)
@@ -236,7 +236,7 @@ supervise_sweep(const runner::Sweep& sweep, runner::SweepOptions options,
                         + " failed point(s), backing off "
                         + std::to_string(backoff) + "s");
         do_sleep(sup, backoff);
-        backoff *= sup.backoff_multiplier;
+        backoff *= 2.0;
         journal.erase_if(
             [](const runner::CompletedTask& t) { return !t.ok; });
         campaign.compact_next();
@@ -279,14 +279,7 @@ supervise_check(check::CheckOptions copts,
     copts.resume_lookup = journal.lookup_fn();
     copts.on_trial_complete = journal.record_fn(campaign.tick_fn());
 
-    // Same composition as `lognic check`: corpus replay first, random
-    // trials merged on top — so a supervised report is byte-identical to
-    // an unsupervised one.
-    check::CheckReport report;
-    if (!corpus.empty())
-        report = check::replay_corpus(corpus, copts);
-    if (copts.trials > 0)
-        report = check::merge(std::move(report), check::run_trials(copts));
+    check::CheckReport report = check::run_campaign(copts, corpus);
 
     campaign.flush();
     return {std::move(report), campaign.resume(), campaign.checkpoints()};

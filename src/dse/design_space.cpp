@@ -46,24 +46,6 @@ validate_integer_levels(const std::string& path,
     }
 }
 
-/// Split "vertex.<name>.parallelism"-style paths on dots.
-std::vector<std::string>
-split_path(const std::string& path)
-{
-    std::vector<std::string> parts;
-    std::size_t begin = 0;
-    while (begin <= path.size()) {
-        const std::size_t dot = path.find('.', begin);
-        if (dot == std::string::npos) {
-            parts.push_back(path.substr(begin));
-            break;
-        }
-        parts.push_back(path.substr(begin, dot - begin));
-        begin = dot + 1;
-    }
-    return parts;
-}
-
 /// Resolve a calib::ParameterSpace catalog path against the base scenario
 /// and return its setter. Validation (unknown IP/ceiling/vertex, malformed
 /// indices) happens here, with calib's own error messages.
@@ -100,7 +82,7 @@ DesignSpace::add(const std::string& path, std::vector<double> values,
     Knob k;
     k.name = path;
     k.cost_weight = cost_weight;
-    const std::vector<std::string> parts = split_path(path);
+    const std::vector<std::string> parts = calib::split_path(path);
 
     if (path == "placement.nf_chain") {
         const auto placements = apps::all_placements();
@@ -122,6 +104,7 @@ DesignSpace::add(const std::string& path, std::vector<double> values,
         }
         k.values = std::move(values);
         k.rebuilds_scenario = true;
+        k.kind = KnobKind::kPlacement;
         k.apply = [chains = std::shared_ptr<const Chains>(std::move(chains))](
                       io::Scenario& sc, double v) {
             const apps::NfChainScenario& built =
@@ -129,7 +112,7 @@ DesignSpace::add(const std::string& path, std::vector<double> values,
             sc.hw = built.hw;
             sc.graph = built.graph;
         };
-        return add_custom(std::move(k));
+        return insert(std::move(k));
     }
 
     validate_levels(path, values);
@@ -148,6 +131,9 @@ DesignSpace::add(const std::string& path, std::vector<double> values,
         if (!is_parallelism && parts[2] != "queue_capacity")
             bad_knob(path, "unknown vertex field '" + parts[2]
                                + "' (parallelism, queue_capacity)");
+        k.kind = is_parallelism ? KnobKind::kVertexParallelism
+                                : KnobKind::kVertexQueue;
+        k.target = vertex_name;
         k.apply = [vertex_name, is_parallelism, path](io::Scenario& sc,
                                                       double v) {
             const auto id = sc.graph.find_vertex(vertex_name);
@@ -160,24 +146,39 @@ DesignSpace::add(const std::string& path, std::vector<double> values,
             else
                 params.queue_capacity = static_cast<std::uint32_t>(v);
         };
-        return add_custom(std::move(k));
+        return insert(std::move(k));
     }
 
     if (path == "traffic.rate_gbps") {
         if (values.front() <= 0.0)
             bad_knob(path, "levels must be > 0");
         k.values = std::move(values);
+        k.kind = KnobKind::kTraffic;
         k.apply = [](io::Scenario& sc, double v) {
             sc.traffic.set_ingress_bandwidth(Bandwidth::from_gbps(v));
         };
-        return add_custom(std::move(k));
+        return insert(std::move(k));
     }
 
     // Everything else is a hardware-catalog / graph-overhead path,
     // resolved (and rejected by name) by calib::ParameterSpace.
     auto set = resolve_catalog_setter(base_, path, values);
     k.values = std::move(values);
-    k.base_bound = parts[0] == "ip" || parts[0] == "graph";
+    // calib accepted the path: ip.*, graph.*, or a device-wide rate.
+    if (parts[0] == "ip") {
+        k.kind = KnobKind::kIpCatalog;
+        k.target = parts[1];
+    } else if (parts[0] == "graph") {
+        k.kind = KnobKind::kGraphOverhead;
+    } else if (path == "interface_gbps") {
+        k.kind = KnobKind::kInterface;
+    } else if (path == "memory_gbps") {
+        k.kind = KnobKind::kMemory;
+    } else {
+        k.kind = KnobKind::kLineRate;
+    }
+    k.base_bound = k.kind == KnobKind::kIpCatalog
+        || k.kind == KnobKind::kGraphOverhead;
     k.apply = [set = std::move(set)](io::Scenario& sc, double v) {
         calib::Candidate c{std::move(sc.hw), {}};
         c.graphs.push_back(std::move(sc.graph));
@@ -185,11 +186,20 @@ DesignSpace::add(const std::string& path, std::vector<double> values,
         sc.hw = std::move(c.hw);
         sc.graph = std::move(c.graphs.front());
     };
-    return add_custom(std::move(k));
+    return insert(std::move(k));
 }
 
 std::size_t
 DesignSpace::add_custom(Knob k)
+{
+    // A custom apply could touch anything, whatever the knob is named.
+    k.kind = KnobKind::kCustom;
+    k.target.clear();
+    return insert(std::move(k));
+}
+
+std::size_t
+DesignSpace::insert(Knob k)
 {
     if (k.name.empty())
         throw std::invalid_argument("design space knob: name must be "

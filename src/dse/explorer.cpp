@@ -26,22 +26,6 @@ namespace {
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Counter-mode deterministic RNG over runner::derive_seed — platform
-/// stable, and (being serial) independent of thread count.
-class Rng {
-  public:
-    explicit Rng(std::uint64_t root) : root_(root) {}
-    std::uint64_t next() { return runner::derive_seed(root_, counter_++); }
-    std::size_t pick(std::size_t n)
-    {
-        return static_cast<std::size_t>(next() % n);
-    }
-
-  private:
-    std::uint64_t root_;
-    std::uint64_t counter_{0};
-};
-
 double
 worst_p99_us(const core::Report& rep)
 {
@@ -137,13 +121,15 @@ validate_inputs(const DesignSpace& space,
         throw std::invalid_argument("dse: budget must be >= 1");
 }
 
+/// One draw per knob from the search's SplitMix64 stream — platform
+/// stable, and (being serial) independent of thread count.
 Config
-random_config(const DesignSpace& space, Rng& rng)
+random_config(const DesignSpace& space, runner::SplitMix64& rng)
 {
     Config c(space.size());
     for (std::size_t k = 0; k < space.size(); ++k)
         c[k] = static_cast<std::uint32_t>(
-            rng.pick(space.knob(k).values.size()));
+            rng.below(space.knob(k).values.size()));
     return c;
 }
 
@@ -177,7 +163,7 @@ void
 run_mutation(const DesignSpace& space, const ExploreOptions& opts,
              const std::vector<Sense>& senses, BatchEvaluator& ev)
 {
-    Rng rng(opts.seed);
+    runner::SplitMix64 rng(opts.seed);
     std::vector<Config> batch;
     for (std::size_t i = 0; i < opts.population; ++i)
         batch.push_back(random_config(space, rng));
@@ -230,7 +216,7 @@ void
 run_nsga2(const DesignSpace& space, const ExploreOptions& opts,
           const std::vector<Sense>& senses, BatchEvaluator& ev)
 {
-    Rng rng(opts.seed);
+    runner::SplitMix64 rng(opts.seed);
     std::vector<Config> seed_batch;
     for (std::size_t i = 0; i < opts.population; ++i)
         seed_batch.push_back(random_config(space, rng));
@@ -261,8 +247,8 @@ run_nsga2(const DesignSpace& space, const ExploreOptions& opts,
         std::vector<double> crowd;
         rank_and_crowd(pop, rank, crowd);
         const auto tournament = [&]() {
-            const std::size_t a = rng.pick(pop.size());
-            const std::size_t b = rng.pick(pop.size());
+            const std::size_t a = rng.below(pop.size());
+            const std::size_t b = rng.below(pop.size());
             if (rank[a] != rank[b])
                 return rank[a] < rank[b] ? a : b;
             if (crowd[a] != crowd[b])
@@ -275,12 +261,12 @@ run_nsga2(const DesignSpace& space, const ExploreOptions& opts,
             const std::size_t p2 = tournament();
             Config child(space.size());
             for (std::size_t k = 0; k < space.size(); ++k)
-                child[k] = rng.next() % 2 == 0 ? pop[p1].config[k]
-                                               : pop[p2].config[k];
+                child[k] = rng.below(2) == 0 ? pop[p1].config[k]
+                                             : pop[p2].config[k];
             for (std::size_t k = 0; k < space.size(); ++k)
-                if (rng.pick(space.size()) == 0)
+                if (rng.below(space.size()) == 0)
                     child[k] = static_cast<std::uint32_t>(
-                        rng.pick(space.knob(k).values.size()));
+                        rng.below(space.knob(k).values.size()));
             offspring.push_back(std::move(child));
         }
         std::vector<ScoredConfig> scored_q = ev.scored_batch(offspring);

@@ -20,71 +20,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Split "vertex.<name>.parallelism"-style paths on dots.
-std::vector<std::string>
-split_path(const std::string& path)
-{
-    std::vector<std::string> parts;
-    std::size_t begin = 0;
-    while (begin <= path.size()) {
-        const std::size_t dot = path.find('.', begin);
-        if (dot == std::string::npos) {
-            parts.push_back(path.substr(begin));
-            break;
-        }
-        parts.push_back(path.substr(begin, dot - begin));
-        begin = dot + 1;
-    }
-    return parts;
-}
-
-/// What a knob's declared path can structurally touch.
-struct KnobClass {
-    enum Kind {
-        kUnknown,           ///< custom path; could touch anything
-        kPlacement,         ///< scenario-rebuilding stratum knob
-        kVertexParallelism, ///< one vertex's attainable-rate term
-        kVertexQueue,       ///< latency only; no throughput term
-        kTraffic,           ///< the offered ingress rate
-        kLineRate,          ///< the line-rate term
-        kInterface,         ///< the shared-interface term
-        kMemory,            ///< the shared-memory term
-        kIpCatalog,         ///< terms of every vertex bound to that IP
-        kGraphOverhead,     ///< latency only; no throughput term
-    };
-    Kind kind{kUnknown};
-    std::string target; ///< vertex or IP name where applicable
-};
-
-KnobClass
-classify(const std::string& name)
-{
-    const auto parts = split_path(name);
-    if (name == "placement.nf_chain")
-        return {KnobClass::kPlacement, {}};
-    if (parts.size() == 3 && parts[0] == "vertex") {
-        if (parts[2] == "parallelism")
-            return {KnobClass::kVertexParallelism, parts[1]};
-        if (parts[2] == "queue_capacity")
-            return {KnobClass::kVertexQueue, parts[1]};
-        return {KnobClass::kUnknown, {}};
-    }
-    if (name == "traffic.rate_gbps")
-        return {KnobClass::kTraffic, {}};
-    if (name == "line_rate_gbps")
-        return {KnobClass::kLineRate, {}};
-    if (name == "interface_gbps")
-        return {KnobClass::kInterface, {}};
-    if (name == "memory_gbps")
-        return {KnobClass::kMemory, {}};
-    if (parts.size() >= 3 && parts[0] == "ip")
-        return {KnobClass::kIpCatalog, parts[1]};
-    if (parts.size() >= 2 && parts[0] == "graph"
-        && parts.back() == "overhead_us")
-        return {KnobClass::kGraphOverhead, {}};
-    return {KnobClass::kUnknown, {}};
-}
-
 bool
 is_throughput_metric(const std::string& metric)
 {
@@ -140,17 +75,16 @@ Pruner::Pruner(const DesignSpace& space,
     paths_recognized_ = true;
     for (std::size_t k = 0; k < space_.size(); ++k) {
         const Knob& knob = space_.knob(k);
-        const KnobClass kc = classify(knob.name);
         if (knob.rebuilds_scenario) {
-            if (kc.kind == KnobClass::kPlacement && rebuild_knob_ < 0)
+            if (knob.kind == KnobKind::kPlacement && rebuild_knob_ < 0)
                 rebuild_knob_ = static_cast<int>(k);
             else
-                paths_recognized_ = false; // unknown/second rebuild axis
+                paths_recognized_ = false; // custom/second rebuild axis
             continue;
         }
-        if (kc.kind == KnobClass::kUnknown)
+        if (knob.kind == KnobKind::kCustom)
             paths_recognized_ = false;
-        if (kc.kind == KnobClass::kTraffic)
+        if (knob.kind == KnobKind::kTraffic)
             traffic_knob_ = static_cast<int>(k);
     }
 
@@ -201,10 +135,10 @@ Pruner::build_term_tables()
             for (std::size_t k = 0; k < space_.size(); ++k) {
                 if (static_cast<int>(k) == rebuild_knob_)
                     continue;
-                const KnobClass kc = classify(space_.knob(k).name);
-                switch (kc.kind) {
-                  case KnobClass::kVertexParallelism: {
-                    const auto id = sc0.graph.find_vertex(kc.target);
+                const Knob& knob = space_.knob(k);
+                switch (knob.kind) {
+                  case KnobKind::kVertexParallelism: {
+                    const auto id = sc0.graph.find_vertex(knob.target);
                     if (!id)
                         throw std::runtime_error("vertex missing");
                     const auto kind =
@@ -212,32 +146,32 @@ Pruner::build_term_tables()
                                 == core::VertexKind::kRateLimiter
                         ? core::TermKind::kRateLimit
                         : core::TermKind::kIpCompute;
-                    deps[{static_cast<int>(kind), kc.target}].push_back(k);
+                    deps[{static_cast<int>(kind), knob.target}].push_back(k);
                     break;
                   }
-                  case KnobClass::kIpCatalog:
+                  case KnobKind::kIpCatalog:
                     for (core::VertexId v = 0; v < sc0.graph.vertex_count();
                          ++v) {
                         const core::Vertex& vx = sc0.graph.vertex(v);
                         if (vx.kind == core::VertexKind::kIp
-                            && sc0.hw.ip(vx.ip).name == kc.target)
+                            && sc0.hw.ip(vx.ip).name == knob.target)
                             deps[{static_cast<int>(
                                       core::TermKind::kIpCompute),
                                   vx.name}]
                                 .push_back(k);
                     }
                     break;
-                  case KnobClass::kLineRate:
+                  case KnobKind::kLineRate:
                     deps[{static_cast<int>(core::TermKind::kLineRate),
                           "ingress/egress"}]
                         .push_back(k);
                     break;
-                  case KnobClass::kInterface:
+                  case KnobKind::kInterface:
                     deps[{static_cast<int>(core::TermKind::kInterface),
                           "interface"}]
                         .push_back(k);
                     break;
-                  case KnobClass::kMemory:
+                  case KnobKind::kMemory:
                     deps[{static_cast<int>(core::TermKind::kMemory),
                           "memory"}]
                         .push_back(k);

@@ -68,19 +68,6 @@ Replicator::seeds() const
     return out;
 }
 
-ReplicationResult
-Replicator::run(const SimFn& fn, std::size_t threads) const
-{
-    if (replications_ == 0)
-        throw std::invalid_argument("Replicator: zero replications");
-    const auto reps_seeds = seeds();
-    std::vector<sim::SimResult> results(replications_);
-    parallel_for(replications_, threads, [&](std::size_t i) {
-        results[i] = fn(reps_seeds[i]);
-    });
-    return aggregate(reps_seeds, results);
-}
-
 GuardedReplication
 Replicator::run_guarded(const SimFn& fn, std::size_t threads) const
 {

@@ -333,13 +333,11 @@ TEST(SuperviseSweep, RetriesFailedPointsWithExponentialBackoff)
     SupervisorOptions sup;
     sup.dir = dir.path();
     sup.retry_rounds = 2;
-    sup.backoff_initial_seconds = 0.25;
-    sup.backoff_multiplier = 2.0;
     sup.sleep_fn = [&sleeps](double s) { sleeps.push_back(s); };
 
     const SupervisedSweep out = supervise_sweep(sweep, so, sup);
     EXPECT_EQ(out.retry_rounds_used, 2u);
-    EXPECT_EQ(sleeps, (std::vector<double>{0.25, 0.5}));
+    EXPECT_EQ(sleeps, (std::vector<double>{0.5, 1.0}));
     ASSERT_EQ(out.report.failed.size(), 1u);
     EXPECT_EQ(out.report.failed[0].label, "bad");
     ASSERT_EQ(out.report.results.size(), 1u);

@@ -6,10 +6,12 @@
  * cycle into a *fresh* simulator must complete to the identical result.
  * Exercised across the behaviors a checkpoint must capture faithfully:
  * overload drops, deterministic service, burst modulation, fault-plan
- * replay (engine fail-stop with requeue, drop bursts), a slowdown in
- * force on a vertex with per-input queues (its service laws and queued
- * count are rebuilt from the snapshot), and a credit window (held
- * packets, free credits, pending credit returns). The
+ * replay (engine fail-stop, drop bursts), a failure of every engine that
+ * requeues the requests in service (their killed completions stay
+ * pending in the calendar), a slowdown in force on a vertex with
+ * per-input queues (its service laws and queued count are rebuilt from
+ * the snapshot), and a credit window (held packets, free credits,
+ * pending credit returns). The
  * unsupported-configuration guards (tracing, watchdog, API misuse) must
  * throw rather than silently produce a snapshot that cannot resume, and
  * an edited snapshot's malformed integer fields are refused by name.
@@ -85,6 +87,19 @@ corpus()
     drop.duration = 0.0004;
     faulted.options.faults.events.push_back(drop);
     all.push_back(std::move(faulted));
+
+    // Every cores engine fails under the default requeue policy while a
+    // few are busy: each request in service goes back to the head of the
+    // queue, and its completion stays in the calendar, killed.
+    SimCase requeued = make_case("requeued", 24.0);
+    fault::FaultEvent fail_all;
+    fail_all.kind = fault::FaultKind::kEngineFail;
+    fail_all.at = 0.0005;
+    fail_all.target = "cores";
+    fail_all.count = 8;
+    fail_all.duration = 0.0003;
+    requeued.options.faults.events.push_back(fail_all);
+    all.push_back(std::move(requeued));
 
     // ingress -> {pre-a, pre-b} -> cores, where cores keeps one queue per
     // input and is slowed from 0.4 ms to the end of the run: the resumed
@@ -282,14 +297,17 @@ fault_applied(const io::Json& snap)
 
 TEST(SimSnapshot, SnapshotsWhileAKilledCompletionIsPendingResume)
 {
-    // From the first engine failure (the first fault of both plans) until
-    // no neutralized completion is pending, cut at every event boundary.
-    // The credited case's failure aborts requests in service, so its
-    // snapshots carry stale completions whose requests were dropped; the
-    // faulted case's failure finds few enough busy engines to abort none,
-    // so its window is the failure's own boundary.
+    // From the first engine failure (the first fault of every plan here)
+    // until no neutralized completion is pending, cut at every event
+    // boundary. The credited case's failure aborts requests in service,
+    // so its snapshots carry stale completions whose requests were
+    // dropped; the requeued case's carry stale completions whose requests
+    // wait, requeued, for an engine. The faulted case's failure finds few
+    // enough busy engines to abort none, so its window is the failure's
+    // own boundary.
     for (const SimCase& s : corpus()) {
-        if (s.name != "faulted" && s.name != "credited")
+        if (s.name != "faulted" && s.name != "credited"
+            && s.name != "requeued")
             continue;
         const std::string expected = render(
             sim::NicSimulator(s.hw, s.graph, s.traffic, s.options).run());
@@ -321,8 +339,8 @@ TEST(SimSnapshot, SnapshotsWhileAKilledCompletionIsPendingResume)
             with_killed += stale ? 1 : 0;
             window.push_back(snap.dump(-1));
         }
-        if (s.name == "credited") {
-            EXPECT_GT(with_killed, 0u);
+        if (s.name != "faulted") {
+            EXPECT_GT(with_killed, 0u) << s.name;
         }
         for (std::size_t i = 0; i < window.size(); ++i) {
             sim::NicSimulator resumed(s.hw, s.graph, s.traffic, s.options);

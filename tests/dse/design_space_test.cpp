@@ -7,6 +7,7 @@
 
 #include "lognic/apps/nf_chain.hpp"
 #include "lognic/core/model.hpp"
+#include "../test_helpers.hpp"
 
 using namespace lognic;
 using dse::Config;
@@ -149,6 +150,54 @@ TEST(DesignSpace, PlacementExcludesBaseBoundKnobs)
     DesignSpace c(nf_base());
     c.add("placement.nf_chain", {});
     EXPECT_NO_THROW(c.add("traffic.rate_gbps", {10.0, 20.0}));
+}
+
+TEST(DesignSpace, AddRecordsEachPathsKindAndCustomKnobsStayCustom)
+{
+    // The pruner bounds throughput terms by these kinds, so add() records
+    // them from the path it parsed, and add_custom() never by name.
+    const auto hw = test::small_nic();
+    DesignSpace space(io::Scenario{hw, test::single_stage_graph(hw),
+                                   test::mtu_traffic(10.0)});
+    const struct {
+        const char* path;
+        dse::KnobKind kind;
+        const char* target;
+    } want[] = {
+        {"vertex.cores.parallelism", dse::KnobKind::kVertexParallelism,
+         "cores"},
+        {"vertex.cores.queue_capacity", dse::KnobKind::kVertexQueue,
+         "cores"},
+        {"traffic.rate_gbps", dse::KnobKind::kTraffic, ""},
+        {"line_rate_gbps", dse::KnobKind::kLineRate, ""},
+        {"interface_gbps", dse::KnobKind::kInterface, ""},
+        {"memory_gbps", dse::KnobKind::kMemory, ""},
+        {"ip.cores.fixed_cost_us", dse::KnobKind::kIpCatalog, "cores"},
+        {"ip.accel.ceiling.feed.gbps", dse::KnobKind::kIpCatalog, "accel"},
+        {"graph.0.vertex.cores.overhead_us", dse::KnobKind::kGraphOverhead,
+         ""},
+    };
+    for (const auto& w : want) {
+        const dse::Knob& k = space.knob(space.add(w.path, {1.0, 2.0}));
+        EXPECT_EQ(k.kind, w.kind) << w.path;
+        EXPECT_EQ(k.target, w.target) << w.path;
+    }
+
+    DesignSpace placed(nf_base());
+    EXPECT_EQ(placed.knob(placed.add("placement.nf_chain", {})).kind,
+              dse::KnobKind::kPlacement);
+
+    // Neither a built-in name nor a preset kind makes a custom knob one.
+    DesignSpace custom(nf_base());
+    dse::Knob named;
+    named.name = "vertex.arm.parallelism";
+    named.values = {1.0, 2.0};
+    named.apply = [](io::Scenario&, double) {};
+    named.kind = dse::KnobKind::kVertexParallelism;
+    named.target = "arm";
+    const dse::Knob& k = custom.knob(custom.add_custom(std::move(named)));
+    EXPECT_EQ(k.kind, dse::KnobKind::kCustom);
+    EXPECT_EQ(k.target, "");
 }
 
 TEST(DesignSpace, LevelAndConfigValidation)

@@ -17,6 +17,7 @@
 #include "lognic/dse/explorer.hpp"
 #include "lognic/dse/report.hpp"
 #include "lognic/io/serialize.hpp"
+#include "../test_helpers.hpp"
 
 using namespace lognic;
 using dse::Config;
@@ -253,6 +254,46 @@ TEST(Pruner, OpaqueSpacesFallBackToCostOnlyPruning)
     const auto r = pruner.reject({1, 1});
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->metric, "cost");
+}
+
+TEST(Pruner, CustomKnobNamedLikeABuiltInPathIsNotReadByItsName)
+{
+    // A custom knob named interface_gbps whose apply sets the cores
+    // vertex's engine count: read by its name, it would leave the cores
+    // term constant at one engine's rate and reject every level. Only
+    // its apply knows what it touches, so every rejection must still
+    // agree with the oracle.
+    const auto hw = test::small_nic(Bandwidth::from_gbps(100.0));
+    DesignSpace space(io::Scenario{hw, test::single_stage_graph(hw),
+                                   test::mtu_traffic(60.0)});
+    dse::Knob engines;
+    engines.name = "interface_gbps";
+    engines.values = {1.0, 2.0, 4.0, 8.0};
+    engines.apply = [](io::Scenario& sc, double v) {
+        sc.graph.vertex(*sc.graph.find_vertex("cores")).params.parallelism =
+            static_cast<std::uint32_t>(v);
+    };
+    space.add_custom(std::move(engines));
+
+    const auto objectives = tput_p99();
+    const std::vector<Constraint> constraints{tput_floor(10.0)};
+    Pruner pruner(space, constraints);
+    std::size_t feasible = 0;
+    for (const Config& c : all_configs(space)) {
+        const auto eval =
+            dse::evaluate_config(space, c, objectives, constraints);
+        feasible += eval.feasible ? 1 : 0;
+        const auto r = pruner.reject(c);
+        if (!r)
+            continue;
+        EXPECT_FALSE(eval.feasible) << "level " << c[0] << ": " << r->why;
+        if (r->exact) {
+            EXPECT_EQ(r->why, "pruned: " + eval.why) << "level " << c[0];
+        }
+    }
+    // One engine carries ~8.7 Gb/s, under the floor; two, four and eight
+    // carry ~17.5, ~34.9 and the offered 60.
+    EXPECT_EQ(feasible, 3u);
 }
 
 TEST(BatchEvaluator, ScoresEqualEvaluateConfigAtAnyThreadCount)

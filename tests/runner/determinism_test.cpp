@@ -4,7 +4,8 @@
  *  (a) a fixed seed reproduces an identical SimResult, bit for bit;
  *  (b) runner output is identical at 1 thread and at hardware concurrency;
  *  (c) derived replication seeds are pairwise distinct and pinned to
- *      platform-independent constants.
+ *      platform-independent constants, and the SplitMix64 draw stream
+ *      is their sequence.
  */
 #include <gtest/gtest.h>
 
@@ -132,6 +133,22 @@ TEST(Determinism, ReplicationSeedsPinnedAcrossPlatforms)
     EXPECT_EQ(derive_seed(42, 2), 0x47526757130f9f52ull);
     EXPECT_EQ(derive_seed(42, 3), 0x581ce1ff0e4ae394ull);
     EXPECT_EQ(derive_seed(7, 0), 0x63cbe1e459320dd7ull);
+}
+
+TEST(Determinism, SplitMix64StreamIsTheDerivedSeedSequence)
+{
+    // check's generator and dse's searches both rest on draw i of the
+    // stream being derive_seed(seed, i).
+    for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{42},
+                               ~std::uint64_t{0}}) {
+        SplitMix64 stream(seed);
+        for (std::uint64_t i = 0; i < 64; ++i)
+            EXPECT_EQ(stream.next_u64(), derive_seed(seed, i))
+                << "seed " << seed << " draw " << i;
+    }
+    SplitMix64 a(7), b(7);
+    for (std::uint64_t n : {1ull, 2ull, 3ull, 1000ull})
+        EXPECT_EQ(a.below(n), b.next_u64() % n);
 }
 
 } // namespace

@@ -61,12 +61,14 @@ TEST(Replicator, SeedsAreDerivedAndDistinct)
 TEST(Replicator, AggregatesAcrossReplications)
 {
     const Replicator rep(4, 1);
-    const auto res = rep.run([](std::uint64_t seed) {
+    const auto out = rep.run_guarded([](std::uint64_t seed) {
         // Deterministic pseudo-results keyed off the seed's low bits so
         // aggregation itself (not the simulator) is under test.
         const double x = static_cast<double>(seed % 7);
         return fake_result(10.0 + x, 5.0 + x, 100);
     });
+    ASSERT_TRUE(out.complete());
+    const ReplicationResult& res = out.stats;
     EXPECT_EQ(res.replications, 4u);
     EXPECT_EQ(res.degenerate, 0u);
     EXPECT_EQ(res.seeds, rep.seeds());
@@ -132,8 +134,8 @@ TEST(Replicator, RunResultsIndependentOfThreadCount)
         return fake_result(static_cast<double>(seed % 100),
                            static_cast<double>(seed % 10), 10);
     };
-    const auto serial = rep.run(fn, 1);
-    const auto parallel = rep.run(fn, 4);
+    const auto serial = rep.run_guarded(fn, 1).stats;
+    const auto parallel = rep.run_guarded(fn, 4).stats;
     EXPECT_EQ(serial.seeds, parallel.seeds);
     EXPECT_DOUBLE_EQ(serial.delivered_gbps.mean,
                      parallel.delivered_gbps.mean);
@@ -166,8 +168,6 @@ TEST(Replicator, RunGuardedIsolatesThrowingReplications)
         EXPECT_EQ(out.stats.seeds[1], seeds[2]);
         EXPECT_DOUBLE_EQ(out.stats.delivered_gbps.mean, 10.0);
     }
-    // The unguarded entry point fails fast on the same function.
-    EXPECT_THROW(rep.run(fn), std::runtime_error);
 }
 
 TEST(Replicator, RunGuardedWithNoFailuresMatchesRun)
@@ -177,7 +177,11 @@ TEST(Replicator, RunGuardedWithNoFailuresMatchesRun)
         return fake_result(static_cast<double>(seed % 11), 4.0, 10);
     };
     const auto guarded = rep.run_guarded(fn, 2);
-    const auto plain = rep.run(fn, 2);
+    // A plain serial run: every seed in order, then one aggregate.
+    std::vector<sim::SimResult> results;
+    for (std::uint64_t seed : rep.seeds())
+        results.push_back(fn(seed));
+    const auto plain = Replicator::aggregate(rep.seeds(), results);
     EXPECT_TRUE(guarded.complete());
     EXPECT_EQ(guarded.stats.seeds, plain.seeds);
     EXPECT_DOUBLE_EQ(guarded.stats.delivered_gbps.mean,
@@ -187,7 +191,8 @@ TEST(Replicator, RunGuardedWithNoFailuresMatchesRun)
 TEST(Replicator, ZeroReplicationsThrows)
 {
     const Replicator rep(0, 1);
-    EXPECT_THROW(rep.run([](std::uint64_t) { return fake_result(1, 1, 1); }),
+    EXPECT_THROW(rep.run_guarded(
+                     [](std::uint64_t) { return fake_result(1, 1, 1); }),
                  std::invalid_argument);
 }
 

@@ -569,18 +569,9 @@ cmd_check(int argc, char** argv)
                 io::Json::parse(read_file(f.string()))));
     }
 
-    check::CheckReport report;
-    if (ck.enabled) {
-        auto supervised =
-            ckpt::supervise_check(copts, entries, ck.sup);
-        report = std::move(supervised.report);
-    } else {
-        if (!entries.empty())
-            report = check::replay_corpus(entries, copts);
-        if (copts.trials > 0)
-            report = check::merge(std::move(report),
-                                  check::run_trials(copts));
-    }
+    const check::CheckReport report =
+        ck.enabled ? ckpt::supervise_check(copts, entries, ck.sup).report
+                   : check::run_campaign(copts, entries);
 
     const std::string doc = check::to_json(report).dump(2);
     if (out_path.empty()) {
