@@ -18,18 +18,28 @@ newest_snapshot() {
   ls "$1"-*.lnck 2>/dev/null | sort | tail -n 1
 }
 
-# log_bytes SNAPSHOT: size of the snapshot's record log (0 when absent).
-log_bytes() {
-  stat -c %s "${1%.lnck}.lnlog" 2>/dev/null || echo 0
+# logged_bytes GENERATION: bytes of the generation file after its snapshot
+# (0 when there are none or the file is unreadable). A generation is a
+# header line, then records, each a "<size> <checksum>" line and <size>
+# payload bytes; record 0 is the snapshot.
+logged_bytes() {
+  local header record size total
+  { IFS= read -r header && IFS= read -r record; } 2>/dev/null < "$1" \
+    || { echo 0; return; }
+  size=${record%% *}
+  total=$(stat -c %s "$1" 2>/dev/null) || { echo 0; return; }
+  case $size in ''|*[!0-9]*) echo 0; return ;; esac
+  echo $(( total - ${#header} - ${#record} - 2 - size ))
 }
 
-# logged_snapshot_after PREFIX BEFORE: the newest PREFIX snapshot is not
-# BEFORE and its log holds a record (records are ~200 bytes and more).
+# logged_snapshot_after PREFIX BEFORE: the newest PREFIX generation is not
+# BEFORE and holds a record after its snapshot (records are ~200 bytes and
+# more).
 logged_snapshot_after() {
   local newest
   newest=$(newest_snapshot "$1")
   [ -n "$newest" ] && [ "$newest" != "$2" ] \
-    && [ "$(log_bytes "$newest")" -gt 200 ]
+    && [ "$(logged_bytes "$newest")" -gt 200 ]
 }
 
 # past_first_snapshot PREFIX: a PREFIX snapshot newer than the first one

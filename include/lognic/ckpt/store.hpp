@@ -2,22 +2,21 @@
  * @file
  * Generation-numbered checkpoint store (lognic::ckpt).
  *
- * A store owns one directory and one frame kind. Each save() publishes a
- * new generation file `<kind>-<00000042>.lnck` via the io atomic-rename
- * protocol and prunes the oldest generations beyond the retention bound.
- * load_latest() scans generations newest-first and returns the first one
- * that decodes cleanly — a torn, corrupt, or version-skewed newest file is
- * *recorded* (path + reason) and skipped in favor of an older valid
- * generation, never silently loaded. That is the whole point of keeping
- * more than one generation: the failure mode of "crashed mid-publication"
- * or "disk ate a byte" costs one checkpoint interval, not the run.
+ * A store owns one directory and one kind. Each generation is one
+ * append-only file, `<kind>-<00000042>.lnck` (see io/checkpoint for the
+ * framing): a header line, then records. Record 0 is the snapshot: save()
+ * publishes it as the next generation via the io atomic-rename protocol
+ * and prunes the oldest generations beyond the retention bound. The
+ * records after it are the generation's log, appended through open_log().
  *
- * Next to a generation may sit its record log, `<kind>-<00000042>.lnlog`:
- * records appended after that snapshot was published (see io/checkpoint
- * for the framing). A log is named with its generation and pruned with
- * it. load_log() returns the valid prefix of a snapshot's log and names
- * the first bad record, or the whole log when its header is bound to
- * another snapshot.
+ * load_latest() scans generations newest-first and returns the first one
+ * whose header and snapshot decode cleanly, with its log — a torn,
+ * corrupt, or version-skewed newest file is *recorded* (path + reason) and
+ * skipped in favor of an older valid generation, never silently loaded.
+ * That is the whole point of keeping more than one generation: the
+ * failure mode of "crashed mid-publication" or "disk ate a byte" costs
+ * one checkpoint interval, not the run. A cut or rotten record after the
+ * snapshot ends the log there and is named by byte offset.
  */
 #ifndef LOGNIC_CKPT_STORE_HPP_
 #define LOGNIC_CKPT_STORE_HPP_
@@ -44,19 +43,16 @@ struct Rejected {
     std::string reason;
 };
 
+/// A usable generation: its snapshot and its log.
 struct Loaded {
     std::uint64_t generation{0};
+    /// Record 0: the snapshot.
     std::string payload;
-};
-
-/// What a snapshot's record log adds to it.
-struct LogReplay {
-    /// Payloads of the valid records, in append order.
+    /// The whole records after it, in append order.
     std::vector<std::string> records;
-    /// Set when the log could not be used in full: the first bad record
-    /// ("truncated at byte N: <why>") or, with no records, a header that
-    /// is unreadable or bound to another snapshot.
-    std::optional<Rejected> rejected;
+    /// Set when the file does not end on a record boundary: the first bad
+    /// record ("truncated at byte N: <why>"), where the log ends.
+    std::optional<Rejected> tail;
 };
 
 class CheckpointStore {
@@ -73,9 +69,10 @@ public:
 
     /**
      * Newest valid generation, or nullopt when none exists. Generations
-     * that fail to decode (torn payload, checksum mismatch, version skew,
-     * wrong kind) are appended to @p rejected when non-null and skipped.
-     * "*.tmp" leftovers from a crashed writer are ignored entirely.
+     * whose header or snapshot fails to decode (torn snapshot, checksum
+     * mismatch, version skew, wrong kind) are appended to @p rejected when
+     * non-null and skipped. "*.tmp" leftovers from a crashed writer are
+     * ignored entirely.
      */
     std::optional<Loaded> load_latest(std::vector<Rejected>* rejected = nullptr) const;
 
@@ -83,16 +80,9 @@ public:
     std::vector<std::uint64_t> generations() const;
 
     std::string path_for(std::uint64_t generation) const;
-    std::string log_path_for(std::uint64_t generation) const;
 
-    /// The valid prefix of @p snapshot's record log; no records when it
-    /// has none (nothing was appended after the snapshot).
-    LogReplay load_log(const Loaded& snapshot) const;
-
-    /// Start the record log of @p generation, whose snapshot payload
-    /// hashes to @p frame_checksum, replacing any stale file by that name.
-    std::unique_ptr<io::AppendFile>
-    open_log(std::uint64_t generation, std::uint64_t frame_checksum) const;
+    /// Open @p generation's file to append records after its snapshot.
+    std::unique_ptr<io::AppendFile> open_log(std::uint64_t generation) const;
 
 private:
     std::string dir_;

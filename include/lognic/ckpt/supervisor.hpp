@@ -6,20 +6,21 @@
  *
  * Every supervisor — these four and dse::supervise_exploration — is a thin
  * caller of one Campaign, which owns a CheckpointStore (one generation
- * directory, one frame kind per workload). The caller owns a
+ * directory, one kind per workload). The caller owns a
  * completed-work journal and the hook wiring into the workload's resume
  * seams. The loop is:
  *
  *  1. resume: load the newest *valid* generation (torn/corrupt/skewed
  *     files are recorded in ResumeInfo::rejected and skipped — never
  *     silently loaded), verify its config fingerprint against the live
- *     run, preload the journal, and replay the valid prefix of the
- *     generation's record log (a torn or rotten record is named in
- *     ResumeInfo::rejected by path and byte offset);
+ *     run, preload the journal from the generation's snapshot (its
+ *     record 0), and replay the valid prefix of the records after it (a
+ *     torn or rotten record is named in ResumeInfo::rejected by path and
+ *     byte offset);
  *  2. run with journal hooks: completed units are recorded as they
  *     finish, and every `checkpoint_every` completions they are published
- *     — appended to the record log, or compacted into a new snapshot
- *     generation once the log outgrows its snapshot;
+ *     — appended to the newest generation's file, or compacted into a
+ *     new snapshot generation once those records outgrow its snapshot;
  *  3. (sweeps, in supervise_sweep) retry: failed points are erased from
  *     the journal and re-run, up to `retry_rounds` extra passes with
  *     exponential backoff between them — transient failures (wall-clock
@@ -85,8 +86,8 @@ struct ResumeInfo {
     std::size_t completed{0};     ///< journal entries restored
     std::size_t replayed{0};      ///< of which log records, applied in order
     /// Generations that could not be used (torn write, checksum mismatch,
-    /// version skew) and why, then the loaded generation's log when it
-    /// could not be replayed in full. Never silently loaded.
+    /// version skew) and why, then the loaded generation's first bad
+    /// record after its snapshot, if any. Never silently loaded.
     std::vector<Rejected> rejected;
 };
 
@@ -103,11 +104,12 @@ struct ResumeInfo {
  * differs from the live campaign's. Between snapshots it publishes by
  * appending: each tick() carries the record of the entry just journaled,
  * and a publication appends the records since the last one to the
- * newest snapshot's log and fdatasyncs it — O(records since the last
- * publication), not O(journal). A publication compacts instead (a full
- * snapshot generation, then a fresh log) when this campaign has no
- * snapshot of its own yet, after compact_next(), and when the log would
- * outgrow its snapshot; flush() always compacts. Snapshot sizes thus
+ * newest generation's file, after its snapshot, and fdatasyncs it —
+ * O(records since the last publication), not O(journal). A publication
+ * compacts instead (a new generation whose only record is a full
+ * snapshot) when this campaign has no snapshot of its own yet, after
+ * compact_next(), and when the appended records would outgrow their
+ * snapshot; flush() always compacts. Snapshot sizes thus
  * about double from one compaction to the next, so a campaign of N
  * records writes O(log N) generations and O(N) bytes in total.
  *
@@ -201,7 +203,7 @@ private:
 
     CheckpointStore store_;
     Snapshot snapshot_;
-    bool logged_; ///< a journal campaign: publishes through the record log
+    bool logged_; ///< a journal campaign: appends records after snapshots
     std::uint64_t every_;
     ResumeInfo resume_;
 
@@ -212,10 +214,9 @@ private:
     std::string pending_records_;  ///< their framed records
     std::size_t pending_bytes_{0}; ///< their record payload bytes
     /// This campaign's newest snapshot (generation 0: none yet), and its
-    /// log once the first append starts it. Only logs this campaign
-    /// started are appended to.
+    /// file opened for appending once the first append needs it. Only
+    /// generations this campaign published are appended to.
     std::uint64_t snapshot_generation_{0};
-    std::uint64_t snapshot_checksum_{0};
     std::size_t snapshot_bytes_{0};
     std::size_t log_bytes_{0}; ///< record payload bytes appended to log_
     bool compact_next_{false};

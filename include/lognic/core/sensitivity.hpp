@@ -28,22 +28,16 @@ struct Sensitivity {
     double latency_elasticity{0.0};
 };
 
-struct SensitivityOptions {
-    /// Relative perturbation applied each way (central differences).
-    double perturbation{0.05};
-    /// Include integer knobs (parallelism) via +/- 1 engine differences.
-    bool include_parallelism{true};
-};
-
 /**
- * Analyze every configurable parameter of the scenario. Results are
+ * Analyze every configurable parameter of the scenario: continuous ones by
+ * central differences at +/-5%, parallelism by +/- one engine. Results are
  * sorted by descending |capacity elasticity| (ties by latency impact).
  *
  * @throws std::invalid_argument on a malformed graph.
  */
-std::vector<Sensitivity> analyze_sensitivity(
-    const ExecutionGraph& graph, const HardwareModel& hw,
-    const TrafficProfile& traffic, const SensitivityOptions& opts = {});
+std::vector<Sensitivity> analyze_sensitivity(const ExecutionGraph& graph,
+                                             const HardwareModel& hw,
+                                             const TrafficProfile& traffic);
 
 } // namespace lognic::core
 

@@ -11,9 +11,10 @@
  * replays journaled outcomes verbatim.
  *
  * supervise_exploration() wraps explore() in a ckpt::Campaign: resume
- * from the newest valid "explore" generation and its record log
- * (fingerprint-checked against the live campaign), wire the journals into
- * the resume_eval/on_eval and resume_des/on_des seams, publish every
+ * from the newest valid "explore" generation, its snapshot and the log
+ * records after it (fingerprint-checked against the live campaign), wire
+ * the journals into the resume_eval/on_eval and resume_des/on_des seams,
+ * publish every
  * checkpoint_every completions (evaluations and DES validations tick one
  * counter, and append to one log), and always publish a final snapshot.
  * A run SIGKILLed at any point and resumed produces a FrontierReport

@@ -12,11 +12,11 @@
  * generator derives every sample from an explicit seed, so a faulted run
  * is as reproducible as a fault-free one.
  *
- * Targets are referenced by *name*: an execution-graph vertex (or PANIC
- * unit) name for engine/queue/burst events, or one of the reserved link
- * names "interface" / "memory" ("fabric" for the PANIC simulator) for
- * link-degradation events. Name resolution happens inside the consumer,
- * which throws on an unknown target at construction time.
+ * Targets are referenced by *name*: one of the shared links "interface"
+ * and "memory" for link-degradation events, an IP or rate-limiter vertex
+ * of the execution graph for every other kind. resolve_target() holds
+ * that rule for both consumers, the simulator and the degraded-mode
+ * model, which throw on a target it refuses before anything runs.
  */
 #ifndef LOGNIC_FAULT_FAULT_PLAN_HPP_
 #define LOGNIC_FAULT_FAULT_PLAN_HPP_
@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "lognic/core/execution_graph.hpp"
 #include "lognic/io/json.hpp"
 
 namespace lognic::fault {
@@ -62,7 +63,7 @@ InServicePolicy in_service_policy_from_string(const std::string& name);
 struct FaultEvent {
     double at{0.0};            ///< simulated seconds from run start
     FaultKind kind{FaultKind::kEngineFail};
-    std::string target;        ///< vertex/unit name or reserved link name
+    std::string target;        ///< vertex name or shared-link name
     std::uint32_t count{1};    ///< engines failed/recovered
     double factor{1.0};        ///< slowdown (> 1) or link multiplier (0, 1)
     double duration{0.0};      ///< 0 = until countered / end of run
@@ -88,6 +89,15 @@ struct FaultPlan {
      */
     void validate() const;
 };
+
+/**
+ * Where @p event lands in @p graph: for link_degrade, the shared link
+ * (0 = "interface", 1 = "memory"); for every other kind, the id of an IP
+ * or rate-limiter vertex.
+ * @throws std::invalid_argument naming the target when it is neither.
+ */
+std::size_t resolve_target(const FaultEvent& event,
+                           const core::ExecutionGraph& graph);
 
 // --- seeded random plans ------------------------------------------------------
 

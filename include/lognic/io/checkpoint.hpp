@@ -1,38 +1,30 @@
 /**
  * @file
- * Checkpoint frame format and crash-safe file replacement (lognic::io).
+ * Checkpoint file format and crash-safe file publication (lognic::io).
  *
- * A checkpoint file is one frame:
+ * A checkpoint file is a header line, then checksummed records:
  *
- *     LOGNICCKPT <version> <kind> <payload-bytes> <fnv1a64-hex>\n
- *     <payload bytes>
+ *     LOGNICCKPT <version> <kind>\n
+ *     <payload-bytes> <fnv1a64-hex>\n<payload bytes>      (per record)
  *
- * The header is a single ASCII line; the payload is an opaque byte string
- * (in practice a JSON document). The checksum is FNV-1a 64 over the payload
- * only, rendered as 16 lowercase hex digits. Decoding rejects — with a
- * reason, never silently — any frame whose magic, version, kind, size, or
- * checksum does not match: a torn write (short payload), a flipped bit, and
- * a file from a future format version all surface as a named defect the
- * caller can report and skip in favor of an older generation.
+ * The header is a single ASCII line; a record's payload is an opaque byte
+ * string (in practice a JSON document). The checksum is FNV-1a 64 over the
+ * payload only, rendered as 16 lowercase hex digits. decode_log() rejects
+ * — with a reason, never silently — a file whose header magic, version or
+ * kind is unusable (a file from another format version is "version skew");
+ * past the header it returns the valid prefix of the records and names the
+ * first bad one by byte offset and reason. A crash mid-append leaves a
+ * torn last record, bit rot a record whose checksum fails; the reader
+ * never skips past either, because records after a gap cannot be trusted
+ * to be in order.
  *
  * atomic_write_file() is the publication protocol: write a temporary in
  * the same directory, fsync it, rename over the target, fsync the
  * directory. A reader concurrently scanning the directory observes either
  * the old file, the new file, or (for a fresh path) no file — never a
  * partial one. Leftover "*.tmp" files from a crashed writer are garbage by
- * construction and are ignored by checkpoint scans.
- *
- * A record log is the append-only companion of one frame: a header line
- * binding it to that frame, then checksummed records,
- *
- *     LOGNICLOG <version> <kind> <generation> <frame-fnv1a64-hex>\n
- *     <payload-bytes> <fnv1a64-hex>\n<payload bytes>      (per record)
- *
- * appended through AppendFile, which makes every append durable with
- * fdatasync. A crash mid-append leaves a torn last record; bit rot leaves
- * a record whose checksum fails. decode_log() returns the valid prefix and
- * names the first bad record by byte offset and reason — it never skips
- * past one, because records after a gap cannot be trusted to be in order.
+ * construction and are ignored by checkpoint scans. Records appended later
+ * go through AppendFile, which makes every append durable with fdatasync.
  *
  * The hex helpers exist because checkpoints must round-trip *bit-exactly*:
  * the JSON writer emits null for non-finite doubles (a calibration start
@@ -52,53 +44,31 @@
 
 namespace lognic::io {
 
-/// Bumped on any incompatible change to frame or payload layout. Readers
+/// Bumped on any incompatible change to file or payload layout. Readers
 /// reject other versions (version skew) rather than guessing.
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// FNV-1a 64-bit over @p data. Not cryptographic; detects torn writes and
 /// bit rot, which is the threat model for a local checkpoint directory.
 std::uint64_t fnv1a64(std::string_view data);
 
-struct CheckpointFrame {
-    std::uint32_t version{kCheckpointVersion};
-    /// Workload tag ("sweep", "check", "calib", "sim"). A store only loads
-    /// frames whose kind matches, so checkpoints from different workloads
-    /// sharing a directory cannot be confused.
-    std::string kind;
-    std::string payload;
-};
-
-/**
- * Serialize header + payload. @p frame.kind must be non-empty and contain
- * no whitespace (it is a token in the header line); throws otherwise.
- */
-std::string encode_frame(const CheckpointFrame& frame);
-
-/**
- * Parse and verify one frame. Returns nullopt on any defect and, when
- * @p reason is non-null, stores why ("bad magic", "version skew: ...",
- * "truncated payload: ...", "checksum mismatch: ...").
- */
-std::optional<CheckpointFrame> decode_frame(const std::string& data,
-                                            std::string* reason = nullptr);
-
-/// What a record log is bound to: the frame of kind @p kind published as
-/// generation @p generation, whose payload hashes to @p frame_checksum.
+/// What a checkpoint file's header line declares.
 struct LogHeader {
     std::uint32_t version{kCheckpointVersion};
+    /// Workload tag ("sweep", "check", "calib", "sim", "explore"). A store
+    /// only loads files whose kind matches, so checkpoints from different
+    /// workloads sharing a directory cannot be confused.
     std::string kind;
-    std::uint64_t generation{0};
-    std::uint64_t frame_checksum{0};
 };
 
-/// The header line. @p header.kind follows encode_frame()'s rules.
+/// The header line. @p header.kind must be non-empty and contain no
+/// whitespace (it is a token in the line); throws otherwise.
 std::string encode_log_header(const LogHeader& header);
 
 /// One record, ready to append: size and checksum line, then @p payload.
 std::string encode_record(std::string_view payload);
 
-/// The readable part of a record log.
+/// The readable part of a checkpoint file.
 struct DecodedLog {
     LogHeader header;
     /// Payloads of the valid records, in append order.
@@ -107,15 +77,17 @@ struct DecodedLog {
     /// any, begins.
     std::size_t valid_bytes{0};
     /// Why the bytes from valid_bytes on are not a record ("truncated
-    /// record: ...", "checksum mismatch: ..."); empty when the log ends on
-    /// a record boundary.
+    /// record: ...", "checksum mismatch: ..."); empty when the file ends
+    /// on a record boundary.
     std::string defect;
 };
 
 /**
- * Parse a record log. Returns nullopt when the header line itself is
- * unusable (reason stored like decode_frame()'s); otherwise the valid
- * prefix, with the first defect after it named in DecodedLog::defect.
+ * Parse a checkpoint file. Returns nullopt when the header line itself is
+ * unusable and, when @p reason is non-null, stores why ("truncated
+ * header: ...", "bad magic", "version skew: ...", "malformed header:
+ * ..."); otherwise the valid prefix, with the first defect after it named
+ * in DecodedLog::defect.
  */
 std::optional<DecodedLog> decode_log(const std::string& data,
                                      std::string* reason = nullptr);
@@ -128,15 +100,15 @@ std::optional<DecodedLog> decode_log(const std::string& data,
 void atomic_write_file(const std::string& path, const std::string& contents);
 
 /**
- * An append-only file whose every append is durable. Construction creates
- * (or truncates) @p path, writes @p header, fdatasyncs it, and fsyncs the
- * containing directory so the file itself survives a crash.
+ * An existing file opened for appending, every append durable. Opening
+ * creates nothing and writes nothing: the file was published, and its
+ * directory entry made durable, by atomic_write_file().
  * @throws std::runtime_error naming the path on any I/O failure, here and
  * in append().
  */
 class AppendFile {
 public:
-    AppendFile(std::string path, const std::string& header);
+    explicit AppendFile(std::string path);
     ~AppendFile();
     AppendFile(const AppendFile&) = delete;
     AppendFile& operator=(const AppendFile&) = delete;

@@ -74,10 +74,10 @@ struct TraceOptions {
     /// must outlive the simulation.
     TraceSink* sink{nullptr};
     /// Every Nth generated packet carries lifecycle spans (1 = all).
-    /// 0 suppresses per-packet spans, keeping only counter tracks.
+    /// 0 suppresses per-packet spans, keeping only the per-vertex counter
+    /// tracks (queue depth, busy engines, credits), which a sink always
+    /// receives.
     std::uint64_t sample_every{1};
-    /// Emit per-vertex counter tracks (queue depth, busy engines, credits).
-    bool counters{true};
 
     bool enabled() const { return sink != nullptr; }
     /// True when packet @p id should carry lifecycle spans.

@@ -24,20 +24,18 @@ enum class LsTermination {
 
 const char* to_string(LsTermination reason);
 
+/**
+ * A run starts at damping 1e-3, converges once an accepted step moves no
+ * parameter by 1e-12 or more, and takes its finite-difference Jacobian
+ * step *relative to each parameter's magnitude*: h_i = 1e-6 * max(|x_i|,
+ * scale_i). Parameters spanning wildly different scales (bandwidths in
+ * bits/s next to service times in seconds) each get a proportionate
+ * perturbation instead of one absolute step.
+ */
 struct LeastSquaresOptions {
     std::size_t max_iterations{200};
     double gradient_tolerance{1e-10};
-    double step_tolerance{1e-12};
-    double initial_damping{1e-3};
     Bounds bounds{};
-    /**
-     * Finite-difference Jacobian step, *relative to each parameter's
-     * magnitude*: h_i = relative_step * max(|x_i|, scale_i). Parameters
-     * spanning wildly different scales (bandwidths in bits/s next to
-     * service times in seconds) each get a proportionate perturbation
-     * instead of one absolute step.
-     */
-    double relative_step{1e-6};
     /**
      * Per-dimension typical magnitudes (the scale_i floor above), used
      * where a parameter sits at or near zero. Empty: a uniform floor of

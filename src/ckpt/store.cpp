@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <stdexcept>
 #include <system_error>
 
@@ -36,12 +37,6 @@ std::string CheckpointStore::path_for(std::uint64_t generation) const {
     return dir_ + "/" + kind_ + name;
 }
 
-std::string CheckpointStore::log_path_for(std::uint64_t generation) const {
-    std::string path = path_for(generation);
-    path.replace(path.size() - 5, 5, ".lnlog");
-    return path;
-}
-
 std::vector<std::uint64_t> CheckpointStore::generations() const {
     std::vector<std::uint64_t> out;
     const std::string prefix = kind_ + "-";
@@ -68,68 +63,22 @@ std::vector<std::uint64_t> CheckpointStore::generations() const {
 
 std::uint64_t CheckpointStore::save(const std::string& payload) {
     const std::uint64_t gen = next_generation_++;
-    io::CheckpointFrame frame;
-    frame.kind = kind_;
-    frame.payload = payload;
-    io::atomic_write_file(path_for(gen), io::encode_frame(frame));
+    std::string file = io::encode_log_header({io::kCheckpointVersion, kind_});
+    file += io::encode_record(payload);
+    io::atomic_write_file(path_for(gen), file);
 
     std::vector<std::uint64_t> gens = generations();
     while (gens.size() > options_.retention) {
-        std::error_code ec; // best-effort prune, the log before its snapshot
-        fs::remove(log_path_for(gens.front()), ec);
+        std::error_code ec; // best-effort prune
         fs::remove(path_for(gens.front()), ec);
         gens.erase(gens.begin());
     }
     return gen;
 }
 
-LogReplay CheckpointStore::load_log(const Loaded& snapshot) const {
-    LogReplay out;
-    const std::string path = log_path_for(snapshot.generation);
-    const auto reject = [&](std::string reason) {
-        out.rejected = Rejected{path, std::move(reason)};
-        return out;
-    };
-    std::optional<std::string> data;
-    try {
-        data = io::read_file_if_exists(path);
-    } catch (const std::exception& e) {
-        return reject(e.what());
-    }
-    if (!data) return out;
-    std::string reason;
-    std::optional<io::DecodedLog> log = io::decode_log(*data, &reason);
-    if (!log) return reject("unusable header: " + reason);
-    const io::LogHeader& h = log->header;
-    if (h.kind != kind_)
-        return reject("header mismatch: kind '" + h.kind + "', store is '" +
-                      kind_ + "'");
-    if (h.generation != snapshot.generation)
-        return reject("header mismatch: generation " +
-                      std::to_string(h.generation) + ", snapshot is generation " +
-                      std::to_string(snapshot.generation));
-    const std::uint64_t sum = io::fnv1a64(snapshot.payload);
-    if (h.frame_checksum != sum)
-        return reject("header mismatch: snapshot checksum " +
-                      io::u64_to_hex(h.frame_checksum) + ", snapshot hashes to " +
-                      io::u64_to_hex(sum));
-    out.records = std::move(log->records);
-    if (!log->defect.empty())
-        out.rejected = Rejected{path, "truncated at byte " +
-                                          std::to_string(log->valid_bytes) +
-                                          ": " + log->defect};
-    return out;
-}
-
 std::unique_ptr<io::AppendFile>
-CheckpointStore::open_log(std::uint64_t generation,
-                          std::uint64_t frame_checksum) const {
-    io::LogHeader header;
-    header.kind = kind_;
-    header.generation = generation;
-    header.frame_checksum = frame_checksum;
-    return std::make_unique<io::AppendFile>(log_path_for(generation),
-                                            io::encode_log_header(header));
+CheckpointStore::open_log(std::uint64_t generation) const {
+    return std::make_unique<io::AppendFile>(path_for(generation));
 }
 
 std::optional<Loaded>
@@ -153,17 +102,29 @@ CheckpointStore::load_latest(std::vector<Rejected>* rejected) const {
             continue;
         }
         std::string reason;
-        const auto frame = io::decode_frame(*data, &reason);
-        if (!frame) {
+        std::optional<io::DecodedLog> log = io::decode_log(*data, &reason);
+        if (!log) {
             reject(reason);
             continue;
         }
-        if (frame->kind != kind_) {
-            reject("kind mismatch: frame is '" + frame->kind + "', store is '" +
-                   kind_ + "'");
+        if (log->header.kind != kind_) {
+            reject("kind mismatch: file is '" + log->header.kind +
+                   "', store is '" + kind_ + "'");
             continue;
         }
-        return Loaded{*it, frame->payload};
+        if (log->records.empty()) {
+            reject("snapshot record: " +
+                   (log->defect.empty() ? "missing" : log->defect));
+            continue;
+        }
+        Loaded out{*it, std::move(log->records.front()), {}, std::nullopt};
+        out.records.assign(std::make_move_iterator(log->records.begin() + 1),
+                           std::make_move_iterator(log->records.end()));
+        if (!log->defect.empty())
+            out.tail = Rejected{path, "truncated at byte " +
+                                          std::to_string(log->valid_bytes) +
+                                          ": " + log->defect};
+        return out;
     }
     return std::nullopt;
 }

@@ -13,10 +13,43 @@
 #include <utility>
 
 #include "lognic/io/checkpoint.hpp"
+#include "lognic/io/serialize.hpp"
 
 namespace lognic::ckpt {
 
 namespace {
+
+/// The FNV-1a digest of @p inputs that a fingerprint carries: a resume
+/// against edited inputs is refused as a fingerprint mismatch.
+std::string
+digest(const std::string& inputs)
+{
+    return io::u64_to_hex(io::fnv1a64(inputs));
+}
+
+/// Every sweep point's hardware, graph, traffic and sim options.
+std::string
+sweep_inputs(const runner::Sweep& sweep)
+{
+    std::string out;
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        const runner::SweepPoint& pt = sweep.point(i);
+        const sim::SimOptions& so = pt.options;
+        out += io::to_json(pt.hw).dump(-1) + io::to_json(pt.graph).dump(-1)
+            + io::to_json(pt.traffic).dump(-1)
+            + fault::to_json(so.faults).dump(-1);
+        for (const double v :
+             {so.duration, so.warmup_fraction, so.burst.on.seconds(),
+              so.burst.off.seconds(), so.burst.intensity,
+              so.watchdog.wall_clock_seconds})
+            out += io::double_to_hex(v);
+        out += io::u64_to_hex(so.watchdog.max_events);
+        out += so.exponential_service ? 'E' : 'e';
+        out += so.poisson_arrivals ? 'P' : 'p';
+        out += so.burst.enabled ? "B;" : "b;";
+    }
+    return out;
+}
 
 void
 log_to(const SupervisorOptions& sup, const std::string& message)
@@ -72,20 +105,19 @@ Campaign::Campaign(const SupervisorOptions& sup, const std::string& kind,
     restore(loaded->payload);
     std::string replayed;
     if (logged_) {
-        LogReplay log = store_.load_log(*loaded);
-        if (log.rejected) {
-            log_to(sup, "checkpoint: log " + log.rejected->path + " "
-                            + log.rejected->reason);
-            resume_.rejected.push_back(std::move(*log.rejected));
+        if (loaded->tail) {
+            log_to(sup, "checkpoint: " + loaded->tail->path + " "
+                            + loaded->tail->reason);
+            resume_.rejected.push_back(*loaded->tail);
         }
-        for (const std::string& record : log.records) {
+        for (const std::string& record : loaded->records) {
             try {
                 replay(record);
             } catch (const std::exception& e) {
                 throw std::runtime_error(
                     "checkpoint: cannot replay record "
                     + std::to_string(resume_.replayed + 1) + " of '"
-                    + store_.log_path_for(loaded->generation)
+                    + store_.path_for(loaded->generation)
                     + "': " + e.what());
             }
             ++resume_.replayed;
@@ -185,7 +217,6 @@ Campaign::publish_locked(std::unique_lock<std::mutex>& lock)
         // serializes, so the snapshot supersedes them.
         const std::string payload = snapshot_();
         snapshot_generation_ = store_.save(payload);
-        snapshot_checksum_ = io::fnv1a64(payload);
         snapshot_bytes_ = payload.size();
         log_.reset();
         log_bytes_ = 0;
@@ -193,7 +224,7 @@ Campaign::publish_locked(std::unique_lock<std::mutex>& lock)
         return;
     }
     if (!log_)
-        log_ = store_.open_log(snapshot_generation_, snapshot_checksum_);
+        log_ = store_.open_log(snapshot_generation_);
     log_bytes_ += batch_bytes;
     io::AppendFile& log = *log_;
     lock.unlock();
@@ -217,6 +248,7 @@ supervise_sweep(const runner::Sweep& sweep, runner::SweepOptions options,
     fp.set("replications", io::u64_to_hex(options.replications));
     fp.set("root_seed", io::u64_to_hex(options.root_seed));
     fp.set("max_retries", io::u64_to_hex(options.max_retries));
+    fp.set("inputs", digest(sweep_inputs(sweep)));
     // threads intentionally absent: results are thread-count independent,
     // so resuming on a different machine width is legitimate.
 
@@ -269,9 +301,13 @@ supervise_check(check::CheckOptions copts,
     fp.set("monotonicity", copts.monotonicity);
     fp.set("minimize", copts.minimize);
     io::Json names(io::JsonArray{});
-    for (const auto& e : corpus)
+    std::string entries;
+    for (const auto& e : corpus) {
         names.push_back(e.name);
+        entries += check::to_json(e).dump(-1);
+    }
     fp.set("corpus", std::move(names));
+    fp.set("inputs", digest(entries));
     // threads intentionally absent, as for sweeps.
 
     CheckJournal journal;
@@ -301,12 +337,21 @@ supervise_calibration(calib::ParameterSpace space, calib::Dataset data,
     fp.set("workload", "calib");
     fp.set("starts", io::u64_to_hex(opts.fit.starts));
     fp.set("seed", io::u64_to_hex(opts.fit.seed));
-    // Always LM now; kept so checkpoints written while the engine was
-    // selectable still match (calib::kFitEngine).
-    fp.set("backend", calib::kFitEngine);
     fp.set("max_iterations", io::u64_to_hex(opts.fit.max_iterations));
     fp.set("holdout_fraction", io::double_to_hex(opts.holdout_fraction));
     fp.set("k_folds", io::u64_to_hex(opts.k_folds));
+    // The base candidate, the parameters, the dataset and the loss.
+    std::string inputs = io::to_json(space.base().hw).dump(-1);
+    for (const core::ExecutionGraph& g : space.base().graphs)
+        inputs += io::to_json(g).dump(-1);
+    for (std::size_t i = 0; i < space.size(); ++i) {
+        const calib::Parameter& p = space.parameter(i);
+        inputs += p.name + '=' + io::double_to_hex(p.lower) + ','
+            + io::double_to_hex(p.upper) + ';';
+    }
+    inputs += calib::to_json(data).dump(-1)
+        + calib::to_json(opts.loss).dump(-1);
+    fp.set("inputs", digest(inputs));
 
     FitJournal journal;
     Campaign campaign(sup, "calib", fp, journal);

@@ -8,6 +8,9 @@ namespace lognic::core {
 
 namespace {
 
+/// Relative perturbation applied each way (central differences).
+constexpr double kPerturbation = 0.05;
+
 struct Outputs {
     double capacity;
     double latency;
@@ -35,11 +38,10 @@ elasticity(double y_lo, double y_hi, double f_lo, double f_hi)
 
 std::vector<Sensitivity>
 analyze_sensitivity(const ExecutionGraph& graph, const HardwareModel& hw,
-                    const TrafficProfile& traffic,
-                    const SensitivityOptions& opts)
+                    const TrafficProfile& traffic)
 {
     graph.validate(hw);
-    const double h = opts.perturbation;
+    const double h = kPerturbation;
     std::vector<Sensitivity> out;
 
     // A parameter is probed by evaluating two perturbed copies of the
@@ -112,27 +114,24 @@ analyze_sensitivity(const ExecutionGraph& graph, const HardwareModel& hw,
                   });
         }
 
-        if (opts.include_parallelism) {
-            const IpSpec& spec = hw.ip(vx.ip);
-            const std::uint32_t d = vx.params.parallelism > 0
-                ? vx.params.parallelism
-                : spec.max_engines;
-            if (d > 1) {
-                // +/- one engine as a log step; one-sided (downward) when
-                // the vertex already owns every engine.
-                const std::uint32_t hi_engines =
-                    std::min<std::uint32_t>(d + 1, spec.max_engines);
-                const double f_lo = static_cast<double>(d - 1) / d;
-                const double f_hi = static_cast<double>(hi_engines) / d;
-                const auto set_engines =
-                    [&, v, d](ExecutionGraph& g2, HardwareModel&,
-                              TrafficProfile&, double f) {
-                        g2.vertex(v).params.parallelism =
-                            static_cast<std::uint32_t>(
-                                std::lround(d * f));
-                    };
-                probe(base + ":parallelism", set_engines, f_lo, f_hi);
-            }
+        const IpSpec& spec = hw.ip(vx.ip);
+        const std::uint32_t d = vx.params.parallelism > 0
+            ? vx.params.parallelism
+            : spec.max_engines;
+        if (d > 1) {
+            // +/- one engine as a log step; one-sided (downward) when the
+            // vertex already owns every engine.
+            const std::uint32_t hi_engines =
+                std::min<std::uint32_t>(d + 1, spec.max_engines);
+            const double f_lo = static_cast<double>(d - 1) / d;
+            const double f_hi = static_cast<double>(hi_engines) / d;
+            const auto set_engines =
+                [&, v, d](ExecutionGraph& g2, HardwareModel&,
+                          TrafficProfile&, double f) {
+                    g2.vertex(v).params.parallelism =
+                        static_cast<std::uint32_t>(std::lround(d * f));
+                };
+            probe(base + ":parallelism", set_engines, f_lo, f_hi);
         }
     }
 

@@ -20,12 +20,6 @@ struct SteadyState {
     std::map<std::string, std::uint32_t> queue_cap;
 };
 
-bool
-is_link_name(const std::string& target)
-{
-    return target == "interface" || target == "memory" || target == "fabric";
-}
-
 /**
  * Replay @p plan to instant @p t. An event with duration > 0 whose window
  * [at, at + duration) has already closed by @p t contributes nothing;
@@ -100,17 +94,10 @@ apply_faults_at(const FaultPlan& plan, double t,
 {
     plan.validate();
 
-    // Every target must resolve to a graph vertex or a reserved link name,
-    // even when the event kind ends up not changing any model parameter.
-    for (const FaultEvent& ev : plan.events) {
-        if (is_link_name(ev.target))
-            continue;
-        if (!graph.find_vertex(ev.target))
-            throw std::invalid_argument(
-                "apply_faults_at: fault target '" + ev.target
-                + "' is neither a vertex of graph '" + graph.name()
-                + "' nor a reserved link name (interface|memory|fabric)");
-    }
+    // Every target must resolve as it does in the simulator, even when
+    // the event kind ends up not changing any model parameter.
+    for (const FaultEvent& ev : plan.events)
+        (void)resolve_target(ev, graph);
 
     const SteadyState st = replay(plan, t);
 

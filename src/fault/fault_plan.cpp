@@ -124,6 +124,32 @@ FaultPlan::validate() const
     }
 }
 
+std::size_t
+resolve_target(const FaultEvent& event, const core::ExecutionGraph& graph)
+{
+    const std::string what = std::string("fault target '") + event.target
+        + "' of " + to_string(event.kind) + ": ";
+    if (event.kind == FaultKind::kLinkDegrade) {
+        if (event.target == "interface")
+            return 0;
+        if (event.target == "memory")
+            return 1;
+        throw std::invalid_argument(
+            what + "link_degrade targets the shared link 'interface' or "
+                   "'memory'");
+    }
+    const auto vid = graph.find_vertex(event.target);
+    if (!vid)
+        throw std::invalid_argument(what + "not a vertex of graph '"
+                                    + graph.name() + "'");
+    const core::VertexKind kind = graph.vertex(*vid).kind;
+    if (kind != core::VertexKind::kIp && kind != core::VertexKind::kRateLimiter)
+        throw std::invalid_argument(
+            what + "an " + core::to_string(kind)
+            + " vertex; only IP and rate-limiter vertices fault");
+    return *vid;
+}
+
 FaultPlan
 random_fault_plan(std::uint64_t seed,
                   const std::vector<std::string>& targets,

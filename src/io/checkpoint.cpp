@@ -75,10 +75,10 @@ std::vector<std::string> split_fields(std::string_view line) {
 /// A kind is a token in a header line: non-empty, no whitespace.
 void require_kind_token(const std::string& kind) {
     if (kind.empty())
-        throw std::runtime_error("checkpoint frame kind must be non-empty");
+        throw std::runtime_error("checkpoint kind must be non-empty");
     for (const char c : kind)
         if (std::isspace(static_cast<unsigned char>(c)))
-            throw std::runtime_error("checkpoint frame kind '" + kind +
+            throw std::runtime_error("checkpoint kind '" + kind +
                                      "' must not contain whitespace");
 }
 
@@ -95,68 +95,6 @@ std::uint64_t fnv1a64(std::string_view data) {
         h *= 0x100000001b3ull;
     }
     return h;
-}
-
-std::string encode_frame(const CheckpointFrame& frame) {
-    require_kind_token(frame.kind);
-    std::string out = "LOGNICCKPT ";
-    out += std::to_string(frame.version);
-    out += ' ';
-    out += frame.kind;
-    out += ' ';
-    out += std::to_string(frame.payload.size());
-    out += ' ';
-    out += hex16(fnv1a64(frame.payload));
-    out += '\n';
-    out += frame.payload;
-    return out;
-}
-
-std::optional<CheckpointFrame> decode_frame(const std::string& data,
-                                            std::string* reason) {
-    const auto fail = [reason](std::string why) -> std::optional<CheckpointFrame> {
-        if (reason != nullptr) *reason = std::move(why);
-        return std::nullopt;
-    };
-
-    const std::size_t nl = data.find('\n');
-    if (nl == std::string::npos) return fail("truncated header: no newline");
-    const std::string header = data.substr(0, nl);
-
-    // The header line: magic, version, kind, size, checksum.
-    const std::vector<std::string> tokens = split_fields(header);
-    if (tokens.size() != 5) return fail("malformed header: expected 5 fields");
-    if (tokens[0] != "LOGNICCKPT") return fail("bad magic");
-
-    CheckpointFrame frame;
-    std::uint64_t version = 0;
-    std::uint64_t declared_size = 0;
-    std::uint64_t declared_sum = 0;
-    try {
-        version = parse_u64(tokens[1], "checkpoint header version");
-        declared_size = parse_u64(tokens[3], "checkpoint header payload size");
-        declared_sum = parse_u64(tokens[4], "checkpoint header checksum");
-    } catch (const std::exception& e) {
-        return fail(std::string("malformed header: ") + e.what());
-    }
-    if (version != kCheckpointVersion)
-        return fail("version skew: frame version " + tokens[1] +
-                    ", reader supports " + std::to_string(kCheckpointVersion));
-    frame.version = static_cast<std::uint32_t>(version);
-    frame.kind = tokens[2];
-    if (frame.kind.empty()) return fail("malformed header: empty kind");
-
-    const std::size_t have = data.size() - (nl + 1);
-    if (have != declared_size)
-        return fail("truncated payload: header declares " + tokens[3] +
-                    " bytes, file has " + std::to_string(have));
-    frame.payload = data.substr(nl + 1);
-
-    const std::uint64_t actual = fnv1a64(frame.payload);
-    if (actual != declared_sum)
-        return fail("checksum mismatch: header declares " + tokens[4] +
-                    ", payload hashes to " + hex16(actual));
-    return frame;
 }
 
 void atomic_write_file(const std::string& path, const std::string& contents) {
@@ -189,9 +127,8 @@ void atomic_write_file(const std::string& path, const std::string& contents) {
 
 std::string encode_log_header(const LogHeader& header) {
     require_kind_token(header.kind);
-    return "LOGNICLOG " + std::to_string(header.version) + ' ' + header.kind +
-           ' ' + std::to_string(header.generation) + ' ' +
-           hex16(header.frame_checksum) + '\n';
+    return "LOGNICCKPT " + std::to_string(header.version) + ' ' + header.kind +
+           '\n';
 }
 
 std::string encode_record(std::string_view payload) {
@@ -212,25 +149,23 @@ std::optional<DecodedLog> decode_log(const std::string& data,
 
     const std::size_t nl = data.find('\n');
     if (nl == std::string::npos) return fail("truncated header: no newline");
-    // The header line: magic, version, kind, generation, frame checksum.
+    // The header line: magic, version, kind. The version is read before
+    // the field count, so a file of another version is refused by name.
     const std::vector<std::string> tokens =
         split_fields(std::string_view(data).substr(0, nl));
-    if (tokens.size() != 5) return fail("malformed header: expected 5 fields");
-    if (tokens[0] != "LOGNICLOG") return fail("bad magic");
-    DecodedLog log;
+    if (tokens[0] != "LOGNICCKPT") return fail("bad magic");
+    if (tokens.size() < 2) return fail("malformed header: expected 3 fields");
     std::uint64_t version = 0;
     try {
-        version = parse_u64(tokens[1], "record log header version");
-        log.header.generation =
-            parse_u64(tokens[3], "record log header generation");
-        log.header.frame_checksum =
-            parse_u64(tokens[4], "record log header frame checksum");
+        version = parse_u64(tokens[1], "checkpoint header version");
     } catch (const std::exception& e) {
         return fail(std::string("malformed header: ") + e.what());
     }
     if (version != kCheckpointVersion)
-        return fail("version skew: log version " + tokens[1] +
+        return fail("version skew: file version " + tokens[1] +
                     ", reader supports " + std::to_string(kCheckpointVersion));
+    if (tokens.size() != 3) return fail("malformed header: expected 3 fields");
+    DecodedLog log;
     log.header.version = static_cast<std::uint32_t>(version);
     log.header.kind = tokens[2];
     if (log.header.kind.empty()) return fail("malformed header: empty kind");
@@ -282,17 +217,9 @@ std::optional<DecodedLog> decode_log(const std::string& data,
     return log;
 }
 
-AppendFile::AppendFile(std::string path, const std::string& header)
-    : path_(std::move(path)) {
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
-    if (fd_ < 0) throw_errno("cannot create", path_);
-    try {
-        append(header);
-    } catch (...) {
-        ::close(fd_);
-        throw;
-    }
-    fsync_dir_of(path_);
+AppendFile::AppendFile(std::string path) : path_(std::move(path)) {
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND);
+    if (fd_ < 0) throw_errno("cannot open for appending", path_);
 }
 
 AppendFile::~AppendFile() { ::close(fd_); }

@@ -517,30 +517,11 @@ struct NicSimulator::Impl {
             f.probability = ev.probability;
             f.capacity = ev.capacity;
             f.label = std::string(fault::to_string(ev.kind)) + ":" + ev.target;
-            if (ev.kind == fault::FaultKind::kLinkDegrade) {
-                if (ev.target == "interface") {
-                    f.link = 0;
-                } else if (ev.target == "memory") {
-                    f.link = 1;
-                } else {
-                    throw std::invalid_argument(
-                        "NicSimulator: link_degrade target '" + ev.target
-                        + "' must be 'interface' or 'memory'");
-                }
-            } else {
-                const auto vid = graph.find_vertex(ev.target);
-                if (!vid)
-                    throw std::invalid_argument(
-                        "NicSimulator: fault target '" + ev.target
-                        + "' is not a vertex of graph '" + graph.name()
-                        + "'");
-                if (vertices[*vid].passthrough)
-                    throw std::invalid_argument(
-                        "NicSimulator: fault target '" + ev.target
-                        + "' is an ingress/egress engine; only IP and "
-                          "rate-limiter vertices can fault");
-                f.v = *vid;
-            }
+            const std::size_t at = fault::resolve_target(ev, graph);
+            if (ev.kind == fault::FaultKind::kLinkDegrade)
+                f.link = static_cast<int>(at);
+            else
+                f.v = static_cast<VertexId>(at);
             if (f.at > options.duration)
                 continue;
             scheduled_faults.push_back(f);
@@ -678,11 +659,11 @@ struct NicSimulator::Impl {
     }
 
     /// Emit the vertex's queue-depth and busy-engine counter samples when
-    /// counters are traced; otherwise this is one inline test.
+    /// tracing; otherwise this is one inline test.
     void
     trace_counters(VertexId v, const VertexState& st)
     {
-        if (trace_opts.sink != nullptr && trace_opts.counters)
+        if (trace_opts.sink != nullptr)
             emit_counters(v, st);
     }
 

@@ -7,6 +7,11 @@ namespace lognic::solver {
 
 namespace {
 
+constexpr double kStepTolerance = 1e-12;
+constexpr double kInitialDamping = 1e-3;
+/// Jacobian step relative to each parameter's magnitude.
+constexpr double kRelativeStep = 1e-6;
+
 double
 sum_squares(const Vector& r)
 {
@@ -18,8 +23,9 @@ sum_squares(const Vector& r)
 
 /**
  * Scale-aware forward-difference Jacobian: column i is perturbed by
- * h_i = rel_step * max(|x_i|, scale_i), so parameters of very different
- * magnitudes (Gbps next to microseconds) are each probed proportionately.
+ * h_i = kRelativeStep * max(|x_i|, scale_i), so parameters of very
+ * different magnitudes (Gbps next to microseconds) are each probed
+ * proportionately.
  * The perturbation flips to a backward difference when the forward probe
  * would leave the feasible box, keeping every evaluation in-bounds.
  */
@@ -32,7 +38,7 @@ scaled_jacobian(const VectorFn& f, const Vector& x, const Vector& f0,
     for (std::size_t c = 0; c < x.size(); ++c) {
         const double floor =
             c < opts.scales.size() ? std::abs(opts.scales[c]) : 1e-8;
-        double h = opts.relative_step * std::max(std::abs(x[c]), floor);
+        double h = kRelativeStep * std::max(std::abs(x[c]), floor);
         if (c < opts.bounds.upper.size()
             && x[c] + h > opts.bounds.upper[c]
             && (c >= opts.bounds.lower.size()
@@ -75,7 +81,7 @@ levenberg_marquardt(const VectorFn& residual_fn, Vector x0,
     Vector x = opts.bounds.clamp(std::move(x0));
     Vector r = residual_fn(x);
     double cost = sum_squares(r);
-    double damping = opts.initial_damping;
+    double damping = kInitialDamping;
     std::size_t evals = 1;
     result.termination = LsTermination::kIterationLimit;
 
@@ -125,7 +131,7 @@ levenberg_marquardt(const VectorFn& residual_fn, Vector x0,
                 cost = cost_new;
                 damping = std::max(damping * 0.3, 1e-12);
                 stepped = true;
-                if (step < opts.step_tolerance) {
+                if (step < kStepTolerance) {
                     result.converged = true;
                     result.termination = LsTermination::kStepTolerance;
                 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Checkpoint frame format and generation store: checksums, bit-exact hex
+ * Checkpoint file format and generation store: checksums, bit-exact hex
  * encodings, the atomic-rename publication protocol, and the
  * corrupt/torn/skewed-generation rejection corpus. Every defect must be
  * detected *by name* and skipped in favor of an older valid generation —
@@ -131,105 +131,123 @@ TEST(HexCodec, ParseU64RejectsSignsOctalPrefixAndHexGarbage)
               std::numeric_limits<std::uint64_t>::max());
 }
 
-// --- frame encode/decode ------------------------------------------------------
+// --- a generation's frame: its header line and snapshot record ----------------
+
+/// A generation file as CheckpointStore::save() writes it: the header
+/// line, then @p payload as record 0.
+std::string
+generation_file(const std::string& kind, const std::string& payload)
+{
+    return io::encode_log_header({io::kCheckpointVersion, kind})
+        + io::encode_record(payload);
+}
 
 TEST(Frame, RoundTripsBinaryPayloads)
 {
-    io::CheckpointFrame frame;
-    frame.kind = "sweep";
-    frame.payload = std::string("line1\nline2\0binary\xff tail", 24);
-    const std::string encoded = io::encode_frame(frame);
+    TempDir dir("ckpt_frame");
+    ckpt::CheckpointStore store(dir.path(), "sweep");
+    const std::string payload("line1\nline2\0binary\xff tail", 24);
+    EXPECT_EQ(store.save(payload), 1u);
+    const std::string file = read_raw(store.path_for(1));
+    EXPECT_EQ(file, "LOGNICCKPT 2 sweep\n24 "
+                        + io::u64_to_hex(io::fnv1a64(payload)) + "\n"
+                        + payload);
+    EXPECT_EQ(file, generation_file("sweep", payload));
 
     std::string reason;
-    const auto back = io::decode_frame(encoded, &reason);
-    ASSERT_TRUE(back.has_value()) << reason;
-    EXPECT_EQ(back->version, io::kCheckpointVersion);
-    EXPECT_EQ(back->kind, "sweep");
-    EXPECT_EQ(back->payload, frame.payload);
+    const auto decoded = io::decode_log(file, &reason);
+    ASSERT_TRUE(decoded.has_value()) << reason;
+    EXPECT_EQ(decoded->header.version, io::kCheckpointVersion);
+    EXPECT_EQ(decoded->header.kind, "sweep");
+    EXPECT_EQ(decoded->records, std::vector<std::string>{payload});
+    const auto back = store.load_latest();
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->payload, payload);
+    EXPECT_TRUE(back->records.empty());
+    EXPECT_FALSE(back->tail.has_value());
 }
 
 TEST(Frame, RejectsBadKinds)
 {
-    io::CheckpointFrame frame;
-    frame.kind = "";
-    EXPECT_THROW(io::encode_frame(frame), std::exception);
-    frame.kind = "has space";
-    EXPECT_THROW(io::encode_frame(frame), std::exception);
+    EXPECT_THROW(io::encode_log_header({io::kCheckpointVersion, ""}),
+                 std::exception);
+    EXPECT_THROW(io::encode_log_header({io::kCheckpointVersion, "has space"}),
+                 std::exception);
+    TempDir dir("ckpt_frame_kind");
+    ckpt::CheckpointStore store(dir.path(), "has space");
+    EXPECT_THROW(store.save("x"), std::exception);
 }
 
 TEST(Frame, NamesEveryDefect)
 {
-    io::CheckpointFrame frame;
-    frame.kind = "check";
-    frame.payload = "{\"journal\":{}}";
-    const std::string good = io::encode_frame(frame);
-
-    std::string reason;
-    // Torn write: payload cut short.
-    EXPECT_FALSE(
-        io::decode_frame(good.substr(0, good.size() - 3), &reason));
-    EXPECT_NE(reason.find("truncated"), std::string::npos) << reason;
-    // Bit rot: one payload byte flipped.
+    TempDir dir("ckpt_frame_defects");
+    ckpt::CheckpointStore store(dir.path(), "check", ckpt::StoreOptions{10});
+    const std::string good = generation_file("check", "{\"journal\":{}}");
     std::string rotted = good;
     rotted[rotted.size() - 2] ^= 0x20;
-    EXPECT_FALSE(io::decode_frame(rotted, &reason));
-    EXPECT_NE(reason.find("checksum"), std::string::npos) << reason;
-    // Wrong magic.
     std::string magic = good;
     magic[0] = 'X';
-    EXPECT_FALSE(io::decode_frame(magic, &reason));
-    EXPECT_NE(reason.find("magic"), std::string::npos) << reason;
-    // Version skew: a frame from a future format.
     std::string future = good;
-    const auto sp = future.find(' ');
-    future.replace(sp + 1, 1, "9"); // version 1 -> 9
-    EXPECT_FALSE(io::decode_frame(future, &reason));
-    EXPECT_NE(reason.find("version skew"), std::string::npos) << reason;
-    // Empty file.
-    EXPECT_FALSE(io::decode_frame("", &reason));
+    future.replace(future.find(' ') + 1, 1, "9"); // version 2 -> 9
+    // Oldest first; load_latest() names them newest first.
+    const std::vector<std::string> defects{
+        "",                                 // empty file
+        good.substr(0, good.find('\n') + 1), // header, no snapshot
+        good.substr(0, good.size() - 3),    // torn snapshot
+        rotted,                             // bit rot in the snapshot
+        magic,
+        future};
+    for (std::size_t g = 0; g < defects.size(); ++g)
+        write_raw(store.path_for(g + 1), defects[g]);
+
+    std::vector<ckpt::Rejected> rejected;
+    EXPECT_FALSE(store.load_latest(&rejected).has_value());
+    ASSERT_EQ(rejected.size(), defects.size());
+    const std::vector<std::string> named{
+        "version skew",          "bad magic",
+        "snapshot record: checksum mismatch",
+        "snapshot record: truncated record",
+        "snapshot record: missing", "truncated header"};
+    for (std::size_t i = 0; i < named.size(); ++i) {
+        EXPECT_EQ(rejected[i].path, store.path_for(defects.size() - i));
+        EXPECT_NE(rejected[i].reason.find(named[i]), std::string::npos)
+            << rejected[i].reason;
+    }
 }
 
 TEST(Frame, GarbageHeaderNumbersRejectedByNameNotCrash)
 {
-    io::CheckpointFrame frame;
-    frame.kind = "check";
-    frame.payload = "payload";
-    const std::string good = io::encode_frame(frame);
+    const std::string good = generation_file("check", "payload");
     const std::size_t nl = good.find('\n');
     ASSERT_NE(nl, std::string::npos);
-
-    // Header layout: magic version kind size checksum. Swap the numeric
-    // fields for garbage a raw stoull would crash on (out_of_range) or
-    // silently misparse, and check each is rejected with its field named.
-    const auto with_field = [&](std::size_t index, const std::string& val) {
-        std::vector<std::string> tok;
-        std::size_t pos = 0;
-        const std::string header = good.substr(0, nl);
-        while (pos <= header.size()) {
-            const std::size_t sp = header.find(' ', pos);
-            tok.push_back(header.substr(pos, sp - pos));
-            if (sp == std::string::npos)
-                break;
-            pos = sp + 1;
-        }
-        tok[index] = val;
-        std::string out;
-        for (std::size_t i = 0; i < tok.size(); ++i)
-            out += (i != 0 ? " " : "") + tok[i];
-        return out + good.substr(nl);
+    // The snapshot record's size and checksum line.
+    const std::string tail = good.substr(good.find('\n', nl + 1));
+    const auto with_record = [&](const std::string& size,
+                                 const std::string& sum) {
+        return good.substr(0, nl + 1) + size + " " + sum + tail;
     };
 
+    // Swap the numeric fields for garbage a raw stoull would crash on
+    // (out_of_range) or silently misparse, and check each is rejected with
+    // its field named.
     std::string reason;
-    // Payload size overflowing u64: the pre-fix crash case.
-    EXPECT_FALSE(io::decode_frame(
-        with_field(3, "99999999999999999999999"), &reason));
-    EXPECT_NE(reason.find("payload size"), std::string::npos) << reason;
-    EXPECT_NE(reason.find("out of range"), std::string::npos) << reason;
-    // Non-numeric checksum.
-    EXPECT_FALSE(io::decode_frame(with_field(4, "0xnope"), &reason));
-    EXPECT_NE(reason.find("checksum"), std::string::npos) << reason;
+    auto log = io::decode_log(
+        with_record("99999999999999999999999", "0x0"), &reason);
+    ASSERT_TRUE(log.has_value()) << reason;
+    EXPECT_TRUE(log->records.empty());
+    EXPECT_NE(log->defect.find("record size"), std::string::npos)
+        << log->defect;
+    EXPECT_NE(log->defect.find("out of range"), std::string::npos)
+        << log->defect;
+    log = io::decode_log(with_record("7", "0xnope"), &reason);
+    ASSERT_TRUE(log.has_value()) << reason;
+    EXPECT_TRUE(log->records.empty());
+    EXPECT_NE(log->defect.find("record checksum"), std::string::npos)
+        << log->defect;
     // Signed version.
-    EXPECT_FALSE(io::decode_frame(with_field(1, "-1"), &reason));
+    std::string signed_version = good;
+    signed_version.replace(good.find(' ') + 1, 1, "-1");
+    EXPECT_FALSE(io::decode_log(signed_version, &reason));
     EXPECT_NE(reason.find("version"), std::string::npos) << reason;
 }
 
@@ -342,6 +360,29 @@ TEST(Store, FallsBackPastCorruptTornAndSkewedGenerations)
     EXPECT_NE(rejected[2].reason.find("checksum"), std::string::npos);
 }
 
+TEST(Store, RefusesAVersionOneGenerationByName)
+{
+    // Version 1 kept a snapshot as a whole-payload frame, with a record
+    // log beside it in a .lnlog file of its own.
+    TempDir dir("ckpt_v1");
+    ckpt::CheckpointStore store(dir.path(), "check");
+    store.save("current");
+    const std::string payload = "{\"journal\":{}}";
+    write_raw(store.path_for(2),
+              "LOGNICCKPT 1 check " + std::to_string(payload.size()) + " "
+                  + io::u64_to_hex(io::fnv1a64(payload)) + "\n" + payload);
+
+    std::vector<ckpt::Rejected> rejected;
+    const auto loaded = store.load_latest(&rejected);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->generation, 1u);
+    EXPECT_EQ(loaded->payload, "current");
+    ASSERT_EQ(rejected.size(), 1u);
+    EXPECT_EQ(rejected[0].path, store.path_for(2));
+    EXPECT_EQ(rejected[0].reason,
+              "version skew: file version 1, reader supports 2");
+}
+
 TEST(Store, IgnoresTmpLeftoversAndForeignKinds)
 {
     TempDir dir("ckpt_tmp");
@@ -351,8 +392,8 @@ TEST(Store, IgnoresTmpLeftoversAndForeignKinds)
     write_raw(dir.path() + "/sweep-00000099.lnck.tmp", "junk");
     write_raw(dir.path() + "/notes.txt", "junk");
 
-    // A frame of a different kind renamed into this store's namespace is
-    // rejected as a kind mismatch, not loaded.
+    // A generation of a different kind renamed into this store's
+    // namespace is rejected as a kind mismatch, not loaded.
     ckpt::CheckpointStore other(dir.path(), "calib");
     other.save("calib payload");
     fs::rename(other.path_for(1), store.path_for(50));

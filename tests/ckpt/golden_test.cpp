@@ -3,10 +3,14 @@
  * The checkpoint file format, pinned by fixtures. tests/ckpt/golden/ holds
  * the final generation of four tiny supervised campaigns — a sweep, a
  * check, a calibration, and an exploration — as an earlier version of the
- * supervisor wrote them. Resuming each fixture must replay every unit,
- * and the generation the resumed campaign publishes at the end must be
- * byte-identical to the fixture: a change to a journal encoding, the
- * payload layout, or a campaign fingerprint fails here first.
+ * supervisor wrote them: a version 2 header line, then the snapshot as
+ * record 0. Their journals are older than that format; only the header
+ * and the sweep, check and calibration fingerprints (which gained a digest
+ * of the campaign's inputs) were rewritten with it. Resuming each fixture
+ * must replay every unit, and the generation the resumed campaign
+ * publishes at the end must be byte-identical to the fixture: a change to
+ * a journal encoding, the payload layout, or a campaign fingerprint fails
+ * here first.
  *
  * The campaigns below are the ones the fixtures were written from; they
  * must not change. A deliberate format change bumps kCheckpointVersion

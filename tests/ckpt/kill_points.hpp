@@ -7,8 +7,9 @@
  *
  * Campaigns under test checkpoint after every completion
  * (checkpoint_every = 1) and keep every generation (high retention), so
- * the directory records each publication: a snapshot generation, then one
- * record appended to its log per publication until the next snapshot.
+ * the directory records each publication: a generation whose record 0 is
+ * a snapshot, then one record appended to that file per publication until
+ * the next snapshot.
  */
 #ifndef LOGNIC_TESTS_CKPT_KILL_POINTS_HPP_
 #define LOGNIC_TESTS_CKPT_KILL_POINTS_HPP_
@@ -48,35 +49,38 @@ class TempDir {
     std::string path_;
 };
 
-/// The on-disk state right after one publication: the newest snapshot
-/// generation, and how many records its log held.
+/// The on-disk state right after one publication: the newest generation,
+/// and how many records its file held after the snapshot.
 struct KillPoint {
     std::uint64_t generation{0};
     std::size_t records{0};
 };
 
-/// The decoded log of @p generation, or an empty one when it has none.
+/// The decoded file of @p generation: record 0 is its snapshot.
 inline io::DecodedLog
-read_log(const ckpt::CheckpointStore& store, std::uint64_t generation)
+read_generation(const ckpt::CheckpointStore& store, std::uint64_t generation)
 {
-    const auto data = io::read_file_if_exists(store.log_path_for(generation));
+    const std::string path = store.path_for(generation);
+    const auto data = io::read_file_if_exists(path);
     if (!data)
-        return {};
+        throw std::runtime_error("missing generation " + path);
     std::string reason;
     auto log = io::decode_log(*data, &reason);
-    if (!log)
-        throw std::runtime_error("unreadable log: " + reason);
+    if (!log || log->records.empty())
+        throw std::runtime_error("unreadable generation " + path + ": "
+                                 + reason);
     return *log;
 }
 
-/// Log bytes up to the end of its first @p records records.
+/// Bytes of @p generation's file up to the end of the first @p records
+/// records after its snapshot.
 inline std::size_t
 log_prefix_bytes(const ckpt::CheckpointStore& store, std::uint64_t generation,
                  std::size_t records)
 {
-    const io::DecodedLog log = read_log(store, generation);
+    const io::DecodedLog log = read_generation(store, generation);
     std::size_t bytes = io::encode_log_header(log.header).size();
-    for (std::size_t i = 0; i < records; ++i)
+    for (std::size_t i = 0; i <= records; ++i)
         bytes += io::encode_record(log.records.at(i)).size();
     return bytes;
 }
@@ -88,7 +92,7 @@ publications(const std::string& dir, const std::string& kind)
     const ckpt::CheckpointStore store(dir, kind, ckpt::StoreOptions{1000});
     std::vector<KillPoint> out;
     for (std::uint64_t g : store.generations()) {
-        const std::size_t n = read_log(store, g).records.size();
+        const std::size_t n = read_generation(store, g).records.size() - 1;
         for (std::size_t r = 0; r <= n; ++r)
             out.push_back({g, r});
     }
@@ -98,8 +102,8 @@ publications(const std::string& dir, const std::string& kind)
 /**
  * Clone @p src into @p dst as a kill right after publication @p p
  * (1-based) leaves it: generations newer than the one @p p landed in are
- * deleted with their logs, and that generation's log is truncated to its
- * first KillPoint::records records. Returns the kill point.
+ * deleted, and that generation's file is truncated to its snapshot and
+ * the first KillPoint::records records after it. Returns the kill point.
  */
 inline KillPoint
 clone_killed_at(const std::string& src, const std::string& dst,
@@ -113,16 +117,10 @@ clone_killed_at(const std::string& src, const std::string& dst,
         fs::copy(entry.path(), dst / entry.path().filename());
     const ckpt::CheckpointStore store(dst, kind, ckpt::StoreOptions{1000});
     for (std::uint64_t g : store.generations())
-        if (g > at.generation) {
-            fs::remove(store.log_path_for(g));
+        if (g > at.generation)
             fs::remove(store.path_for(g));
-        }
-    const std::string log = store.log_path_for(at.generation);
-    if (at.records == 0)
-        fs::remove(log);
-    else
-        fs::resize_file(log,
-                        log_prefix_bytes(store, at.generation, at.records));
+    fs::resize_file(store.path_for(at.generation),
+                    log_prefix_bytes(store, at.generation, at.records));
     return at;
 }
 

@@ -1,14 +1,16 @@
 /**
  * @file
- * The append-only record log: its framing, its place next to a snapshot
- * generation, and the Campaign that publishes through it. A torn or
- * rotten record must be named by path, byte offset, and reason and never
- * replayed; a log bound to another snapshot must be refused by name; and
- * publication must stay linear — bytes written and generations kept grow
- * with the records, not with the records squared.
+ * The append-only record log: its framing, its place in a generation's
+ * file after the snapshot (record 0), and the Campaign that publishes
+ * through it. A torn or rotten record must be named by path, byte offset,
+ * and reason and never replayed; a generation cut inside its snapshot
+ * must be refused by name in favor of the one before it; and publication
+ * must stay linear — bytes written and generations kept grow with the
+ * records, not with the records squared.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <string>
@@ -27,6 +29,7 @@ namespace fs = std::filesystem;
 using test::clone_killed_at;
 using test::KillPoint;
 using test::publications;
+using test::read_generation;
 using test::TempDir;
 
 // --- a synthetic journal ------------------------------------------------------
@@ -128,8 +131,6 @@ sample_log(const std::vector<std::string>& records)
 {
     io::LogHeader header;
     header.kind = "check";
-    header.generation = 7;
-    header.frame_checksum = 0x0123456789abcdefull;
     std::string log = io::encode_log_header(header);
     for (const auto& r : records)
         log += io::encode_record(r);
@@ -146,9 +147,9 @@ TEST(RecordLog, RoundTripsHeaderAndRecords)
     std::string reason;
     const auto back = io::decode_log(log, &reason);
     ASSERT_TRUE(back.has_value()) << reason;
+    EXPECT_EQ(log.substr(0, log.find('\n') + 1), "LOGNICCKPT 2 check\n");
+    EXPECT_EQ(back->header.version, io::kCheckpointVersion);
     EXPECT_EQ(back->header.kind, "check");
-    EXPECT_EQ(back->header.generation, 7u);
-    EXPECT_EQ(back->header.frame_checksum, 0x0123456789abcdefull);
     EXPECT_EQ(back->records, kRecords);
     EXPECT_EQ(back->valid_bytes, log.size());
     EXPECT_TRUE(back->defect.empty());
@@ -207,13 +208,19 @@ TEST(RecordLog, HeaderDefectsAreNamed)
     skew.replace(skew.find(' ') + 1, 1, "9");
     EXPECT_FALSE(io::decode_log(skew, &reason));
     EXPECT_NE(reason.find("version skew"), std::string::npos) << reason;
-    std::string generation = good;
-    generation.replace(generation.find(" 7 "), 3, " -7 ");
-    EXPECT_FALSE(io::decode_log(generation, &reason));
-    EXPECT_NE(reason.find("generation"), std::string::npos) << reason;
-    // A frame is not a log.
+    std::string extra = good;
+    extra.replace(extra.find('\n'), 1, " 7\n");
+    EXPECT_FALSE(io::decode_log(extra, &reason));
+    EXPECT_NE(reason.find("expected 3 fields"), std::string::npos) << reason;
+    // A version 1 snapshot frame is refused by its version, and a version 1
+    // record log by its magic.
     EXPECT_FALSE(io::decode_log(
-        io::encode_frame(io::CheckpointFrame{1, "check", "{}"}), &reason));
+        "LOGNICCKPT 1 check 2 0x0000000000000000\n{}", &reason));
+    EXPECT_NE(reason.find("version skew: file version 1, reader supports 2"),
+              std::string::npos)
+        << reason;
+    EXPECT_FALSE(io::decode_log(
+        "LOGNICLOG 1 check 7 0x0000000000000000\n", &reason));
     EXPECT_NE(reason.find("bad magic"), std::string::npos) << reason;
 }
 
@@ -223,26 +230,32 @@ TEST(Store, LogsAreNamedAndPrunedWithTheirGeneration)
 {
     TempDir dir("ckpt_log_prune");
     CheckpointStore store(dir.path(), "sweep", StoreOptions{2});
-    EXPECT_EQ(store.log_path_for(42), dir.path() + "/sweep-00000042.lnlog");
     for (int g = 1; g <= 3; ++g) {
-        const std::string payload = "gen " + std::to_string(g);
-        const std::uint64_t gen = store.save(payload);
-        store.open_log(gen, io::fnv1a64(payload))->append(
+        const std::uint64_t gen = store.save("gen " + std::to_string(g));
+        store.open_log(gen)->append(
             io::encode_record("r" + std::to_string(g)));
     }
     EXPECT_EQ(store.generations(), (std::vector<std::uint64_t>{2, 3}));
-    EXPECT_FALSE(fs::exists(store.log_path_for(1)));
-    EXPECT_TRUE(fs::exists(store.log_path_for(2)));
+    // One file per generation: the log is the generation's own file.
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir.path()))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"sweep-00000002.lnck",
+                                               "sweep-00000003.lnck"}));
+    EXPECT_EQ(read_generation(store, 3).records,
+              (std::vector<std::string>{"gen 3", "r3"}));
 
     const auto newest = store.load_latest();
     ASSERT_TRUE(newest.has_value());
-    const LogReplay log = store.load_log(*newest);
-    EXPECT_EQ(log.records, std::vector<std::string>{"r3"});
-    EXPECT_FALSE(log.rejected.has_value());
-    // A snapshot with no log has nothing to replay, and nothing is wrong.
-    fs::remove(store.log_path_for(3));
-    EXPECT_TRUE(store.load_log(*newest).records.empty());
-    EXPECT_FALSE(store.load_log(*newest).rejected.has_value());
+    EXPECT_EQ(newest->payload, "gen 3");
+    EXPECT_EQ(newest->records, std::vector<std::string>{"r3"});
+    EXPECT_FALSE(newest->tail.has_value());
+    // A snapshot with no records after it has nothing to replay, and
+    // nothing is wrong.
+    fs::resize_file(store.path_for(3), test::log_prefix_bytes(store, 3, 0));
+    EXPECT_TRUE(store.load_latest()->records.empty());
+    EXPECT_FALSE(store.load_latest()->tail.has_value());
 }
 
 // --- campaigns publishing through the log -------------------------------------
@@ -262,7 +275,7 @@ TEST(Campaign, PublicationsAppendToTheLogBetweenSnapshots)
         const auto gens = store.generations();
         ASSERT_LT(gens.size(), 9u); // most publications appended
         const std::size_t logged =
-            test::read_log(store, gens.back()).records.size();
+            read_generation(store, gens.back()).records.size() - 1;
         EXPECT_GT(logged, 0u);
         EXPECT_EQ(logged % 4, 0u);
         campaign.flush(); // the pending two go out in the final snapshot
@@ -350,7 +363,7 @@ TEST(Campaign, TornLastRecordAtEveryOffsetIsNamedAndResumed)
     TempDir killed("ckpt_log_torn");
     const KillPoint at = clone_killed_at(full.path(), killed.path(), "notes", p);
     const CheckpointStore probe(killed.path(), "notes");
-    const std::string log = probe.log_path_for(at.generation);
+    const std::string log = probe.path_for(at.generation);
     const std::size_t start =
         test::log_prefix_bytes(probe, at.generation, at.records - 1);
     const std::size_t end = fs::file_size(log);
@@ -385,49 +398,78 @@ TEST(Campaign, TornLastRecordAtEveryOffsetIsNamedAndResumed)
     }
 }
 
-TEST(Campaign, LogBoundToAnotherSnapshotIsRejectedByName)
+TEST(Campaign, CutAtEveryByteOfAGenerationFallsBackOrReplaysItsPrefix)
 {
-    TempDir full("ckpt_log_bound_full");
-    const std::string want = run_notes(every_publication(full.path()), 6);
+    // A kill mid-publication leaves the newest generation cut somewhere.
+    // Inside its header or snapshot it is rejected by name and the one
+    // before it resumes; past the snapshot, every whole record before the
+    // cut replays and the cut is named. Either way the finished campaign
+    // is the uninterrupted one. tmpfs keeps the many resumes cheap.
+    const fs::path base = fs::is_directory("/dev/shm")
+        ? fs::path("/dev/shm")
+        : fs::temp_directory_path();
+    TempDir full("ckpt_cut_full", base);
+    const std::string want = run_notes(every_publication(full.path()), 12);
     const std::uint64_t p = last_append(full.path());
     ASSERT_GT(p, 0u);
 
-    const auto rebind = [](io::LogHeader& h, const std::string& field) {
-        if (field == "kind")
-            h.kind = "sweep";
-        else if (field == "generation")
-            h.generation += 7;
-        else
-            h.frame_checksum ^= 1;
-    };
-    for (const std::string field : {"kind", "generation", "checksum"}) {
-        TempDir killed("ckpt_log_bound_" + field);
-        const KillPoint at =
-            clone_killed_at(full.path(), killed.path(), "notes", p);
-        const CheckpointStore probe(killed.path(), "notes");
-        const std::string log = probe.log_path_for(at.generation);
-        io::DecodedLog decoded = test::read_log(probe, at.generation);
-        rebind(decoded.header, field);
-        std::string rewritten = io::encode_log_header(decoded.header);
-        for (const auto& r : decoded.records)
-            rewritten += io::encode_record(r);
-        io::atomic_write_file(log, rewritten);
+    TempDir killed("ckpt_cut", base);
+    const KillPoint at = clone_killed_at(full.path(), killed.path(), "notes", p);
+    ASSERT_GT(at.generation, 1u);
+    const CheckpointStore probe(killed.path(), "notes");
+    const std::string file = probe.path_for(at.generation);
+    const std::size_t size = fs::file_size(file);
+    std::vector<std::size_t> ends; // ends[r]: the end of record r
+    for (std::size_t r = 0; r <= at.records; ++r)
+        ends.push_back(test::log_prefix_bytes(probe, at.generation, r));
+    ASSERT_EQ(ends.back(), size);
+    const KillPoint before = publications(full.path(), "notes").at(
+        static_cast<std::size_t>(p) - at.records - 2);
+    ASSERT_EQ(before.generation, at.generation - 1);
 
+    for (std::size_t cut = 0; cut <= size; ++cut) {
+        clone_killed_at(full.path(), killed.path(), "notes", p);
+        fs::resize_file(file, cut);
+        std::vector<std::string> logged;
+        SupervisorOptions sup = every_publication(killed.path());
+        sup.log = [&logged](const std::string& m) { logged.push_back(m); };
         NoteJournal journal;
-        Campaign campaign(every_publication(killed.path()), "notes",
-                          notes_fingerprint(), journal);
-        ASSERT_EQ(campaign.resume().rejected.size(), 1u) << field;
-        EXPECT_EQ(campaign.resume().rejected[0].path, log);
-        EXPECT_NE(campaign.resume().rejected[0].reason.find(
-                      "header mismatch: "
-                      + std::string(field == "checksum" ? "snapshot checksum"
-                                                        : field)),
-                  std::string::npos)
-            << campaign.resume().rejected[0].reason;
-        EXPECT_EQ(campaign.resume().replayed, 0u);
-        record_notes(journal, campaign, 6);
+        Campaign campaign(sup, "notes", notes_fingerprint(), journal);
+        const ResumeInfo& r = campaign.resume();
+        ASSERT_TRUE(r.resumed) << cut;
+        if (cut < ends[0]) {
+            EXPECT_EQ(r.generation, before.generation) << cut;
+            EXPECT_EQ(r.replayed, before.records) << cut;
+            ASSERT_EQ(r.rejected.size(), 1u) << cut;
+            EXPECT_EQ(r.rejected[0].path, file);
+            EXPECT_FALSE(r.rejected[0].reason.empty()) << cut;
+            ASSERT_FALSE(logged.empty());
+            EXPECT_EQ(logged[0].rfind("checkpoint: skipping " + file + ": ",
+                                      0),
+                      0u)
+                << logged[0];
+        } else {
+            const std::size_t whole = static_cast<std::size_t>(
+                std::upper_bound(ends.begin(), ends.end(), cut) - ends.begin()
+                - 1);
+            EXPECT_EQ(r.generation, at.generation) << cut;
+            EXPECT_EQ(r.replayed, whole) << cut;
+            if (cut == ends[whole]) {
+                EXPECT_TRUE(r.rejected.empty()) << cut;
+            } else {
+                ASSERT_EQ(r.rejected.size(), 1u) << cut;
+                EXPECT_EQ(r.rejected[0].path, file);
+                EXPECT_EQ(r.rejected[0].reason.rfind(
+                              "truncated at byte "
+                                  + std::to_string(ends[whole]) + ": ",
+                              0),
+                          0u)
+                    << r.rejected[0].reason;
+            }
+        }
+        record_notes(journal, campaign, 12);
         campaign.flush();
-        EXPECT_EQ(journal.to_json().dump(-1), want) << field;
+        EXPECT_EQ(journal.to_json().dump(-1), want) << cut;
     }
 }
 

@@ -42,6 +42,22 @@ using test::KillPoint;
 using test::publications;
 using test::TempDir;
 
+/// Runs @p resume, which must refuse the checkpoint directory as another
+/// campaign's.
+template <class Resume>
+void
+expect_fingerprint_mismatch(Resume resume, const std::string& edit)
+{
+    try {
+        resume();
+        ADD_FAILURE() << "resumed the journal of a campaign with " << edit;
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("fingerprint mismatch"),
+                  std::string::npos)
+            << edit << ": " << e.what();
+    }
+}
+
 // --- journal round trips ------------------------------------------------------
 
 sim::SimResult
@@ -309,6 +325,46 @@ TEST(SuperviseSweep, RefusesAForeignCampaignsJournal)
     EXPECT_THROW(supervise_sweep(sweep, other, sup), std::runtime_error);
 }
 
+TEST(SuperviseSweep, RefusesAResumeAfterAnInputEdit)
+{
+    // Same point count, replications and seed: only the points' inputs
+    // tell the campaigns apart.
+    const runner::Sweep sweep = small_sweep();
+    runner::SweepOptions so;
+    so.replications = 1;
+    TempDir dir("sweep_edited");
+    SupervisorOptions sup;
+    sup.dir = dir.path();
+    supervise_sweep(sweep, so, sup);
+
+    const auto edited = [&sweep](const auto& edit) {
+        runner::Sweep out;
+        for (std::size_t i = 0; i < sweep.size(); ++i) {
+            runner::SweepPoint pt = sweep.point(i);
+            if (i == 1)
+                edit(pt);
+            out.add(pt);
+        }
+        return out;
+    };
+    const runner::Sweep halved = edited([](runner::SweepPoint& pt) {
+        pt.traffic = test::mtu_traffic(5.0);
+    });
+    const runner::Sweep slower = edited([](runner::SweepPoint& pt) {
+        pt.hw.set_interface_bandwidth(Bandwidth::from_gbps(10.0));
+    });
+    const runner::Sweep longer = edited([](runner::SweepPoint& pt) {
+        pt.options.duration = sim::SimTime{0.004};
+    });
+    expect_fingerprint_mismatch([&] { supervise_sweep(halved, so, sup); },
+                                "a point's rate halved");
+    expect_fingerprint_mismatch([&] { supervise_sweep(slower, so, sup); },
+                                "a point's interface slowed");
+    expect_fingerprint_mismatch([&] { supervise_sweep(longer, so, sup); },
+                                "a point's duration doubled");
+    EXPECT_NO_THROW(supervise_sweep(sweep, so, sup));
+}
+
 TEST(SuperviseSweep, RetriesFailedPointsWithExponentialBackoff)
 {
     // One deterministically-throwing point (impossible parallelism): every
@@ -504,6 +560,36 @@ TEST(SuperviseCheck, FingerprintCoversTrialCountAndSeed)
     EXPECT_THROW(supervise_check(other, {}, sup), std::runtime_error);
 }
 
+TEST(SuperviseCheck, RefusesAResumeAfterACorpusEdit)
+{
+    const auto hw = test::small_nic();
+    sim::SimOptions opts;
+    opts.duration = 0.002;
+    const check::CorpusEntry entry{
+        "small",
+        io::Scenario{hw, test::single_stage_graph(hw), test::mtu_traffic(6.0)},
+        opts, false};
+    check::CheckOptions copts = small_check();
+    copts.trials = 0;
+    TempDir dir("check_edited");
+    SupervisorOptions sup;
+    sup.dir = dir.path();
+    supervise_check(copts, {entry}, sup);
+
+    // Same entry names: only the entries' contents tell them apart.
+    check::CorpusEntry ladder = entry;
+    ladder.monotonicity = true;
+    check::CorpusEntry faster = entry;
+    faster.scenario.traffic = test::mtu_traffic(3.0);
+    expect_fingerprint_mismatch(
+        [&] { supervise_check(copts, {ladder}, sup); },
+        "the monotonicity ladder switched on");
+    expect_fingerprint_mismatch(
+        [&] { supervise_check(copts, {faster}, sup); },
+        "an entry's rate halved");
+    EXPECT_NO_THROW(supervise_check(copts, {entry}, sup));
+}
+
 // --- calibration starts resume through the fit engine -------------------------
 
 calib::FitProblem
@@ -649,6 +735,38 @@ TEST(SuperviseCalibration, RefusesAForeignCampaignsJournal)
     other.fit.seed = 6; // different campaign, same directory
     EXPECT_THROW(supervise_calibration(c.space, c.data, other, sup),
                  std::runtime_error);
+}
+
+TEST(SuperviseCalibration, RefusesAResumeAfterAnInputEdit)
+{
+    const SmallCalibration c = small_calibration();
+    TempDir dir("calib_edited");
+    SupervisorOptions sup;
+    sup.dir = dir.path();
+    supervise_calibration(c.space, c.data, c.opts, sup);
+
+    // Same starts, seed and iterations: only the inputs differ.
+    calib::ParameterSpace other_param(c.space.base());
+    other_param.add("interface_gbps");
+    calib::ParameterSpace other_bounds(c.space.base());
+    other_bounds.add("ip.cores.fixed_cost_us", 0.0, 100.0);
+    calib::Dataset fewer;
+    fewer.add(c.data.observation(0));
+    calib::CalibratorOptions p99 = c.opts;
+    p99.loss.p99_weight = 1.0;
+    expect_fingerprint_mismatch(
+        [&] { supervise_calibration(other_param, c.data, c.opts, sup); },
+        "another parameter");
+    expect_fingerprint_mismatch(
+        [&] { supervise_calibration(other_bounds, c.data, c.opts, sup); },
+        "other bounds");
+    expect_fingerprint_mismatch(
+        [&] { supervise_calibration(c.space, fewer, c.opts, sup); },
+        "an observation dropped");
+    expect_fingerprint_mismatch(
+        [&] { supervise_calibration(c.space, c.data, p99, sup); },
+        "a p99 loss term");
+    EXPECT_NO_THROW(supervise_calibration(c.space, c.data, c.opts, sup));
 }
 
 // --- supervised single simulations --------------------------------------------

@@ -368,7 +368,7 @@ TEST(SuperviseExploration, TornLogTailAtEveryOffsetResumesByteIdentically)
     const KillPoint at = clone_killed_at(full_dir.path(), kill_dir.path(), p);
     const ckpt::CheckpointStore probe(kill_dir.path(),
                                       dse::kExploreCheckpointKind);
-    const std::string log = probe.log_path_for(at.generation);
+    const std::string log = probe.path_for(at.generation);
     const std::size_t start =
         test::log_prefix_bytes(probe, at.generation, at.records - 1);
     const std::size_t end = fs::file_size(log);

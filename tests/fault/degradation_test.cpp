@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "lognic/core/model.hpp"
 #include "lognic/sim/nic_simulator.hpp"
@@ -227,6 +228,57 @@ TEST(ApplyFaultsAt, UnknownTargetThrowsNamingIt)
         EXPECT_NE(std::string(e.what()).find("warp-core"), std::string::npos)
             << e.what();
     }
+}
+
+TEST(FaultTargets, SimulatorAndModelRefuseTheSameTargetsWithOneMessage)
+{
+    // link_degrade targets a shared link, every other kind an IP or
+    // rate-limiter vertex; one rule, so the degraded-mode model refuses
+    // what the simulator refuses, with the simulator's message.
+    const auto hw = test::small_nic();
+    const auto g = test::single_stage_graph(hw);
+    const auto event = [](FaultKind kind, const std::string& target) {
+        FaultEvent e;
+        e.kind = kind;
+        e.target = target;
+        e.factor = kind == FaultKind::kLinkDegrade ? 0.5 : 1.0;
+        return e;
+    };
+    const std::vector<FaultEvent> refused{
+        event(FaultKind::kLinkDegrade, "fabric"),
+        event(FaultKind::kLinkDegrade, "cores"),
+        event(FaultKind::kEngineFail, "memory"),
+        event(FaultKind::kEngineFail, "ingress")};
+    for (const FaultEvent& ev : refused) {
+        FaultPlan plan;
+        plan.events.push_back(ev);
+        std::string model;
+        std::string simulator;
+        try {
+            (void)apply_faults_at(plan, 0.0, hw, g);
+        } catch (const std::invalid_argument& e) {
+            model = e.what();
+        }
+        sim::SimOptions opts;
+        opts.faults = plan;
+        try {
+            sim::NicSimulator(hw, g, test::mtu_traffic(5.0), opts);
+        } catch (const std::invalid_argument& e) {
+            simulator = e.what();
+        }
+        EXPECT_FALSE(simulator.empty()) << ev.target;
+        EXPECT_NE(simulator.find("'" + ev.target + "'"), std::string::npos)
+            << simulator;
+        EXPECT_EQ(model, simulator) << to_string(ev.kind) << " " << ev.target;
+    }
+    // What both accept.
+    FaultPlan accepted;
+    accepted.events.push_back(event(FaultKind::kLinkDegrade, "memory"));
+    accepted.events.push_back(event(FaultKind::kEngineFail, "cores"));
+    EXPECT_NO_THROW((void)apply_faults_at(accepted, 0.0, hw, g));
+    sim::SimOptions opts;
+    opts.faults = accepted;
+    EXPECT_NO_THROW(sim::NicSimulator(hw, g, test::mtu_traffic(5.0), opts));
 }
 
 } // namespace

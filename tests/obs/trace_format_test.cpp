@@ -41,17 +41,17 @@ TEST(TraceOptions, SamplingPredicate)
     EXPECT_FALSE(off.enabled());
     EXPECT_FALSE(off.sampled(0));
 
-    TraceOptions every{&w, 1, true};
+    TraceOptions every{&w, 1};
     EXPECT_TRUE(every.enabled());
     EXPECT_TRUE(every.sampled(0));
     EXPECT_TRUE(every.sampled(17));
 
-    TraceOptions nth{&w, 4, true};
+    TraceOptions nth{&w, 4};
     EXPECT_TRUE(nth.sampled(0));
     EXPECT_FALSE(nth.sampled(1));
     EXPECT_TRUE(nth.sampled(8));
 
-    TraceOptions counters_only{&w, 0, true};
+    TraceOptions counters_only{&w, 0};
     EXPECT_TRUE(counters_only.enabled());
     EXPECT_FALSE(counters_only.sampled(0));
 }
